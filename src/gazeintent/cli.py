@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -33,7 +34,14 @@ def _sha256(path) -> str:
 
 def _load_config(path, cls):
     """Instantiate a config dataclass from a JSON file, rejecting unknown keys."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: malformed config JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - known
     if unknown:
@@ -149,13 +157,23 @@ def _iter_feed_lines(source):
             yield from f
 
 
-def _parse_feed_line(line: str) -> dataio.GazeSample:
-    fields = line.strip().split(",")
+def _parse_feed_line(line: str) -> dataio.GazeSample | None:
+    """One CSV feed row as a sample; None for a blank line or the column
+    header. Non-numeric and non-finite values are rejected."""
+    line = line.strip()
+    if not line or line == dataio.GAZE_HEADER:
+        return None
+    fields = line.split(",")
     if len(fields) != 7:
-        raise DataError(f"feed line needs 7 fields, got {len(fields)}: {line.strip()!r}")
-    vals = [None if f == "" else float(f) for f in fields]
+        raise DataError(f"feed line needs 7 fields, got {len(fields)}: {line!r}")
+    try:
+        vals = [None if f == "" else float(f) for f in fields]
+    except ValueError as e:
+        raise DataError(f"feed line has a non-numeric field: {line!r}") from e
     if vals[0] is None or vals[5] is None or vals[6] is None:
-        raise DataError(f"feed line missing t or viewport: {line.strip()!r}")
+        raise DataError(f"feed line missing t or viewport: {line!r}")
+    if not all(math.isfinite(v) for v in vals if v is not None):
+        raise DataError(f"feed line has a non-finite value: {line!r}")
     return dataio.GazeSample(t=vals[0], lx=vals[1], ly=vals[2],
                              rx=vals[3], ry=vals[4], vx=vals[5], vy=vals[6])
 
@@ -175,8 +193,8 @@ def cmd_infer(args) -> int:
     else:
         eye = args.eye if args.eye != "auto" else "left"
         magnification = args.magnification
-        samples = (_parse_feed_line(line) for line in _iter_feed_lines(args.input)
-                   if line.strip())
+        samples = (s for s in map(_parse_feed_line, _iter_feed_lines(args.input))
+                   if s is not None)
     engine = stream.StreamingEngine.from_checkpoint(
         ckpt, magnification, eye=eye, stride=args.stride)
     n = 0

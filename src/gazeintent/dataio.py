@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -23,6 +22,8 @@ MOUSE_RATE = 10
 WINDOW_LEN = 24
 WINDOW_SPAN_S = 0.2
 MAX_MISSING = WINDOW_LEN // 2  # strictly more than this -> window excluded
+
+GAZE_HEADER = "t,lx,ly,rx,ry,vx,vy"
 
 LABELS = ("reading", "scanning")
 READING, SCANNING = 0, 1
@@ -115,7 +116,7 @@ def write_session(session: Session, path) -> None:
         "gaze_rate": meta.gaze_rate, "mouse_rate": meta.mouse_rate,
     }, sort_keys=True)]
     lines.append("#gaze")
-    lines.append("t,lx,ly,rx,ry,vx,vy")
+    lines.append(GAZE_HEADER)
     for s in session.gaze:
         coords = ",".join("" if c is None else fmt9(c) for c in (s.lx, s.ly, s.rx, s.ry))
         lines.append(f"{fmt9(s.t)},{coords},{fmt9(s.vx)},{fmt9(s.vy)}")
@@ -155,7 +156,7 @@ def parse_session(path) -> Session:
             section = line.strip()
             if section not in ("#gaze", "#mouse", "#labels"):
                 raise DataError(f"{path}:{lineno}: unknown section {section}")
-            expect_header = {"#gaze": "t,lx,ly,rx,ry,vx,vy",
+            expect_header = {"#gaze": GAZE_HEADER,
                              "#mouse": "t,mx,my",
                              "#labels": "start,end,label"}[section]
             continue
@@ -298,6 +299,25 @@ def label_at(labels: list, t: float) -> int | None:
     return None
 
 
+def _label_ids(labels: list, t: np.ndarray) -> np.ndarray:
+    """Vectorized `label_at`: class id of the interval covering each t
+    (half-open [start, end)), -1 where none does.
+
+    One binary search over the intervals sorted by start; the interval with
+    the largest start <= t is the only candidate because intervals do not
+    overlap.
+    """
+    if not labels:
+        return np.full(t.shape, -1)
+    ivs = sorted(labels, key=lambda iv: iv.start)
+    start = np.array([iv.start for iv in ivs])
+    end = np.array([iv.end for iv in ivs])
+    cls = np.array([LABELS.index(iv.label) for iv in ivs])
+    j = np.searchsorted(start, t, side="right") - 1
+    hit = (j >= 0) & (t < end[j])
+    return np.where(hit, cls[j], -1)
+
+
 def windowize(session: Session, stride: int, mode: str, *,
               eye: str | None = None, with_mouse: bool = False) -> list:
     """Slice a session into 24-step windows.
@@ -306,6 +326,14 @@ def windowize(session: Session, stride: int, mode: str, *,
     point, dropping unannotated windows. mode "pretext": attach the mean
     mouse velocity over the trailing 0.2 s and ignore labels. Windows
     with strictly more than 50% missing source samples are dropped.
+
+    Every per-window quantity is computed for all window starts at once,
+    so the cost is linear in session length. Labels are found by binary
+    search over the label intervals, which is exact because
+    `parse_session` guarantees they do not overlap. Results equal the
+    per-window `label_at` / `mouse_velocity` reference bit for bit. The
+    streams of all kept windows live in one block; each window holds
+    disjoint views of it, so no two windows share memory.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -329,37 +357,53 @@ def windowize(session: Session, stride: int, mode: str, *,
     mouse_t = np.array([s.t for s in session.mouse])
     mouse_x = np.array([s.mx for s in session.mouse])
     mouse_y = np.array([s.my for s in session.mouse])
+    has_mouse = mouse_t.size > 0
 
-    windows = []
-    for start in range(0, n - WINDOW_LEN + 1, stride):
-        end = start + WINDOW_LEN
-        if missing[start:end].sum() > MAX_MISSING:
-            continue
-        t_end = float(t[end - 1])
-        w = Window(
-            g=np.stack([x[start:end], y[start:end]]),
-            c=np.stack([cx[start:end], cy[start:end]]),
-            t_end=t_end,
-            subject_id=session.meta.subject_id,
-        )
-        if mode == "labeled":
-            label = label_at(session.labels, t_end)
-            if label is None:
-                continue
-            w.label = label
+    starts = np.arange(0, n - WINDOW_LEN + 1, stride)
+    n_missing = np.concatenate(([0], np.cumsum(missing)))
+    starts = starts[n_missing[starts + WINDOW_LEN] - n_missing[starts] <= MAX_MISSING]
+    t_end = t[starts + WINDOW_LEN - 1]
+    if mode == "labeled":
+        label = _label_ids(session.labels, t_end)
+        keep = label >= 0
+    elif has_mouse:
+        keep = ~((t_end - WINDOW_SPAN_S < mouse_t[0]) | (t_end > mouse_t[-1]))
+    else:
+        keep = np.zeros(starts.shape, dtype=bool)
+    if with_mouse:
+        if has_mouse:
+            keep &= (mouse_t[0] <= t[starts]) & (t_end <= mouse_t[-1])
         else:
-            vel = mouse_velocity(session.mouse, t_end - WINDOW_SPAN_S, t_end)
-            if vel is None:
-                continue
-            w.vel_target = vel
-        if with_mouse:
-            if session.mouse and mouse_t[0] <= t[start] and t_end <= mouse_t[-1]:
-                w.m = np.stack([np.interp(t[start:end], mouse_t, mouse_x),
-                                np.interp(t[start:end], mouse_t, mouse_y)])
-            else:
-                continue
-        windows.append(w)
-    return windows
+            keep[:] = False
+    starts, t_end = starts[keep], t_end[keep]
+    if starts.size == 0:
+        return []
+
+    series = [x, y, cx, cy]
+    if with_mouse:
+        series += [np.interp(t, mouse_t, mouse_x), np.interp(t, mouse_t, mouse_y)]
+    idx = starts[:, None] + np.arange(WINDOW_LEN)
+    block = np.empty((starts.size, len(series), WINDOW_LEN))
+    for j, s in enumerate(series):
+        block[:, j] = s[idx]
+    gs = list(block[:, 0:2])
+    cs = list(block[:, 2:4])
+    ms = list(block[:, 4:6]) if with_mouse else [None] * starts.size
+
+    if mode == "labeled":
+        labels = label[keep].tolist()
+        vels = [None] * starts.size
+    else:
+        t_start = t_end - WINDOW_SPAN_S
+        dt = t_end - t_start
+        vel = np.empty((starts.size, 2))
+        vel[:, 0] = (np.interp(t_end, mouse_t, mouse_x) - np.interp(t_start, mouse_t, mouse_x)) / dt
+        vel[:, 1] = (np.interp(t_end, mouse_t, mouse_y) - np.interp(t_start, mouse_t, mouse_y)) / dt
+        labels = [None] * starts.size
+        vels = list(vel)
+    subject = session.meta.subject_id
+    return [Window(g=g, c=c, t_end=te, subject_id=subject, label=lab, vel_target=v, m=mm)
+            for g, c, te, lab, v, mm in zip(gs, cs, t_end.tolist(), labels, vels, ms)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,95 +471,32 @@ def compute_stats(windows: list, meta: SessionMeta) -> NormStats:
     return stats
 
 
+def _standardize(windows: list, key: str, dims, mu, sd) -> None:
+    """Replace `key` on every window that has it by (v / dims - mu) / sd,
+    computed in place on one stacked array; each window gets a view of it."""
+    owners = [w for w in windows if getattr(w, key) is not None]
+    if not owners:
+        return
+    block = np.array([getattr(w, key) for w in owners], dtype=np.float64)
+    block /= dims
+    block -= mu
+    block /= sd
+    for w, arr in zip(owners, block):
+        setattr(w, key, arr)
+
+
 def normalize(windows: list, stats: NormStats) -> list:
-    """Standardize window streams (and velocity targets) with training-split stats."""
-    dims = np.array([stats.screen_w, stats.screen_h])[:, None]
-    out = []
-    for w in windows:
-        nw = replace(w)
-        for key in ("g", "c", "m"):
-            arr = getattr(w, key)
-            if arr is None or key not in stats.channels:
-                continue
+    """Standardize window streams (and velocity targets) with training-split stats.
+
+    Returns new windows; the input windows are left untouched.
+    """
+    out = [replace(w) for w in windows]
+    dims = np.array([stats.screen_w, stats.screen_h])
+    dims_col = dims[:, None]
+    for key in ("g", "c", "m"):
+        if key in stats.channels:
             mu, sd = stats.channels[key]
-            setattr(nw, key, ((arr / dims) - mu[:, None]) / sd[:, None])
-        if w.vel_target is not None and stats.vel is not None:
-            mu, sd = stats.vel
-            nw.vel_target = ((w.vel_target / dims[:, 0]) - mu) / sd
-        out.append(nw)
+            _standardize(out, key, dims_col, mu[:, None], sd[:, None])
+    if stats.vel is not None:
+        _standardize(out, "vel_target", dims, *stats.vel)
     return out
-
-
-# ---------------------------------------------------------------------------
-# windows dataset export (binary container, JSON manifest + f32 payload)
-
-_MAGIC = b"GIW1"
-
-
-def save_windows(windows: list, path) -> None:
-    n = len(windows)
-    has_label = n > 0 and windows[0].label is not None
-    has_vel = n > 0 and windows[0].vel_target is not None
-    has_mouse = n > 0 and windows[0].m is not None
-    manifest = {
-        "count": n,
-        "window_len": WINDOW_LEN,
-        "has_label": has_label,
-        "has_vel": has_vel,
-        "has_mouse": has_mouse,
-        "subjects": [w.subject_id for w in windows],
-        "labels": [int(w.label) for w in windows] if has_label else None,
-        "t_end": [w.t_end for w in windows],
-    }
-    payload = bytearray()
-    for w in windows:
-        payload += np.asarray(w.g, dtype="<f4").tobytes()
-        payload += np.asarray(w.c, dtype="<f4").tobytes()
-        if has_mouse:
-            payload += np.asarray(w.m, dtype="<f4").tobytes()
-        if has_vel:
-            payload += np.asarray(w.vel_target, dtype="<f4").tobytes()
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(bytes(payload))
-
-
-def load_windows(path) -> list:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise DataError(f"{path}: not a windows container")
-        (blob_len,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(blob_len).decode("utf-8"))
-        payload = f.read()
-    n = manifest["count"]
-    per = 2 * WINDOW_LEN * 4 * 2
-    if manifest["has_mouse"]:
-        per += 2 * WINDOW_LEN * 4
-    if manifest["has_vel"]:
-        per += 2 * 4
-    if len(payload) != n * per:
-        raise DataError(f"{path}: payload length {len(payload)} != expected {n * per}")
-    windows = []
-    off = 0
-
-    def take(count):
-        nonlocal off
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=off)
-        off += count * 4
-        return arr
-
-    for i in range(n):
-        g = take(2 * WINDOW_LEN).reshape(2, WINDOW_LEN).astype(np.float64)
-        c = take(2 * WINDOW_LEN).reshape(2, WINDOW_LEN).astype(np.float64)
-        m = take(2 * WINDOW_LEN).reshape(2, WINDOW_LEN).astype(np.float64) if manifest["has_mouse"] else None
-        vel = take(2).astype(np.float64) if manifest["has_vel"] else None
-        windows.append(Window(
-            g=g, c=c, m=m, vel_target=vel,
-            t_end=manifest["t_end"][i],
-            subject_id=manifest["subjects"][i],
-            label=manifest["labels"][i] if manifest["has_label"] else None,
-        ))
-    return windows

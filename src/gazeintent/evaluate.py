@@ -3,7 +3,6 @@ sanity baseline."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
@@ -121,14 +120,6 @@ def predict_labels(params: model.ModelParams, stats, windows, batch_size: int = 
         preds.append(model.predict_proba(params, batch).argmax(axis=1))
     gold = np.array([w.label for w in windows])
     return np.concatenate(preds), gold
-
-
-def windows_checksum(windows) -> str:
-    h = hashlib.sha256()
-    for w in windows:
-        h.update(np.ascontiguousarray(w.g, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(w.c, dtype="<f8").tobytes())
-    return h.hexdigest()
 
 
 def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:

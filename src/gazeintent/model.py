@@ -27,6 +27,7 @@ from gazeintent.numerics import (
 
 VELOCITY_HEAD = "velocity_regressor"
 CLASSIFIER_HEAD = "intent_classifier"
+CHECKPOINT_FORMAT = "gazeintent-ckpt-v1"
 
 SINGLE_STREAM_MODES = ("gaze_only", "comp_only", "mouse_only")
 INPUT_MODES = ("gaze_plus_comp", "mouse_gaze_comp") + SINGLE_STREAM_MODES
@@ -312,7 +313,7 @@ def save_checkpoint(params: ModelParams, stats, path) -> None:
         blob += raw
         offset += len(raw)
     manifest = {
-        "format": "gazeintent-ckpt-v1",
+        "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
         "head_kind": params.head_kind,
         "stats": stats.to_json() if stats is not None else None,
@@ -323,28 +324,40 @@ def save_checkpoint(params: ModelParams, stats, path) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, NormStats | None); bit-exact inverse of save."""
+    """Returns (ModelParams, NormStats | None); bit-exact inverse of save.
+
+    A checkpoint that cannot be read or interpreted raises DataError; a
+    stored config that fails `ModelConfig.validate` raises ConfigError.
+    """
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
         blob = (path / "weights.bin").read_bytes()
     except OSError as e:
         raise DataError(f"cannot read checkpoint at {path}: {e}") from e
-    cfg = ModelConfig(**manifest["config"])
-    params = ModelParams(cfg, manifest["head_kind"])
-    total = sum(e["nbytes"] for e in manifest["tensors"])
-    if total != len(blob):
-        raise DataError(f"{path}: weights.bin length {len(blob)} != manifest total {total}")
-    for e in manifest["tensors"]:
-        count = int(np.prod(e["shape"])) if e["shape"] else 1
-        if count * 4 != e["nbytes"]:
-            raise DataError(f"{path}: tensor {e['name']} payload length mismatch")
-        data = np.frombuffer(blob, dtype="<f4", count=count,
-                             offset=e["offset"]).reshape(e["shape"]).copy()
-        params.tensors[e["name"]] = Tensor(data, requires_grad=e["name"] != "pos")
-    stats = None
-    if manifest["stats"] is not None:
-        stats = dataio.NormStats.from_json(manifest["stats"])
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: malformed manifest.json: {e}") from e
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
+        raise DataError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    try:
+        cfg = ModelConfig(**manifest["config"])
+        cfg.validate()
+        params = ModelParams(cfg, manifest["head_kind"])
+        total = sum(e["nbytes"] for e in manifest["tensors"])
+        if total != len(blob):
+            raise DataError(f"{path}: weights.bin length {len(blob)} != manifest total {total}")
+        for e in manifest["tensors"]:
+            count = int(np.prod(e["shape"])) if e["shape"] else 1
+            if count * 4 != e["nbytes"]:
+                raise DataError(f"{path}: tensor {e['name']} payload length mismatch")
+            data = np.frombuffer(blob, dtype="<f4", count=count,
+                                 offset=e["offset"]).reshape(e["shape"]).copy()
+            params.tensors[e["name"]] = Tensor(data, requires_grad=e["name"] != "pos")
+        stats = None
+        if manifest["stats"] is not None:
+            stats = dataio.NormStats.from_json(manifest["stats"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed checkpoint manifest: {e!r}") from e
     return params, stats
 
 

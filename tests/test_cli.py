@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ class TestGen:
     def test_rejects_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"magnification": 0.5}))
+        assert cli.main(["gen", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 2
+
+    def test_rejects_malformed_config_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 3,')
+        assert cli.main(["gen", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 2
+        assert cli.main(["train", "--mode", "supervised", "--config", str(cfg),
+                         "--data", str(tmp_path), "--out", str(tmp_path / "y")]) == 2
+
+    def test_rejects_non_object_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("3")
         assert cli.main(["gen", "--config", str(cfg),
                          "--out", str(tmp_path / "x")]) == 2
 
@@ -130,22 +145,13 @@ class TestInfer:
                                              monkeypatch, tmp_path):
         _, data, ckpt = workspace
         session_path = data / "S01_text.session"
-        session = dataio.parse_session(session_path)
 
         assert cli.main(["infer", "--ckpt", str(ckpt), "--input",
                          str(session_path), "--eye", "left"]) == 0
         from_file = capsys.readouterr().out
 
-        def f(v):
-            return "" if v is None else dataio.fmt9(v)
-
-        feed = "\n".join(
-            ",".join(f(v) for v in (s.t, s.lx, s.ly, s.rx, s.ry, s.vx, s.vy))
-            for s in session.gaze) + "\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(feed))
-        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-",
-                         "--eye", "left", "--magnification",
-                         str(session.meta.magnification)]) == 0
+        rows, magnification = self._feed_rows(session_path)
+        assert self._infer_stdin(ckpt, rows, monkeypatch, magnification) == 0
         from_stdin = capsys.readouterr().out
         assert from_file == from_stdin
 
@@ -153,3 +159,53 @@ class TestInfer:
         _, _, ckpt = workspace
         monkeypatch.setattr("sys.stdin", io.StringIO("1.0,2.0\n"))
         assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-"]) == 3
+
+
+    @staticmethod
+    def _feed_rows(session_path):
+        """The session's gaze as CSV feed rows, and its magnification."""
+        def f(v):
+            return "" if v is None else dataio.fmt9(v)
+        session = dataio.parse_session(session_path)
+        rows = [",".join(f(v) for v in (s.t, s.lx, s.ly, s.rx, s.ry, s.vx, s.vy))
+                for s in session.gaze]
+        return rows, session.meta.magnification
+
+    @staticmethod
+    def _infer_stdin(ckpt, rows, monkeypatch, magnification):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
+        return cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", "left",
+                         "--magnification", str(magnification)])
+
+    def test_feed_header_line_skipped(self, workspace, capsys, monkeypatch):
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        assert self._infer_stdin(ckpt, rows, monkeypatch, mag) == 0
+        plain = capsys.readouterr().out
+        assert self._infer_stdin(ckpt, [dataio.GAZE_HEADER] + rows, monkeypatch, mag) == 0
+        assert capsys.readouterr().out == plain != ""
+
+    def test_non_numeric_feed_field(self, workspace, monkeypatch):
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        rows[3] = "0.025,abc,1,2,3,0,0"
+        assert self._infer_stdin(ckpt, rows, monkeypatch, mag) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feed_value(self, workspace, capsys, monkeypatch, bad):
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        fields = rows[30].split(",")
+        fields[1] = bad
+        rows[30] = ",".join(fields)
+        assert self._infer_stdin(ckpt, rows, monkeypatch, mag) == 3
+        for line in capsys.readouterr().out.splitlines():
+            json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+
+    def test_malformed_checkpoint_manifest(self, workspace, tmp_path, monkeypatch):
+        _, _, ckpt = workspace
+        bad = tmp_path / "ckpt"
+        shutil.copytree(ckpt, bad)
+        (bad / "manifest.json").write_text('{"format": ')
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert cli.main(["infer", "--ckpt", str(bad), "--input", "-"]) == 3

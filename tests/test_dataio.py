@@ -369,42 +369,181 @@ class TestNormalization:
             dataio.compute_stats([], make_meta())
 
 
-class TestWindowsContainer:
-    def test_round_trip(self, tmp_path):
+# ---------------------------------------------------------------------------
+# vectorized windowize / normalize against the per-window reference
+
+
+def reference_windows(session, stride, mode, eye, with_mouse):
+    """Per-window loop over the scalar oracles `label_at` and
+    `mouse_velocity`, with the mouse stream from `np.interp` per window.
+    Returns (g, c, m, vel_target, t_end, label) tuples."""
+    W = dataio.WINDOW_LEN
+    x, y, missing = dataio.eye_series(session.gaze, eye)
+    x, _ = dataio.interpolate_missing(x)
+    y, _ = dataio.interpolate_missing(y)
+    t = np.array([s.t for s in session.gaze])
+    vx = np.array([s.vx for s in session.gaze])
+    vy = np.array([s.vy for s in session.gaze])
+    meta = session.meta
+    cx = np.clip(vx + x / meta.magnification, 0.0, meta.screen_w)
+    cy = np.clip(vy + y / meta.magnification, 0.0, meta.screen_h)
+    mt = np.array([s.t for s in session.mouse])
+    mx = np.array([s.mx for s in session.mouse])
+    my = np.array([s.my for s in session.mouse])
+    out = []
+    for start in range(0, len(t) - W + 1, stride):
+        end = start + W
+        if missing[start:end].sum() > dataio.MAX_MISSING:
+            continue
+        t_end = float(t[end - 1])
+        label = vel = m = None
+        if mode == "labeled":
+            label = dataio.label_at(session.labels, t_end)
+            if label is None:
+                continue
+        else:
+            vel = dataio.mouse_velocity(session.mouse, t_end - dataio.WINDOW_SPAN_S, t_end)
+            if vel is None:
+                continue
+        if with_mouse:
+            if not (session.mouse and mt[0] <= t[start] and t_end <= mt[-1]):
+                continue
+            m = np.stack([np.interp(t[start:end], mt, mx), np.interp(t[start:end], mt, my)])
+        out.append((np.stack([x[start:end], y[start:end]]),
+                    np.stack([cx[start:end], cy[start:end]]), m, vel, t_end, label))
+    return out
+
+
+def _bytes(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+@st.composite
+def hostile_sessions(draw):
+    """Sessions of 24..600 samples with random dropout on both eyes,
+    label lists with gaps in shuffled order, and mouse records that may
+    start late, end early or be empty."""
+    q = dataio.q9
+    n = draw(st.integers(24, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drop_l, drop_r = draw(st.floats(0, 0.6)), draw(st.floats(0, 0.6))
+    t0 = draw(st.floats(0, 5))
+    meta = make_meta(magnification=draw(st.sampled_from([1.0, 1.5, 3.0])))
+    t = [q(t0 + i / dataio.GAZE_RATE + rng.uniform(0, 1e-3)) for i in range(n)]
+    walk = np.cumsum(rng.normal(0, 20, size=(n, 4)), axis=0) + [500, 400, 500, 400]
+    gaze = []
+    for i in range(n):
+        lx, ly, rx, ry = (q(float(np.clip(v, 0, d)))
+                          for v, d in zip(walk[i], (1000, 800, 1000, 800)))
+        if rng.random() < drop_l:
+            lx, ly = (None, ly) if rng.random() < 0.5 else (None, None)
+        if rng.random() < drop_r:
+            rx, ry = (rx, None) if rng.random() < 0.5 else (None, None)
+        gaze.append(dataio.GazeSample(t=t[i], lx=lx, ly=ly, rx=rx, ry=ry,
+                                      vx=q(rng.uniform(0, 200)), vy=q(rng.uniform(0, 100))))
+
+    # label boundaries: gaze timestamps (exercises the half-open test) or
+    # arbitrary times, some intervals left out as gaps, list order shuffled
+    k = draw(st.integers(0, 12))
+    bounds = sorted({t[int(rng.integers(n))] if rng.random() < 0.5
+                     else q(rng.uniform(t0 - 0.3, t[-1] + 0.3)) for _ in range(k)})
+    labels = [dataio.LabelInterval(a, b, dataio.LABELS[int(rng.integers(2))])
+              for a, b in zip(bounds, bounds[1:]) if rng.random() < 0.7]
+    labels = [labels[i] for i in rng.permutation(len(labels))]
+
+    def anchor(lo, hi):
+        """A gaze timestamp in [lo, hi] (exercises the coverage bounds), or any time."""
+        inside = [x for x in t if lo <= x <= hi]
+        if inside and rng.random() < 0.5:
+            return inside[int(rng.integers(len(inside)))]
+        return q(rng.uniform(lo, hi))
+
+    coverage = draw(st.sampled_from(["full", "late", "early", "both", "empty"]))
+    m_start = t0 - 0.1 if coverage in ("full", "early") else anchor(t0, t[-1])
+    m_end = t[-1] + 0.1 if coverage in ("full", "late") else anchor(m_start, t[-1])
+    mouse_t = [] if coverage == "empty" else sorted(
+        {m_start, m_end} | {q(m_start + j / dataio.MOUSE_RATE)
+                            for j in range(int((m_end - m_start) * dataio.MOUSE_RATE) + 1)
+                            if q(m_start + j / dataio.MOUSE_RATE) <= m_end})
+    mouse = [dataio.MouseSample(t=mt, mx=q(rng.uniform(0, 1000)), my=q(rng.uniform(0, 800)))
+             for mt in mouse_t]
+    return dataio.Session(meta, gaze, mouse, labels)
+
+
+class TestVectorizedReference:
+    @given(session=hostile_sessions(), stride=st.integers(1, 25),
+           mode=st.sampled_from(["labeled", "pretext"]), with_mouse=st.booleans(),
+           eye=st.sampled_from(["left", "right"]))
+    @settings(max_examples=150, deadline=None)
+    def test_windowize_equals_reference(self, session, stride, mode, with_mouse, eye):
+        got = dataio.windowize(session, stride, mode, eye=eye, with_mouse=with_mouse)
+        want = reference_windows(session, stride, mode, eye, with_mouse)
+        assert len(got) == len(want)
+        for w, (g, c, m, vel, t_end, label) in zip(got, want):
+            assert _bytes(w.g) == _bytes(g)
+            assert _bytes(w.c) == _bytes(c)
+            assert _bytes(w.m) == _bytes(m)
+            assert _bytes(w.vel_target) == _bytes(vel)
+            assert type(w.t_end) is float and w.t_end == t_end
+            assert w.label == label and type(w.label) is type(label)
+            assert w.subject_id == session.meta.subject_id
+
+    @given(session=hostile_sessions(), stride=st.integers(1, 25))
+    @settings(max_examples=60, deadline=None)
+    def test_normalize_equals_per_window_formula(self, session, stride):
+        mixed = (dataio.windowize(session, stride, "labeled", eye="left")
+                 + dataio.windowize(session, stride, "pretext", eye="left", with_mouse=True))
+        if not mixed:
+            return
+        before = [(_bytes(w.g), _bytes(w.c), _bytes(w.m), _bytes(w.vel_target)) for w in mixed]
+        stats = dataio.compute_stats(mixed, session.meta)
+        got = dataio.normalize(mixed, stats)
+        dims = np.array([stats.screen_w, stats.screen_h])[:, None]
+        assert len(got) == len(mixed)
+        for w, nw in zip(mixed, got):
+            for key in ("g", "c", "m"):
+                arr = getattr(w, key)
+                if arr is None or key not in stats.channels:
+                    assert getattr(nw, key) is arr
+                    continue
+                mu, sd = stats.channels[key]
+                want = ((arr / dims) - mu[:, None]) / sd[:, None]
+                assert _bytes(getattr(nw, key)) == _bytes(want)
+            if w.vel_target is None or stats.vel is None:
+                assert nw.vel_target is w.vel_target
+            else:
+                mu, sd = stats.vel
+                want = ((w.vel_target / dims[:, 0]) - mu) / sd
+                assert _bytes(nw.vel_target) == _bytes(want)
+            assert (nw.t_end, nw.label, nw.subject_id) == (w.t_end, w.label, w.subject_id)
+        assert [(_bytes(w.g), _bytes(w.c), _bytes(w.m), _bytes(w.vel_target))
+                for w in mixed] == before
+
+    def test_mouse_coverage_bounds_are_inclusive(self):
+        # the mouse record starts and ends exactly on gaze timestamps
         session = make_session(120)
-        wins = dataio.windowize(session, 6, "labeled", eye="left")
-        p = tmp_path / "w.bin"
-        dataio.save_windows(wins, p)
-        back = dataio.load_windows(p)
-        assert len(back) == len(wins)
-        for a, b in zip(wins, back):
-            np.testing.assert_allclose(b.g, a.g, atol=1e-3)  # f32 payload
-            np.testing.assert_allclose(b.c, a.c, atol=1e-3)
-            assert b.label == a.label
-            assert b.subject_id == a.subject_id
-            assert b.t_end == a.t_end
+        t = [s.t for s in session.gaze]
+        session.mouse = [dataio.MouseSample(t=mt, mx=float(k), my=2.0 * k)
+                         for k, mt in enumerate([t[24], dataio.q9(t[24] + 0.1), t[60], t[95]])]
+        for mode in ("labeled", "pretext"):
+            for with_mouse in (False, True):
+                got = dataio.windowize(session, 1, mode, eye="left", with_mouse=with_mouse)
+                want = reference_windows(session, 1, mode, "left", with_mouse)
+                assert [(w.t_end, _bytes(w.m), _bytes(w.vel_target)) for w in got] == \
+                    [(t_end, _bytes(m), _bytes(vel)) for _, _, m, vel, t_end, _ in want]
+        kept = dataio.windowize(session, 1, "labeled", eye="left", with_mouse=True)
+        assert [w.t_end for w in kept] == [t[s + 23] for s in range(24, 73)]
 
-    def test_pretext_round_trip_keeps_velocity(self, tmp_path):
+    def test_overlapping_windows_share_no_memory(self):
         session = make_session(120)
-        wins = dataio.windowize(session, 6, "pretext", eye="left")
-        p = tmp_path / "w.bin"
-        dataio.save_windows(wins, p)
-        back = dataio.load_windows(p)
-        for a, b in zip(wins, back):
-            np.testing.assert_allclose(b.vel_target, a.vel_target, atol=1e-3)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "w.bin"
-        p.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(DataError, match="not a windows container"):
-            dataio.load_windows(p)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        session = make_session(48)
-        wins = dataio.windowize(session, 6, "labeled", eye="left")
-        p = tmp_path / "w.bin"
-        dataio.save_windows(wins, p)
-        data = p.read_bytes()
-        p.write_bytes(data[:-8])
-        with pytest.raises(DataError, match="payload length"):
-            dataio.load_windows(p)
+        wins = dataio.windowize(session, 1, "pretext", eye="left", with_mouse=True)
+        normed = dataio.normalize(wins, dataio.compute_stats(wins, session.meta))
+        for batch in (wins, normed):
+            first, second = batch[0], batch[1]
+            keep = {k: getattr(second, k).copy() for k in ("g", "c", "m", "vel_target")}
+            own_c = first.c.copy()
+            first.g += 1.0
+            first.vel_target *= 2.0
+            for k, v in keep.items():
+                np.testing.assert_array_equal(getattr(second, k), v)
+            np.testing.assert_array_equal(first.c, own_c)

@@ -84,18 +84,6 @@ class TestF1:
         assert evaluate.macro_f1(f1_r, f1_s) == pytest.approx(expected, abs=0.05)
 
 
-class TestChecksum:
-    def _win(self, v):
-        return dataio.Window(g=np.full((2, 24), v), c=np.full((2, 24), v * 2),
-                             t_end=0.2, subject_id="S00")
-
-    def test_deterministic_and_sensitive(self):
-        a = evaluate.windows_checksum([self._win(1.0), self._win(2.0)])
-        b = evaluate.windows_checksum([self._win(1.0), self._win(2.0)])
-        c = evaluate.windows_checksum([self._win(1.0), self._win(2.125)])
-        assert a == b != c
-
-
 @pytest.fixture(scope="module")
 def report(sessions):
     cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -250,6 +251,42 @@ class TestCheckpoints:
     def test_missing_checkpoint_rejected(self, tmp_path):
         with pytest.raises(DataError):
             model.load_checkpoint(tmp_path / "nope")
+
+    def _edit_manifest(self, tmp_path, edit):
+        p = model.init_params(small_cfg(), seed=0)
+        model.save_checkpoint(p, None, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        doc = json.loads(path.read_text())
+        path.write_text(edit(doc) if callable(edit) else edit)
+        return tmp_path / "ckpt"
+
+    @pytest.mark.parametrize("text", ['{"format": ', "[1, 2]", "\xff\xfe"])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        ckpt = self._edit_manifest(tmp_path, text)
+        with pytest.raises(DataError):
+            model.load_checkpoint(ckpt)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        ckpt = self._edit_manifest(tmp_path, lambda d: json.dumps({**d, "format": "v0"}))
+        with pytest.raises(DataError, match="gazeintent-ckpt-v1"):
+            model.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: {**d, "config": {**d["config"], "zoom": 2}},
+        lambda d: {k: v for k, v in d.items() if k != "tensors"},
+        lambda d: {**d, "config": None},
+        lambda d: {**d, "tensors": [{**e, "offset": 1 << 30} for e in d["tensors"]]},
+    ], ids=["unknown_config_key", "missing_key", "wrong_type", "offset_out_of_range"])
+    def test_malformed_manifest_fields_rejected(self, tmp_path, edit):
+        ckpt = self._edit_manifest(tmp_path, lambda d: json.dumps(edit(d)))
+        with pytest.raises(DataError):
+            model.load_checkpoint(ckpt)
+
+    def test_invalid_config_rejected(self, tmp_path):
+        ckpt = self._edit_manifest(
+            tmp_path, lambda d: json.dumps({**d, "config": {**d["config"], "n_heads": 3}}))
+        with pytest.raises(ConfigError, match="divisible"):
+            model.load_checkpoint(ckpt)
 
     def test_finetune_load_keeps_backbone_swaps_head(self, tmp_path):
         cfg = small_cfg()
