@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -157,25 +156,21 @@ def _iter_feed_lines(source):
             yield from f
 
 
-def _parse_feed_line(line: str) -> dataio.GazeSample | None:
-    """One CSV feed row as a sample; None for a blank line or the column
-    header. Non-numeric and non-finite values are rejected."""
-    line = line.strip()
-    if not line or line == dataio.GAZE_HEADER:
-        return None
-    fields = line.split(",")
-    if len(fields) != 7:
-        raise DataError(f"feed line needs 7 fields, got {len(fields)}: {line!r}")
-    try:
-        vals = [None if f == "" else float(f) for f in fields]
-    except ValueError as e:
-        raise DataError(f"feed line has a non-numeric field: {line!r}") from e
-    if vals[0] is None or vals[5] is None or vals[6] is None:
-        raise DataError(f"feed line missing t or viewport: {line!r}")
-    if not all(math.isfinite(v) for v in vals if v is not None):
-        raise DataError(f"feed line has a non-finite value: {line!r}")
-    return dataio.GazeSample(t=vals[0], lx=vals[1], ly=vals[2],
-                             rx=vals[3], ry=vals[4], vx=vals[5], vy=vals[6])
+def _read_feed(source):
+    """Samples of a CSV feed, skipping blank lines and the column header.
+    Rows are parsed and checked like a session file's gaze rows; a bad row
+    raises DataError with its line number."""
+    prev_t = None
+    for lineno, line in enumerate(_iter_feed_lines(source), start=1):
+        line = line.strip()
+        if not line or line == dataio.GAZE_HEADER:
+            continue
+        try:
+            sample = dataio.parse_gaze_row(line.split(","), prev_t)
+        except ValueError as e:
+            raise DataError(f"feed line {lineno}: {e}") from e
+        prev_t = sample.t
+        yield sample
 
 
 def cmd_infer(args) -> int:
@@ -193,8 +188,7 @@ def cmd_infer(args) -> int:
     else:
         eye = args.eye if args.eye != "auto" else "left"
         magnification = args.magnification
-        samples = (s for s in map(_parse_feed_line, _iter_feed_lines(args.input))
-                   if s is not None)
+        samples = _read_feed(args.input)
     engine = stream.StreamingEngine.from_checkpoint(
         ckpt, magnification, eye=eye, stride=args.stride)
     n = 0
@@ -263,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--label-fraction", dest="label_fraction", type=float)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved for fold parallelism (currently sequential)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="streaming gaze-only inference")

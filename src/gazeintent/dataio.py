@@ -131,6 +131,31 @@ def write_session(session: Session, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def check_row(row: list, prev_t: float | None) -> None:
+    """Row check shared by session files and live feeds: every number in
+    `row` (None marks an empty field) must be finite, and its timestamp,
+    the first field, must rise strictly above `prev_t` (None: no earlier
+    row). Raises ValueError; callers add the line number."""
+    for v in row:
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
+    if prev_t is not None and not row[0] > prev_t:
+        raise ValueError(f"non-monotonic timestamp {row[0]}")
+
+
+def parse_gaze_row(fields: list, prev_t: float | None) -> GazeSample:
+    """One `t,lx,ly,rx,ry,vx,vy` row of a session file or a live feed,
+    split into fields; an empty eye coordinate marks it missing. Raises
+    ValueError on a malformed row or one that fails `check_row`."""
+    if len(fields) != 7:
+        raise ValueError(f"expected 7 fields, got {len(fields)}")
+    row = [None if f == "" else float(f) for f in fields]
+    if row[0] is None or row[5] is None or row[6] is None:
+        raise ValueError("missing t or viewport")
+    check_row(row, prev_t)
+    return GazeSample(*row)
+
+
 def parse_session(path) -> Session:
     path = Path(path)
     try:
@@ -146,6 +171,8 @@ def parse_session(path) -> Session:
         raise DataError(f"{path}:1: malformed meta: {e}") from e
     meta.validate()
 
+    vmax_x = meta.screen_w * (1 - 1 / meta.magnification)
+    vmax_y = meta.screen_h * (1 - 1 / meta.magnification)
     section = None
     gaze, mouse, labels = [], [], []
     expect_header = None
@@ -168,41 +195,36 @@ def parse_session(path) -> Session:
         fields = line.split(",")
         try:
             if section == "#gaze":
-                if len(fields) != 7:
-                    raise ValueError("expected 7 fields")
-                t = float(fields[0])
-                coords = [None if f == "" else float(f) for f in fields[1:5]]
-                gaze.append(GazeSample(t, *coords, vx=float(fields[5]), vy=float(fields[6])))
+                gaze.append(parse_gaze_row(fields, gaze[-1].t if gaze else None))
             elif section == "#mouse":
                 if len(fields) != 3:
                     raise ValueError("expected 3 fields")
-                mouse.append(MouseSample(float(fields[0]), float(fields[1]), float(fields[2])))
+                row = [float(f) for f in fields]
+                check_row(row, mouse[-1].t if mouse else None)
+                mouse.append(MouseSample(*row))
             elif section == "#labels":
                 if len(fields) != 3:
                     raise ValueError("expected 3 fields")
                 if fields[2] not in LABELS:
                     raise ValueError(f"unknown label {fields[2]!r}")
-                labels.append(LabelInterval(float(fields[0]), float(fields[1]), fields[2]))
+                row = [float(fields[0]), float(fields[1])]
+                check_row(row, None)
+                labels.append(LabelInterval(*row, fields[2]))
             else:
                 raise ValueError("data row outside any section")
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: {e}") from e
 
-        # per-row validation with line numbers
+        # per-row range validation with line numbers
         if section == "#gaze":
             s = gaze[-1]
-            if len(gaze) > 1 and s.t <= gaze[-2].t:
-                raise DataError(f"{path}:{lineno}: non-monotonic gaze timestamp {s.t}")
             for c, dim in ((s.lx, meta.screen_w), (s.ly, meta.screen_h),
                            (s.rx, meta.screen_w), (s.ry, meta.screen_h)):
                 if c is not None and not (0 <= c <= dim):
                     raise DataError(f"{path}:{lineno}: coordinate {c} out of range [0, {dim}]")
-            vmax = meta.screen_w * (1 - 1 / meta.magnification)
-            if not (-1e-9 <= s.vx <= vmax + 1e-9):
-                raise DataError(f"{path}:{lineno}: viewport x {s.vx} outside [0, {vmax}]")
-        elif section == "#mouse":
-            if len(mouse) > 1 and mouse[-1].t <= mouse[-2].t:
-                raise DataError(f"{path}:{lineno}: non-monotonic mouse timestamp {mouse[-1].t}")
+            for v, name, vmax in ((s.vx, "x", vmax_x), (s.vy, "y", vmax_y)):
+                if not (-1e-9 <= v <= vmax + 1e-9):
+                    raise DataError(f"{path}:{lineno}: viewport {name} {v} outside [0, {vmax}]")
         elif section == "#labels":
             iv = labels[-1]
             if iv.start >= iv.end:
@@ -247,20 +269,33 @@ def eye_series(gaze: list, eye: str):
     return x, y, missing
 
 
-def interpolate_missing(values: np.ndarray):
-    """Fill NaN gaps: linear between valid neighbors, nearest at the edges.
+def interpolate_missing(values: np.ndarray, pos: np.ndarray | None = None):
+    """Fill NaN gaps along the last axis: linear between valid neighbors,
+    nearest at the edges.
 
-    Returns (filled, missing_mask); an all-missing series comes back
-    unchanged with an all-True mask.
+    `pos` holds each sample's index in the recording (default 0..n-1); the
+    streaming engine passes global indices, so that a gap's left neighbour
+    may lie before its window and the fill still equals the batch one.
+
+    Returns (filled, missing_mask); an all-missing row comes back
+    unchanged.
     """
     values = np.asarray(values, dtype=np.float64)
     mask = np.isnan(values)
-    if mask.all():
-        return values.copy(), mask
-    idx = np.arange(values.size)
+    if pos is None:
+        pos = np.arange(values.shape[-1])
     filled = values.copy()
-    filled[mask] = np.interp(idx[mask], idx[~mask], values[~mask])
+    for row, miss in zip(np.atleast_2d(filled), np.atleast_2d(mask)):
+        if miss.any() and not miss.all():
+            row[miss] = np.interp(pos[miss], pos[~miss], row[~miss])
     return filled, mask
+
+
+def compensate(g: np.ndarray, view: np.ndarray, magnification: float,
+               screen_w: float, screen_h: float) -> np.ndarray:
+    """Vectorized `remap_to_screen`: gaze rows (x, y) with viewport rows
+    (vx, vy) back into content coordinates, clamped to the screen."""
+    return np.clip(view + g / magnification, 0.0, [[screen_w], [screen_h]])
 
 
 def remap_to_screen(px: float, py: float, vx: float, vy: float, meta: SessionMeta):
@@ -345,14 +380,11 @@ def windowize(session: Session, stride: int, mode: str, *,
         return []
     eye = eye or select_eye(gaze)
     x, y, missing = eye_series(gaze, eye)
-    x, _ = interpolate_missing(x)
-    y, _ = interpolate_missing(y)
+    g, _ = interpolate_missing(np.stack([x, y]))
     t = np.array([s.t for s in gaze])
-    vx = np.array([s.vx for s in gaze])
-    vy = np.array([s.vy for s in gaze])
-    m = session.meta.magnification
-    cx = np.clip(vx + x / m, 0.0, session.meta.screen_w)
-    cy = np.clip(vy + y / m, 0.0, session.meta.screen_h)
+    view = np.array([[s.vx for s in gaze], [s.vy for s in gaze]])
+    meta = session.meta
+    c = compensate(g, view, meta.magnification, meta.screen_w, meta.screen_h)
 
     mouse_t = np.array([s.t for s in session.mouse])
     mouse_x = np.array([s.mx for s in session.mouse])
@@ -379,7 +411,7 @@ def windowize(session: Session, stride: int, mode: str, *,
     if starts.size == 0:
         return []
 
-    series = [x, y, cx, cy]
+    series = [*g, *c]
     if with_mouse:
         series += [np.interp(t, mouse_t, mouse_x), np.interp(t, mouse_t, mouse_y)]
     idx = starts[:, None] + np.arange(WINDOW_LEN)

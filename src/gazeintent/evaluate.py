@@ -175,11 +175,6 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
     return report
 
 
-def random_baseline(sessions, cfg: train.TrainConfig) -> F1Report:
-    """LOSO with uniformly permuted training labels (class counts preserved)."""
-    return loso_evaluate(sessions, "random", cfg)
-
-
 def write_report(report: F1Report, path, extra: dict | None = None) -> None:
     doc = report.to_json()
     if extra:

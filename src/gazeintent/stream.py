@@ -1,11 +1,13 @@
 """Gaze-only streaming inference: sliding-window classification over a
-live feed, equivalent to batch inference wherever every interior gap's
-right neighbor arrives before the emission point.
+live feed.
 
-Interior gaps are backfilled by linear interpolation as soon as the next
-valid sample arrives; a gap still open at emission time is nearest-filled
-with the last valid value, which can differ from offline interpolation
-if the gap later closes.
+The engine keeps only raw samples in its ring buffers (NaN where the eye
+is missing) and prepares each window when it emits, with the gap fill
+and compensation `dataio.windowize` uses. A gap that has closed by the
+emission point is filled linearly, so that window is byte-identical to
+the batch window ending at the same sample. A gap still open at the
+emission point is nearest-filled with the last valid value, which can
+differ from offline interpolation if the gap later closes.
 """
 
 from __future__ import annotations
@@ -62,84 +64,58 @@ class StreamingEngine:
     def reset(self) -> None:
         """Clear buffers and counters; the model and stats are retained."""
         self.count = 0
-        self._raw = np.zeros((2, W))
-        self._comp = np.zeros((2, W))
-        self._view = np.zeros((2, W))
-        self._t = np.zeros(W)
-        self._missing = np.zeros(W, dtype=bool)  # pre-interpolation mask
-        self._last_valid: tuple | None = None    # (global index, x, y)
-
-    def _recompensate(self, slot: int) -> None:
-        self._comp[:, slot] = np.clip(
-            self._view[:, slot] + self._raw[:, slot] / self.magnification,
-            0.0, [self.stats.screen_w, self.stats.screen_h])
-
-    def _backfill_linear(self, left: tuple, right: tuple) -> None:
-        """Interpolate a closed interior gap over its in-buffer slots."""
-        li, lx, ly = left
-        ri, rx, ry = right
-        span = ri - li
-        for j in range(max(li + 1, self.count - W), ri):
-            frac = (j - li) / span
-            slot = j % W
-            self._raw[0, slot] = lx + frac * (rx - lx)
-            self._raw[1, slot] = ly + frac * (ry - ly)
-            self._recompensate(slot)
-
-    def _backfill_leading(self, upto: int, x: float, y: float) -> None:
-        """Nearest-fill every in-buffer slot before the first valid sample."""
-        for j in range(max(0, self.count - W), upto):
-            slot = j % W
-            self._raw[:, slot] = (x, y)
-            self._recompensate(slot)
+        # one ring of raw samples, rows x, y (NaN where the eye is
+        # missing), vx, vy, t; slot = global index % W
+        self._ring = np.full((5, W), np.nan)
+        self._newest_valid: int | None = None  # global index
+        # (global index, [x, y]) of the last valid sample that has left the
+        # ring, the left neighbour of a gap that starts before the window;
+        # NaN (no neighbour) until one has
+        self._evicted = (-1, np.full(2, np.nan))
 
     def push(self, sample: dataio.GazeSample):
         """Append one sample; returns a Decision at emission points, else None."""
         i = self.count % W
-        idx_global = self.count
-        self.count += 1
-        self._t[i] = sample.t
-        self._view[:, i] = (sample.vx, sample.vy)
+        if not np.isnan(self._ring[0, i]):
+            self._evicted = (self.count - W, self._ring[:2, i].copy())
         if self.eye == "left":
             x, y = sample.lx, sample.ly
         else:
             x, y = sample.rx, sample.ry
-        missing = x is None or y is None
-        self._missing[i] = missing
-        if missing:
-            if self._last_valid is not None:
-                self._raw[:, i] = self._last_valid[1:]
-            else:
-                self._raw[:, i] = 0.0
+        if x is None or y is None:
+            x = y = np.nan
         else:
-            self._raw[:, i] = (x, y)
-            if self._last_valid is None:
-                self._backfill_leading(idx_global, float(x), float(y))
-            elif self._last_valid[0] < idx_global - 1:
-                self._backfill_linear(self._last_valid, (idx_global, float(x), float(y)))
-            self._last_valid = (idx_global, float(x), float(y))
-        self._recompensate(i)
+            self._newest_valid = self.count
+        self._ring[:, i] = (x, y, sample.vx, sample.vy, sample.t)
+        self.count += 1
 
         if self.count < W:
             return None
         if (self.count - W) % self.stride != 0:
             return None
-        if int(self._missing.sum()) > dataio.MAX_MISSING:
+        if np.count_nonzero(np.isnan(self._ring[0])) > dataio.MAX_MISSING:
             return None
         return self._emit()
 
     def has_open_gap(self) -> bool:
         """True when the current window ends in a not-yet-closed gap (the
         case where streaming and offline interpolation may disagree)."""
-        if self._last_valid is None:
-            return True
-        return self._last_valid[0] < self.count - 1
+        return self._newest_valid is None or self._newest_valid < self.count - 1
+
+    def _window(self) -> dataio.Window:
+        """The window ending at the newest sample, gap-filled over global
+        sample indices and compensated as `dataio.windowize` does it."""
+        pos = np.arange(self.count - W - 1, self.count)
+        win = self._ring[:, pos[1:] % W]
+        pos[0] = self._evicted[0]
+        g, _ = dataio.interpolate_missing(np.column_stack((self._evicted[1], win[:2])), pos)
+        g = g[:, 1:]
+        c = dataio.compensate(g, win[2:4], self.magnification,
+                              self.stats.screen_w, self.stats.screen_h)
+        return dataio.Window(g=g, c=c, t_end=float(win[4, -1]), subject_id="stream")
 
     def _emit(self) -> Decision:
-        idx = np.arange(self.count - W, self.count) % W
-        w = dataio.Window(g=self._raw[:, idx].copy(), c=self._comp[:, idx].copy(),
-                          t_end=float(self._t[idx[-1]]), subject_id="stream")
-        w = dataio.normalize([w], self.stats)[0]
+        w = dataio.normalize([self._window()], self.stats)[0]
         batch = {k: getattr(w, k)[None].astype(np.float32)
                  for k in self.params.config.streams}
         probs = model.predict_proba(self.params, batch)[0]

@@ -202,6 +202,13 @@ class TestInfer:
         for line in capsys.readouterr().out.splitlines():
             json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
 
+    def test_out_of_order_feed_timestamps(self, workspace, capsys, monkeypatch):
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        rows[40], rows[41] = rows[41], rows[40]
+        assert self._infer_stdin(ckpt, rows, monkeypatch, mag) == 3
+        assert "feed line 42: non-monotonic timestamp" in capsys.readouterr().err
+
     def test_malformed_checkpoint_manifest(self, workspace, tmp_path, monkeypatch):
         _, _, ckpt = workspace
         bad = tmp_path / "ckpt"

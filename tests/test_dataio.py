@@ -76,6 +76,29 @@ class TestContainer:
         with pytest.raises(DataError, match="non-monotonic"):
             dataio.parse_session(p)
 
+    @pytest.mark.parametrize("section,row,col,bad", [
+        ("#gaze", 2, 0, "nan"),     # t
+        ("#gaze", 0, 0, "inf"),     # t on the first row
+        ("#gaze", 3, 6, "nan"),     # vy
+        ("#gaze", 3, 6, "-5000"),   # vy below the viewport range
+        ("#gaze", 3, 6, "500"),     # vy above screen_h * (1 - 1/m) = 400
+        ("#mouse", 1, 0, "nan"),    # t
+        ("#mouse", 1, 1, "nan"),    # mx
+        ("#mouse", 1, 2, "-inf"),   # my
+        ("#labels", 0, 1, "nan"),   # end
+    ])
+    def test_bad_numeric_field_rejected(self, tmp_path, section, row, col, bad):
+        p = tmp_path / "bad.session"
+        dataio.write_session(make_session(48), p)
+        lines = p.read_text().splitlines()
+        i = lines.index(section) + 2 + row   # past the section's column header
+        fields = lines[i].split(",")
+        fields[col] = bad
+        lines[i] = ",".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"bad\.session:{i + 1}:"):
+            dataio.parse_session(p)
+
     def test_out_of_range_coordinate_rejected(self, tmp_path):
         session = make_session(10)
         session.gaze[3].lx = 5000.0

@@ -129,7 +129,7 @@ class TestLoso:
 
     def test_random_pipeline_differs_from_supervised(self, sessions, report):
         cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)
-        rnd = evaluate.random_baseline(sessions, cfg)
+        rnd = evaluate.loso_evaluate(sessions, "random", cfg)
         assert rnd.pipeline == "random"
         sup_f1s = [f.f1_overall for f in report.folds]
         rnd_f1s = [f.f1_overall for f in rnd.folds]

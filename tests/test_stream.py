@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gazeintent import dataio, model, stream, synth, train
 from gazeintent.errors import ConfigError, DataError
@@ -79,8 +80,9 @@ class TestMissingness:
         for i in range(10, 14):
             engine.push(missing_sample(i))
         engine.push(clean_sample(14, x=200.0))
-        slots = engine._raw[0, 10:14]
-        np.testing.assert_allclose(slots, [120.0, 140.0, 160.0, 180.0])
+        # samples 10-13 sit at positions 19-22 of the window ending at sample 14
+        np.testing.assert_allclose(engine._window().g[0, 19:23],
+                                   [120.0, 140.0, 160.0, 180.0])
 
 
 class TestBatchEquivalence:
@@ -118,7 +120,79 @@ class TestBatchEquivalence:
             engine.push(clean_sample(i, x=100.0 + i))
         engine.push(missing_sample(23))
         assert engine.has_open_gap()
-        assert engine._raw[0, 23] == 122.0  # last valid x
+        assert engine._window().g[0, 23] == 122.0  # last valid x
+
+
+@st.composite
+def gappy_sessions(draw):
+    """Sessions of 24..300 samples whose eyes drop out in bursts of up to 40
+    samples, so that some gaps start before a window and close inside it."""
+    W = dataio.WINDOW_LEN
+    q = dataio.q9
+    n = draw(st.integers(W, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    meta = dataio.SessionMeta("S00", "text", draw(st.sampled_from([1.0, 1.5, 3.0])),
+                              1000.0, 800.0)
+    missing = np.zeros((2, n), dtype=bool)
+    for eye in range(2):
+        for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                     st.integers(1, 40)), max_size=6)):
+            missing[eye, start:start + length] = True
+    walk = np.clip(np.cumsum(rng.normal(0, 20, size=(n, 4)), axis=0) + [500, 400, 500, 400],
+                   0, [1000, 800, 1000, 800])
+    vmax = (1 - 1 / meta.magnification) * np.array([1000.0, 800.0])
+    gaze = []
+    for i in range(n):
+        lx, ly, rx, ry = (q(float(v)) for v in walk[i])
+        if missing[0, i]:
+            lx = ly = None
+        if missing[1, i]:
+            rx = ry = None
+        gaze.append(dataio.GazeSample(t=q(i / dataio.GAZE_RATE), lx=lx, ly=ly, rx=rx, ry=ry,
+                                      vx=q(rng.uniform(0, vmax[0])),
+                                      vy=q(rng.uniform(0, vmax[1]))))
+    labels = [dataio.LabelInterval(0.0, q(n / dataio.GAZE_RATE + 1.0), "reading")]
+    return dataio.Session(meta, gaze, [], labels)
+
+
+def _bytes(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class TestOnePath:
+    """The engine prepares windows with `windowize`'s gap fill and
+    compensation, so stride-1 streaming reproduces the batch windows."""
+
+    tiny = model.init_params(model.ModelConfig(d_model=8, n_heads=2, cnn_layers=1,
+                                               transformer_layers=1, ffn_hidden=8), 0)
+    stats = dataio.NormStats(1000.0, 800.0, {k: (np.zeros(2), np.ones(2)) for k in "gc"})
+
+    @given(session=gappy_sessions(), eye=st.sampled_from(["left", "right"]))
+    @settings(max_examples=60, deadline=None)
+    def test_stride1_windows_equal_windowize(self, session, eye):
+        W = dataio.WINDOW_LEN
+        batch = {w.t_end: w for w in dataio.windowize(session, 1, "labeled", eye=eye)}
+        engine = stream.StreamingEngine(self.tiny, self.stats, session.meta.magnification,
+                                        eye=eye, stride=1)
+        emitted = []
+        last_valid = last_idx = None
+        for i, s in enumerate(session.gaze):
+            xy = (s.lx, s.ly) if eye == "left" else (s.rx, s.ry)
+            if None not in xy:
+                last_valid, last_idx = xy, i
+            if engine.push(s) is None:
+                continue
+            w = engine._window()
+            emitted.append(w.t_end)
+            if engine.has_open_gap():
+                gap = i - last_idx
+                assert 0 < gap < W
+                assert (w.g[:, W - gap:] == np.array(last_valid)[:, None]).all()
+            else:
+                assert last_idx == i
+                assert _bytes(w.g) == _bytes(batch[w.t_end].g)
+                assert _bytes(w.c) == _bytes(batch[w.t_end].c)
+        assert emitted == list(batch)
 
 
 class TestReset:
