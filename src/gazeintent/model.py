@@ -21,6 +21,7 @@ from gazeintent.numerics import (
     concat,
     conv1d,
     layer_norm,
+    linear,
     scaled_dot_attention,
     softmax_lastaxis,
 )
@@ -199,14 +200,13 @@ def _mha(q_in: Tensor, kv_in: Tensor, t: dict, prefix: str, n_heads: int) -> Ten
     dh = d // n_heads
 
     def heads(x, n):
-        return x.reshape(B, n, n_heads, dh).swapaxes(1, 2)  # (B, H, T, dh)
+        return x.reshape(B, n, n_heads, dh).swapaxes(1, 2)  # contiguous (B, H, T, dh)
 
-    q = heads(q_in @ t[f"{prefix}.wq"] + t[f"{prefix}.qb"], T)
-    k = heads(kv_in @ t[f"{prefix}.wk"] + t[f"{prefix}.kb"], Tk)
-    v = heads(kv_in @ t[f"{prefix}.wv"] + t[f"{prefix}.vb"], Tk)
-    out = scaled_dot_attention(q, k, v)                     # (B, H, T, dh)
-    out = out.swapaxes(1, 2).reshape(B, T, d)
-    return out @ t[f"{prefix}.wo"] + t[f"{prefix}.ob"]
+    q = heads(linear(q_in, t[f"{prefix}.wq"], t[f"{prefix}.qb"]), T)
+    k = heads(linear(kv_in, t[f"{prefix}.wk"], t[f"{prefix}.kb"]), Tk)
+    v = heads(linear(kv_in, t[f"{prefix}.wv"], t[f"{prefix}.vb"]), Tk)
+    out = scaled_dot_attention(q, k, v).swapaxes(1, 2).reshape(B, T, d)
+    return linear(out, t[f"{prefix}.wo"], t[f"{prefix}.ob"])
 
 
 def encode_stream(x: Tensor, stream: str, params: ModelParams) -> Tensor:
@@ -241,30 +241,44 @@ def cross_fuse(hg: Tensor, hc: Tensor, params: ModelParams,
     if hm is not None:
         parts.append(hm)
         streams.append(hm)
-    fused = concat(parts, axis=-1) @ t["fusion.w"] + t["fusion.b"]
+    fused = linear(concat(parts, axis=-1), t["fusion.w"], t["fusion.b"])
     mean_in = streams[0]
     for s in streams[1:]:
         mean_in = mean_in + s
     return fused + mean_in * (1.0 / len(streams))
 
 
-def transformer_forward(h: Tensor, params: ModelParams) -> Tensor:
-    """Sinusoidal positions added once at entry, then pre-norm self-attention
-    + feed-forward layers with residuals."""
+def _transformer(h: Tensor, params: ModelParams, last_row_only: bool) -> Tensor:
     cfg = params.config
     t = params.tensors
     h = h + t["pos"]
     for li in range(cfg.transformer_layers):
         n1 = layer_norm(h, t[f"tf{li}.ln1.g"], t[f"tf{li}.ln1.b"])
-        h = h + _mha(n1, n1, t, f"tf{li}.attn", cfg.n_heads)
+        q_in = n1
+        if last_row_only and li == cfg.transformer_layers - 1:
+            # the head reads one row of the last layer: only the keys and
+            # values of that layer need every row
+            q_in, h = n1[:, -1:], h[:, -1:]
+        h = h + _mha(q_in, n1, t, f"tf{li}.attn", cfg.n_heads)
         n2 = layer_norm(h, t[f"tf{li}.ln2.g"], t[f"tf{li}.ln2.b"])
-        ff = (n2 @ t[f"tf{li}.ffn1.w"] + t[f"tf{li}.ffn1.b"]).relu()
-        h = h + (ff @ t[f"tf{li}.ffn2.w"] + t[f"tf{li}.ffn2.b"])
+        ff = linear(n2, t[f"tf{li}.ffn1.w"], t[f"tf{li}.ffn1.b"]).relu()
+        h = h + linear(ff, t[f"tf{li}.ffn2.w"], t[f"tf{li}.ffn2.b"])
     return h
 
 
+def transformer_forward(h: Tensor, params: ModelParams) -> Tensor:
+    """Sinusoidal positions added once at entry, then pre-norm self-attention
+    + feed-forward layers with residuals. Returns every row."""
+    return _transformer(h, params, last_row_only=False)
+
+
 def forward(params: ModelParams, batch: dict, head_kind: str | None = None) -> Tensor:
-    """Batch of normalized windows -> (B, 2) head output (logits or velocity)."""
+    """Batch of normalized windows -> (B, 2) head output (logits or velocity).
+
+    The head reads row window-1 of the transformer output, so the last
+    transformer layer computes its query, attention output and feed-forward
+    for that row alone.
+    """
     cfg = params.config
     head_kind = head_kind or params.head_kind
     if head_kind != params.head_kind:
@@ -281,9 +295,8 @@ def forward(params: ModelParams, batch: dict, head_kind: str | None = None) -> T
         h = encoded[streams[0]]
     else:
         h = cross_fuse(encoded["g"], encoded["c"], params, hm=encoded.get("m"))
-    h = transformer_forward(h, params)
-    last = h[:, cfg.window - 1, :]
-    return last @ params.tensors["head.w"] + params.tensors["head.b"]
+    last = _transformer(h, params, last_row_only=True)[:, -1]   # row window-1
+    return linear(last, params.tensors["head.w"], params.tensors["head.b"])
 
 
 def predict_proba(params: ModelParams, batch: dict) -> np.ndarray:

@@ -1,6 +1,7 @@
 from gazeintent.numerics.tensor import Tensor, Tape, backward, concat, active_tape
 from gazeintent.numerics.ops import (
     conv1d,
+    linear,
     softmax_lastaxis,
     log_softmax_lastaxis,
     layer_norm,
@@ -13,7 +14,7 @@ from gazeintent.numerics.gradcheck import finite_difference_check
 
 __all__ = [
     "Tensor", "Tape", "backward", "concat", "active_tape",
-    "conv1d", "softmax_lastaxis", "log_softmax_lastaxis", "layer_norm",
+    "conv1d", "linear", "softmax_lastaxis", "log_softmax_lastaxis", "layer_norm",
     "scaled_dot_attention", "mse_loss", "weighted_cross_entropy",
     "AdamState", "adam_step", "zero_grads", "collect_grads",
     "finite_difference_check",

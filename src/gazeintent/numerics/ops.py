@@ -1,8 +1,9 @@
 """Neural-net operations built on the Tensor core.
 
-conv1d, softmax and log_softmax are primitives with hand-written
-backward passes; layer_norm, attention and the losses are compositions
-and get their gradients from the tape.
+The training hot path is made of primitives, each one tape node with a
+hand-written backward pass: conv1d (one im2col GEMM), linear (x @ W + b),
+layer_norm, scaled_dot_attention, softmax and log_softmax. The losses are
+compositions and get their gradients from the tape.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from gazeintent.errors import ShapeError
-from gazeintent.numerics.tensor import Tensor
+from gazeintent.numerics.tensor import Tensor, _unbroadcast
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -20,6 +21,10 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     x: (C_in, T) or (B, C_in, T); kernels: (C_out, C_in, K); bias: (C_out,).
     Output has the same temporal length T.
+
+    Computed as one GEMM over an im2col matrix whose row (b, t) holds the
+    K input frames around step t (Chellapilla et al., 2006). The output is
+    a (B, C_out, T) view of a (B, T, C_out) buffer.
     """
     squeeze = x.ndim == 2
     if squeeze:
@@ -35,29 +40,74 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if T < 1:
         raise ShapeError("conv1d requires at least one time step")
     pad = (K - 1) // 2
+    # tap k reads input step t + k - pad; output rows [lo, hi) have it in range
+    taps = []
+    for k in range(K):
+        lo = min(T, max(0, pad - k))
+        taps.append((k, lo, max(lo, min(T, T + pad - k))))
 
     a, w, b = x, kernels, bias
-    xp = np.pad(a.data, ((0, 0), (0, 0), (pad, pad)))
-    out = np.zeros((B, c_out, T), dtype=a.dtype)
-    for k in range(K):
-        # (B,C_in,T) x (C_out,C_in) -> (B,C_out,T)
-        out += np.einsum("bit,oi->bot", xp[:, :, k:k + T], w.data[:, :, k], optimize=True)
-    out += b.data[None, :, None]
+    xt = a.data.transpose(0, 2, 1)                        # (B, T, C_in)
+    cols = np.empty((B, T, K, c_in), dtype=a.dtype)
+    for k, lo, hi in taps:
+        cols[:, :lo, k] = 0.0
+        cols[:, hi:, k] = 0.0
+        cols[:, lo:hi, k] = xt[:, lo + k - pad:hi + k - pad]
+    cols = cols.reshape(B * T, K * c_in)
+    wm = w.data.transpose(0, 2, 1).reshape(c_out, K * c_in)
+    out = cols @ wm.T
+    out += b.data
 
     def backward(g):
-        gb = g.sum(axis=(0, 2))
-        gw = np.zeros_like(w.data)
-        gxp = np.zeros_like(xp)
-        for k in range(K):
-            gw[:, :, k] = np.einsum("bot,bit->oi", g, xp[:, :, k:k + T], optimize=True)
-            gxp[:, :, k:k + T] += np.einsum("bot,oi->bit", g, w.data[:, :, k], optimize=True)
-        gx = gxp[:, :, pad:pad + T] if pad else gxp
-        return [(a, np.ascontiguousarray(gx)), (w, gw), (b, gb)]
+        g2 = g.transpose(0, 2, 1).reshape(B * T, c_out)
+        gw = (g2.T @ cols).reshape(c_out, K, c_in).transpose(0, 2, 1)
+        grads = [(w, np.ascontiguousarray(gw)), (b, np.einsum("ni->i", g2))]
+        if a.requires_grad:
+            # col2im: every tap adds its column block back onto the frames it
+            # read; the centre tap reads every frame, so it starts the sum
+            gcols = (g2 @ wm).reshape(B, T, K, c_in)
+            gxt = gcols[:, :, pad].copy()
+            for k, lo, hi in taps:
+                if k != pad:
+                    gxt[:, lo + k - pad:hi + k - pad] += gcols[:, lo:hi, k]
+            grads.append((a, gxt.transpose(0, 2, 1)))
+        return grads
 
-    res = Tensor._result(out, (a, w, b), backward)
+    res = Tensor._result(out.reshape(B, T, c_out).transpose(0, 2, 1), (a, w, b), backward)
     if squeeze:
         res = res.reshape(res.shape[1:])
     return res
+
+
+def _mean_lastaxis(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Mean of a (or of a * b) over the last axis, keeping it; einsum runs
+    these short-axis reductions several times faster than ndarray.mean."""
+    s = np.einsum("...i->...", a) if b is None else np.einsum("...i,...i->...", a, b)
+    return s[..., None] / a.shape[-1]
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b over the last axis of x.
+
+    x: (..., n_in); w: (n_in, n_out); b: (n_out,). The leading axes are
+    flattened into one GEMM, forward and backward.
+    """
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    n_in, n_out = w.shape
+    a = x
+    x2 = a.data.reshape(-1, n_in)
+    out = x2 @ w.data
+    out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, n_out)
+        grads = [(w, x2.T @ g2), (b, np.einsum("ni->i", g2))]
+        if a.requires_grad:
+            grads.append((a, (g2 @ w.data.T).reshape(a.shape)))
+        return grads
+
+    return Tensor._result(out.reshape(a.shape[:-1] + (n_out,)), (a, w, b), backward)
 
 
 def softmax_lastaxis(x: Tensor) -> Tensor:
@@ -88,18 +138,45 @@ def log_softmax_lastaxis(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if x.shape[-1] < 1:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    gamma and beta have the shape (d,) of that axis.
+    """
+    d = x.shape[-1]
+    if d < 1:
         raise ShapeError("layer_norm needs a non-empty last axis")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = (var + eps).power(-0.5)
-    return xc * inv * gamma + beta
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"layer_norm affine shapes {gamma.shape}, {beta.shape} "
+                         f"do not match the last axis of {x.shape}")
+    a = x
+    xhat = a.data - _mean_lastaxis(a.data)
+    inv = 1.0 / np.sqrt(_mean_lastaxis(xhat, xhat) + eps)
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
+
+    def backward(g):
+        g2 = g.reshape(-1, d)
+        grads = [(gamma, np.einsum("ni,ni->i", g2, xhat.reshape(-1, d))),
+                 (beta, np.einsum("ni->i", g2))]
+        if a.requires_grad:
+            gx = g * gamma.data
+            dot = _mean_lastaxis(gx, xhat)
+            gx -= _mean_lastaxis(gx)
+            gx -= xhat * dot
+            gx *= inv
+            grads.append((a, gx))
+        return grads
+
+    return Tensor._result(out, (a, gamma, beta), backward)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(QK^T / sqrt(d)) V over the last two axes; supports leading batch dims."""
+    """softmax(QK^T / sqrt(d)) V over the last two axes; supports leading batch dims.
+
+    One tape node; the model passes contiguous (B, H, T, dh) heads. The
+    attention weights are the only intermediate kept for backward.
+    """
     d = q.shape[-1]
     if d == 0:
         raise ShapeError("attention feature dimension must be positive")
@@ -107,8 +184,28 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"Q/K feature dims disagree: {q.shape} vs {k.shape}")
     if v.shape[-2] != k.shape[-2]:
         raise ShapeError(f"K/V lengths disagree: {k.shape} vs {v.shape}")
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d))
-    return softmax_lastaxis(scores) @ v
+    scale = 1.0 / math.sqrt(d)
+    qd, kd, vd = q.data, k.data, v.data
+    p = qd @ np.swapaxes(kd, -1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.einsum("...i->...", p)[..., None]
+    out = p @ vd
+
+    def backward(g):
+        g = np.ascontiguousarray(g)
+        gv = np.swapaxes(p, -1, -2) @ g
+        gs = g @ np.swapaxes(vd, -1, -2)
+        gs -= np.einsum("...i,...i->...", gs, p)[..., None]
+        gs *= p
+        gs *= scale
+        gq = gs @ kd
+        gk = np.swapaxes(gs, -1, -2) @ qd
+        return [(q, _unbroadcast(gq, q.shape)), (k, _unbroadcast(gk, k.shape)),
+                (v, _unbroadcast(gv, v.shape))]
+
+    return Tensor._result(out, (q, k, v), backward)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

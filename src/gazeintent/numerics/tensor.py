@@ -211,8 +211,8 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         a = self
-        mask = a.data > 0
-        return Tensor._result(a.data * mask, (a,), lambda g: [(a, g * mask)])
+        data = np.maximum(a.data, 0)
+        return Tensor._result(data, (a,), lambda g: [(a, g * (data > 0))])
 
     # ---- linear algebra ------------------------------------------------
 
@@ -221,20 +221,6 @@ class Tensor:
         a, b = self, other
         if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
             raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-
-        if a.ndim > 2 and b.ndim == 2:
-            # (..., m, k) @ (k, n): flatten to one large GEMM
-            lead = a.shape[:-1]
-            a2 = a.data.reshape(-1, a.shape[-1])
-            data = (a2 @ b.data).reshape(lead + (b.shape[-1],))
-
-            def backward(g):
-                g2 = g.reshape(-1, b.shape[-1])
-                ga = (g2 @ b.data.T).reshape(a.shape)
-                gb = a2.T @ g2
-                return [(a, ga), (b, gb)]
-
-            return Tensor._result(data, (a, b), backward)
 
         data = np.matmul(a.data, b.data)
 
@@ -246,10 +232,11 @@ class Tensor:
         return Tensor._result(data, (a, b), backward)
 
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
+        """Swap two axes into a C-contiguous array (no copy if already one).
+        The gradient is passed back as a view."""
         a = self
-        data = np.swapaxes(a.data, ax1, ax2)
-        return Tensor._result(data, (a,),
-                              lambda g: [(a, np.ascontiguousarray(np.swapaxes(g, ax1, ax2)))])
+        data = np.ascontiguousarray(np.swapaxes(a.data, ax1, ax2))
+        return Tensor._result(data, (a,), lambda g: [(a, np.swapaxes(g, ax1, ax2))])
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -262,10 +249,18 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         a = self
         data = a.data[idx]
+        # ints and slices select each element at most once, so the gradient
+        # can be assigned; array indices may repeat and must accumulate
+        parts = idx if isinstance(idx, tuple) else (idx,)
+        basic = all(isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
+                    for i in parts)
 
         def backward(g):
             ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
+            if basic:
+                ga[idx] = g
+            else:
+                np.add.at(ga, idx, g)
             return [(a, ga)]
 
         return Tensor._result(data, (a,), backward)

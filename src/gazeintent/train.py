@@ -21,6 +21,7 @@ from gazeintent.numerics import (
     backward,
     collect_grads,
     mse_loss,
+    softmax_lastaxis,
     weighted_cross_entropy,
     zero_grads,
 )
@@ -156,7 +157,10 @@ def _train_loop(params: model.ModelParams, trainable_names, make_loss,
     return best, history
 
 
-def _mean_loss_batched(params, batch, make_loss_on, batch_size=512):
+_VAL_BATCH = 512
+
+
+def _mean_loss_batched(params, batch, make_loss_on, batch_size=_VAL_BATCH):
     n = len(next(iter(batch.values())) if isinstance(batch, dict) else batch)
     total, count = 0.0, 0
     for i in range(0, n, batch_size):
@@ -248,16 +252,14 @@ def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
         return weighted_cross_entropy(model.forward(params, batch), y_train[idx], weights)
 
     def eval_val(p):
-        loss = _mean_loss_batched(
-            p, x_val,
-            lambda sl: weighted_cross_entropy(
-                model.forward(p, {k: v[sl] for k, v in x_val.items()}),
-                y_val[sl], weights))
-        probs = np.concatenate([
-            model.predict_proba(p, {k: v[i:i + 512] for k, v in x_val.items()})
-            for i in range(0, len(val_w), 512)])
-        acc = float((probs.argmax(axis=1) == y_val).mean())
-        return {"val_loss": loss, "val_acc": acc}
+        # one untaped forward per slice gives both the loss and the accuracy
+        total, hits = 0.0, 0
+        for i in range(0, y_val.size, _VAL_BATCH):
+            sl = slice(i, i + _VAL_BATCH)
+            logits = model.forward(p, {k: v[sl] for k, v in x_val.items()})
+            total += weighted_cross_entropy(logits, y_val[sl], weights).item() * y_val[sl].size
+            hits += int((softmax_lastaxis(logits).data.argmax(axis=1) == y_val[sl]).sum())
+        return {"val_loss": total / y_val.size, "val_acc": hits / y_val.size}
 
     best, history = _train_loop(params, trainable_names, make_loss, eval_val,
                                 len(train_w), cfg, stage)

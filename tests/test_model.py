@@ -185,6 +185,25 @@ class TestAttentionBlocks:
         np.testing.assert_allclose(out, h + p.tensors["pos"].data, atol=1e-12)
 
 
+class TestLastRowForward:
+    @pytest.mark.parametrize("mode", ["gaze_plus_comp", "mouse_gaze_comp", "gaze_only"])
+    @pytest.mark.parametrize("head", [model.CLASSIFIER_HEAD, model.VELOCITY_HEAD])
+    def test_matches_full_sequence_path(self, mode, head):
+        # forward runs the last transformer layer for row window-1 alone;
+        # the full-sequence path read at that row must give the same output
+        cfg = model.ModelConfig(input_mode=mode)
+        p = model.init_params(cfg, seed=4, head_kind=head).astype(np.float64)
+        batch = rand_batch(cfg, n=3, seed=8, dtype=np.float64)
+        encoded = {s: model.encode_stream(Tensor(batch[s]), s, p) for s in cfg.streams}
+        if mode == "gaze_only":
+            h = encoded["g"]
+        else:
+            h = model.cross_fuse(encoded["g"], encoded["c"], p, hm=encoded.get("m"))
+        full = model.transformer_forward(h, p).data[:, cfg.window - 1]
+        want = full @ p.tensors["head.w"].data + p.tensors["head.b"].data
+        np.testing.assert_allclose(model.forward(p, batch).data, want, atol=1e-10, rtol=0)
+
+
 class TestGradients:
     def test_classifier_loss_gradcheck(self):
         from gazeintent.numerics import weighted_cross_entropy

@@ -11,9 +11,11 @@ from gazeintent.numerics import (
     Tensor,
     adam_step,
     backward,
+    concat,
     conv1d,
     finite_difference_check,
     layer_norm,
+    linear,
     mse_loss,
     scaled_dot_attention,
     softmax_lastaxis,
@@ -23,6 +25,68 @@ from gazeintent.numerics import (
 
 def t64(a, requires_grad=False):
     return Tensor(np.asarray(a, dtype=np.float64), requires_grad=requires_grad)
+
+
+# float32 is the training precision, float64 the checking precision
+GRAD_TOLERANCES = [(np.float32, 1e-3), (np.float64, 1e-5)]
+
+
+def leaves(seed, dtype, *shapes):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+def probe_gradcheck(op, inputs, dtype):
+    """Worst finite-difference error of sum(op(*inputs) * probe) over inputs."""
+    probe = Tensor(np.random.default_rng(99).normal(size=op(*inputs).shape).astype(dtype))
+    return finite_difference_check(lambda: (op(*inputs) * probe).sum(), inputs,
+                                   n_coords=100, rng=np.random.default_rng(1))
+
+
+def value_and_grads(op, inputs, seed=7):
+    """op's output and the gradients of sum(output * probe) for each input."""
+    for t in inputs:
+        t.grad = None
+    with Tape() as tape:
+        out = op(*inputs)
+        probe = np.random.default_rng(seed).normal(size=out.shape)
+        loss = (out * Tensor(probe)).sum()
+    backward(loss, tape, params=inputs)
+    return out.data, [t.grad for t in inputs]
+
+
+def assert_matches_reference(op, reference, inputs, atol=1e-12):
+    got, got_grads = value_and_grads(op, inputs)
+    want, want_grads = value_and_grads(reference, inputs)
+    np.testing.assert_allclose(got, want, atol=atol, rtol=0)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, atol=atol, rtol=0)
+
+
+# composite references built from the Tensor's own taped ops
+
+
+def conv1d_reference(x, w, b):
+    B, c_in, T = x.shape
+    c_out, _, K = w.shape
+    pad = (K - 1) // 2
+    zeros = Tensor(np.zeros((B, c_in, pad)))
+    xp = concat([zeros, x, zeros], axis=2) if pad else x
+    out = b.reshape(c_out, 1)
+    for k in range(K):
+        out = out + w[:, :, k] @ xp[:, :, k:k + T]
+    return out
+
+
+def layer_norm_reference(x, gamma, beta, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = ((xc * xc).mean(axis=-1, keepdims=True) + eps).power(-0.5)
+    return xc * inv * gamma + beta
+
+
+def attention_reference(q, k, v):
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    return softmax_lastaxis(scores) @ v
 
 
 class TestMatmul:
@@ -89,6 +153,49 @@ class TestConv1d:
             conv1d(Tensor(np.zeros((2, 0))), Tensor(np.zeros((4, 2, 3))),
                    Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("T", [1, 2, 9])
+    def test_gradient(self, K, T, dtype, tol):
+        x, w, b = leaves(K * 10 + T, dtype, (2, 3, T), (4, 3, K), (4,))
+        assert probe_gradcheck(conv1d, [x, w, b], dtype) <= tol
+
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_squeezed_input_gradient(self, K, dtype, tol):
+        x, w, b = leaves(K, dtype, (3, 6), (2, 3, K), (2,))
+        assert conv1d(x, w, b).shape == (2, 6)
+        assert probe_gradcheck(conv1d, [x, w, b], dtype) <= tol
+
+    @pytest.mark.parametrize("K,T", [(1, 5), (3, 1), (3, 24), (5, 2), (7, 3)])
+    def test_matches_composite_reference(self, K, T):
+        x, w, b = leaves(K + T, np.float64, (3, 2, T), (4, 2, K), (4,))
+        assert_matches_reference(conv1d, conv1d_reference, [x, w, b])
+
+
+class TestLinear:
+    def test_hand_case(self):
+        out = linear(t64([[1.0, 2.0]]), t64([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]]),
+                     t64([0.5, 0.0, -1.0]))
+        np.testing.assert_array_equal(out.data, [[1.5, 2.0, 7.0]])
+
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_gradient(self, shape, dtype, tol):
+        x, w, b = leaves(len(shape), dtype, shape, (4, 6), (6,))
+        assert probe_gradcheck(linear, [x, w, b], dtype) <= tol
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4), (3, 1, 4)])
+    def test_matches_composite_reference(self, shape):
+        x, w, b = leaves(3, np.float64, shape, (4, 6), (6,))
+        assert_matches_reference(linear, lambda x, w, b: x @ w + b, [x, w, b])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))), t64(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            linear(t64(np.zeros((2, 4))), t64(np.zeros((4, 5))), t64(np.zeros(4)))
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -141,6 +248,21 @@ class TestLayerNorm:
             lambda: (layer_norm(x, g, b) * weights).sum(), [x, g, b])
         assert err <= 1e-4
 
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    @pytest.mark.parametrize("shape", [(16,), (3, 16), (2, 3, 8)])
+    def test_gradient_at_training_and_checking_precision(self, shape, dtype, tol):
+        x, g, b = leaves(len(shape), dtype, shape, shape[-1:], shape[-1:])
+        assert probe_gradcheck(layer_norm, [x, g, b], dtype) <= tol
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 16), (2, 3, 8)])
+    def test_matches_composite_reference(self, shape):
+        x, g, b = leaves(5, np.float64, shape, shape[-1:], shape[-1:])
+        assert_matches_reference(layer_norm, layer_norm_reference, [x, g, b])
+
+    def test_affine_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            layer_norm(t64(np.zeros((2, 4))), t64(np.ones(3)), t64(np.zeros(3)))
+
 
 class TestAttention:
     def test_identical_keys_average_values(self):
@@ -183,6 +305,33 @@ class TestAttention:
         with pytest.raises(ShapeError):
             scaled_dot_attention(Tensor(np.zeros((2, 0))), Tensor(np.zeros((2, 0))),
                                  Tensor(np.zeros((2, 0))))
+
+    # (query, key/value) shapes: batched heads, a cross block with a different
+    # query length, and the one-row query of the model's last layer
+    HEAD_SHAPES = {"cross": ((2, 3, 5, 4), (2, 3, 7, 4)),
+                   "one_row": ((2, 3, 1, 4), (2, 3, 6, 4))}
+
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    def test_self_attention_gradient(self, dtype, tol):
+        # one tensor as query, key and value: the three gradients accumulate
+        (x,) = leaves(0, dtype, (2, 3, 5, 4))
+        assert probe_gradcheck(lambda x: scaled_dot_attention(x, x, x), [x], dtype) <= tol
+
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    @pytest.mark.parametrize("case", sorted(HEAD_SHAPES))
+    def test_gradient(self, case, dtype, tol):
+        q_shape, kv_shape = self.HEAD_SHAPES[case]
+        q, k, v = leaves(1, dtype, q_shape, kv_shape, kv_shape)
+        assert probe_gradcheck(scaled_dot_attention, [q, k, v], dtype) <= tol
+
+    @pytest.mark.parametrize("case", sorted(HEAD_SHAPES))
+    def test_matches_composite_reference(self, case):
+        q_shape, kv_shape = self.HEAD_SHAPES[case]
+        q, k, v = leaves(2, np.float64, q_shape, kv_shape, kv_shape)
+        assert_matches_reference(scaled_dot_attention, attention_reference, [q, k, v])
+        (x,) = leaves(3, np.float64, kv_shape)
+        assert_matches_reference(lambda x: scaled_dot_attention(x, x, x),
+                                 lambda x: attention_reference(x, x, x), [x])
 
 
 class TestLosses:
@@ -234,6 +383,25 @@ class TestLosses:
     def test_wce_bad_label(self):
         with pytest.raises(ValueError):
             weighted_cross_entropy(t64(np.zeros((1, 2))), np.array([2]), t64([1.0, 1.0]))
+
+
+class TestGetitem:
+    def test_basic_index_gradient_lands_on_selected_elements(self):
+        p = t64(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        with Tape() as tape:
+            loss = (p[:, -1:, 1:3] * 2.0).sum() + p[1, 0, ...].sum()
+        backward(loss, tape)
+        want = np.zeros((2, 3, 4))
+        want[:, -1:, 1:3] = 2.0
+        want[1, 0] += 1.0
+        np.testing.assert_array_equal(p.grad, want)
+
+    def test_duplicated_fancy_index_accumulates(self):
+        p = t64([1.0, 2.0, 3.0], requires_grad=True)
+        with Tape() as tape:
+            loss = (p[np.array([0, 2, 0, 0])] * t64([1.0, 10.0, 100.0, 1000.0])).sum()
+        backward(loss, tape)
+        np.testing.assert_array_equal(p.grad, [1101.0, 0.0, 10.0])
 
 
 class TestBackward:
