@@ -182,13 +182,15 @@ def cmd_infer(args) -> int:
 
     if args.input != "-" and args.input.endswith(".session"):
         session = dataio.parse_session(args.input)
-        eye = args.eye if args.eye != "auto" else dataio.select_eye(session.gaze)
         magnification = session.meta.magnification
         samples = session.gaze
     else:
-        eye = args.eye if args.eye != "auto" else "left"
         magnification = args.magnification
         samples = _read_feed(args.input)
+        if args.eye == "auto":
+            # the batch rule reads the first ceil(10%) of the whole feed
+            samples = dataio.GazeColumns.from_rows(samples)
+    eye = args.eye if args.eye != "auto" else dataio.select_eye(samples)
     engine = stream.StreamingEngine.from_checkpoint(
         ckpt, magnification, eye=eye, stride=args.stride)
     n = 0

@@ -4,18 +4,28 @@ from raw recordings to model-ready 24-step windows.
 A session file is UTF-8 text: a `#meta {json}` line, then `#gaze`,
 `#mouse` and `#labels` CSV sections. Missing gaze coordinates are empty
 fields. Floats are serialized with 9 significant digits.
+
+A parsed `Session` stores its gaze and mouse records as float64 columns
+(`GazeColumns`: t, lx, ly, rx, ry, vx, vy with NaN for a missing eye
+coordinate; `MouseColumns`: t, mx, my) and its label intervals as a short
+list. `parse_session` builds each section's columns in one pass and checks
+every row at once on them; when a check fails, the row parser
+(`parse_gaze_row`, `check_row`) is run on the first failing row, so the
+error is the `path:line: message` that row alone would give.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from gazeintent.errors import ConfigError, DataError
+from gazeintent.errors import ConfigError, DataError, GazeIntentError
 
 GAZE_RATE = 120
 MOUSE_RATE = 10
@@ -24,6 +34,10 @@ WINDOW_SPAN_S = 0.2
 MAX_MISSING = WINDOW_LEN // 2  # strictly more than this -> window excluded
 
 GAZE_HEADER = "t,lx,ly,rx,ry,vx,vy"
+MOUSE_HEADER = "t,mx,my"
+LABEL_HEADER = "start,end,label"
+_SECTIONS = {"#gaze": GAZE_HEADER, "#mouse": MOUSE_HEADER, "#labels": LABEL_HEADER}
+_VIEW_SLACK = 1e-9  # viewport range tolerance for values written with 9 digits
 
 LABELS = ("reading", "scanning")
 READING, SCANNING = 0, 1
@@ -36,6 +50,17 @@ def fmt9(x: float) -> str:
 def q9(x: float) -> float:
     """Quantize to 9 significant digits (the container's serialized precision)."""
     return float(fmt9(x))
+
+
+def _real(x) -> bool:
+    """A finite int or float (not a bool) that a float64 holds exactly, so
+    that checks on float64 columns compare against the same number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x) and float(x) == x
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -51,6 +76,9 @@ class SessionMeta:
     def validate(self):
         if self.task not in ("text", "webpage"):
             raise DataError(f"unknown task {self.task!r}")
+        for name in ("magnification", "screen_w", "screen_h"):
+            if not _real(getattr(self, name)):
+                raise DataError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.magnification < 1:
             raise ConfigError(f"magnification must be >= 1, got {self.magnification}")
         if self.screen_w <= 0 or self.screen_h <= 0:
@@ -84,12 +112,94 @@ class LabelInterval:
     label: str
 
 
+def _column(k: int) -> property:
+    return property(lambda self: self.data[k])
+
+
+class _Columns:
+    """A recording stored as float64 columns: row k of `data`, shape
+    (fields, n), is field k of `row_type` for all n samples.
+
+    It reads as a sequence of `row_type` records: `len`, an int index gives
+    one record, a slice gives the same columns' view, and iteration gives
+    the records in order. Columns are also named attributes (`gaze.t`);
+    writing into one writes the recording.
+    """
+
+    row_type: type
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+
+    @classmethod
+    def from_rows(cls, rows) -> "_Columns":
+        """Columns from an iterable of `row_type` records (None -> NaN)."""
+        names = [f.name for f in fields(cls.row_type)]
+        table = np.array([[getattr(r, k) for k in names] for r in rows], dtype=np.float64)
+        return cls(table.reshape(-1, len(names)).T.copy())
+
+    def _record(self, values: list):
+        return self.row_type(*values)
+
+    def __len__(self) -> int:
+        return self.data.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)(self.data[:, i])
+        return self._record(self.data[:, i].tolist())
+
+    def __iter__(self):
+        return map(self._record, self.data.T.tolist())
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and np.array_equal(self.data, other.data,
+                                                            equal_nan=True)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={len(self)})"
+
+
+def _eye(v: float) -> float | None:
+    return None if math.isnan(v) else v
+
+
+class GazeColumns(_Columns):
+    """Gaze columns t, lx, ly, rx, ry, vx, vy; NaN marks a missing eye
+    coordinate, which a `GazeSample` record gives as None."""
+
+    row_type = GazeSample
+    t, lx, ly, rx, ry, vx, vy = map(_column, range(7))
+
+    def _record(self, values: list) -> GazeSample:
+        t, lx, ly, rx, ry, vx, vy = values
+        return GazeSample(t, _eye(lx), _eye(ly), _eye(rx), _eye(ry), vx, vy)
+
+
+class MouseColumns(_Columns):
+    """Mouse columns t, mx, my."""
+
+    row_type = MouseSample
+    t, mx, my = map(_column, range(3))
+
+
+_RECORDS = {"gaze": GazeColumns, "mouse": MouseColumns}
+
+
 @dataclass
 class Session:
     meta: SessionMeta
-    gaze: list
-    mouse: list
+    gaze: GazeColumns
+    mouse: MouseColumns
     labels: list
+
+    def __setattr__(self, name, value):
+        # gaze and mouse records given as a sequence of samples (for
+        # example `session.mouse = []`) are stored as columns
+        kind = _RECORDS.get(name)
+        if kind is not None and not isinstance(value, kind):
+            value = kind.from_rows(value)
+        super().__setattr__(name, value)
 
 
 @dataclass
@@ -117,18 +227,21 @@ def write_session(session: Session, path) -> None:
     }, sort_keys=True)]
     lines.append("#gaze")
     lines.append(GAZE_HEADER)
-    for s in session.gaze:
-        coords = ",".join("" if c is None else fmt9(c) for c in (s.lx, s.ly, s.rx, s.ry))
-        lines.append(f"{fmt9(s.t)},{coords},{fmt9(s.vx)},{fmt9(s.vy)}")
+    for t, lx, ly, rx, ry, vx, vy in session.gaze.data.T.tolist():
+        coords = ",".join("" if math.isnan(c) else fmt9(c) for c in (lx, ly, rx, ry))
+        lines.append(f"{fmt9(t)},{coords},{fmt9(vx)},{fmt9(vy)}")
     lines.append("#mouse")
-    lines.append("t,mx,my")
-    for s in session.mouse:
-        lines.append(f"{fmt9(s.t)},{fmt9(s.mx)},{fmt9(s.my)}")
+    lines.append(MOUSE_HEADER)
+    for t, mx, my in session.mouse.data.T.tolist():
+        lines.append(f"{fmt9(t)},{fmt9(mx)},{fmt9(my)}")
     lines.append("#labels")
-    lines.append("start,end,label")
+    lines.append(LABEL_HEADER)
     for iv in session.labels:
         lines.append(f"{fmt9(iv.start)},{fmt9(iv.end)},{iv.label}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# -- the row parser: one row at a time, the reference for every message
 
 
 def check_row(row: list, prev_t: float | None) -> None:
@@ -156,116 +269,223 @@ def parse_gaze_row(fields: list, prev_t: float | None) -> GazeSample:
     return GazeSample(*row)
 
 
+def _viewport_max(meta: SessionMeta) -> tuple:
+    m = meta.magnification
+    return meta.screen_w * (1 - 1 / m), meta.screen_h * (1 - 1 / m)
+
+
+def _check_session_gaze_row(fields: list, prev_t: float | None, meta: SessionMeta) -> None:
+    """`parse_gaze_row` plus the session file's range checks: coordinates
+    on the screen, the viewport within what the magnification allows."""
+    s = parse_gaze_row(fields, prev_t)
+    for c, dim in ((s.lx, meta.screen_w), (s.ly, meta.screen_h),
+                   (s.rx, meta.screen_w), (s.ry, meta.screen_h)):
+        if c is not None and not (0 <= c <= dim):
+            raise ValueError(f"coordinate {c} out of range [0, {dim}]")
+    for v, name, vmax in zip((s.vx, s.vy), "xy", _viewport_max(meta)):
+        if not (-_VIEW_SLACK <= v <= vmax + _VIEW_SLACK):
+            raise ValueError(f"viewport {name} {v} outside [0, {vmax}]")
+
+
+def _check_mouse_row(fields: list, prev_t: float | None) -> None:
+    if len(fields) != 3:
+        raise ValueError("expected 3 fields")
+    check_row([float(f) for f in fields], prev_t)
+
+
+def _parse_label_row(fields: list, prev: LabelInterval | None) -> LabelInterval:
+    if len(fields) != 3:
+        raise ValueError("expected 3 fields")
+    if fields[2] not in LABELS:
+        raise ValueError(f"unknown label {fields[2]!r}")
+    row = [float(fields[0]), float(fields[1])]
+    check_row(row, None)
+    if row[0] >= row[1]:
+        raise ValueError("empty label interval")
+    if prev is not None and row[0] < prev.end:
+        raise ValueError("overlapping label intervals")
+    return LabelInterval(*row, fields[2])
+
+
+# -- the bulk parser: one pass per section, checks on whole columns
+
+
+def _sections(lines: list):
+    """Data rows of each section as runs (first, stop) of indices into
+    `lines` (line 0 is the meta line), and the (line number, message) of
+    the first structural fault: an unknown section, a wrong column header
+    or a data row outside any section. Nothing after it is collected."""
+    runs = {name: [] for name in _SECTIONS}
+    marks = [i for i in range(1, len(lines))
+             if not lines[i].strip() or lines[i][0] == "#"]   # blank or section lines
+    section = header = None
+    first = 1
+    for i in marks + [len(lines)]:
+        if first < i and header is not None:
+            if lines[first] != header:
+                return runs, (first + 1, f"expected header {header!r}")
+            header = None
+            first += 1
+        if first < i:
+            if section is None:
+                return runs, (first + 1, "data row outside any section")
+            runs[section].append((first, i))
+        if i < len(lines) and lines[i].strip():
+            section = lines[i].strip()
+            if section not in _SECTIONS:
+                return runs, (i + 1, f"unknown section {section}")
+            header = _SECTIONS[section]
+        first = i + 1
+    return runs, None
+
+
+def _line_number(runs: list, k: int) -> int:
+    for first, stop in runs:
+        if k < stop - first:
+            return first + k + 1
+        k -= stop - first
+    raise IndexError(k)
+
+
+def _numbers(rows: list, width: int):
+    """The rows' fields through `float`, as an (n, width) array with NaN for
+    an empty field, and the mask of empty fields. Parsing stops before the
+    first row whose field count is not `width` or that has a field `float`
+    rejects, so n is that row's index (len(rows) when there is none)."""
+    wrong = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) != width - 1
+    n = int(wrong.argmax()) if wrong.any() else len(rows)
+    texts = ",".join(rows[:n]).split(",") if n else []
+    try:
+        values = [float(f) if f else math.nan for f in texts]
+    except ValueError:
+        values = []
+        for f in texts:
+            try:
+                values.append(float(f) if f else math.nan)
+            except ValueError:
+                break
+        n = len(values) // width
+        del values[n * width:]
+    values = np.array(values, dtype=np.float64).reshape(n, width)
+    empty = np.zeros(values.shape, dtype=bool)
+    nan_at = np.flatnonzero(np.isnan(values))
+    empty.flat[nan_at] = [not texts[k] for k in nan_at.tolist()]
+    return values, empty
+
+
+def _first_bad(bad: np.ndarray, n_rows: int):
+    """Index of the first row the row parser rejects: the first flagged
+    row, else the row `_numbers` stopped at (None when all rows pass)."""
+    if bad.any():
+        return int(bad.argmax())
+    return bad.size if bad.size < n_rows else None
+
+
+def _bulk_gaze(rows: list, meta: SessionMeta):
+    """Gaze rows as an (n, 7) array and the index of the first row that
+    `_check_session_gaze_row` rejects (None when every row passes)."""
+    v, empty = _numbers(rows, 7)
+    bad = (~np.isfinite(v) & ~empty).any(axis=1)   # a non-finite number
+    bad |= empty[:, [0, 5, 6]].any(axis=1)          # missing t or viewport
+    t = v[:, 0]
+    bad[1:] |= ~(t[1:] > t[:-1])
+    coords = v[:, 1:5]
+    dims = np.array([meta.screen_w, meta.screen_h] * 2, dtype=np.float64)
+    bad |= ((coords < 0) | (coords > dims)).any(axis=1)
+    view = v[:, 5:7]
+    hi = np.array(_viewport_max(meta)) + _VIEW_SLACK
+    bad |= ((view < -_VIEW_SLACK) | (view > hi)).any(axis=1)
+    return v, _first_bad(bad, len(rows))
+
+
+def _bulk_mouse(rows: list):
+    """Mouse rows as an (n, 3) array and the index of the first row that
+    `_check_mouse_row` rejects; an empty field is one `float` rejects."""
+    v, _ = _numbers(rows, 3)
+    bad = ~np.isfinite(v).all(axis=1)
+    t = v[:, 0]
+    bad[1:] |= ~(t[1:] > t[:-1])
+    return v, _first_bad(bad, len(rows))
+
+
+def _fault(check, rows: list, runs: list, values: np.ndarray, k: int) -> tuple:
+    """(line number, message) of row k, which the bulk checks rejected,
+    from the row parser `check`."""
+    prev_t = float(values[k - 1, 0]) if k else None
+    try:
+        check(rows[k].split(","), prev_t)
+    except ValueError as e:
+        return _line_number(runs, k), str(e)
+    raise GazeIntentError(f"bulk checks rejected line {_line_number(runs, k)}, "
+                          "which the row parser accepts")
+
+
 def parse_session(path) -> Session:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read session file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#meta "):
         raise DataError(f"{path}:1: expected '#meta {{json}}' header")
     try:
         meta = SessionMeta(**json.loads(lines[0][len("#meta "):]))
-    except (TypeError, json.JSONDecodeError) as e:
+    except (TypeError, ValueError, RecursionError) as e:  # ValueError: JSONDecodeError
         raise DataError(f"{path}:1: malformed meta: {e}") from e
     meta.validate()
 
-    vmax_x = meta.screen_w * (1 - 1 / meta.magnification)
-    vmax_y = meta.screen_h * (1 - 1 / meta.magnification)
-    section = None
-    gaze, mouse, labels = [], [], []
-    expect_header = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            section = line.strip()
-            if section not in ("#gaze", "#mouse", "#labels"):
-                raise DataError(f"{path}:{lineno}: unknown section {section}")
-            expect_header = {"#gaze": GAZE_HEADER,
-                             "#mouse": "t,mx,my",
-                             "#labels": "start,end,label"}[section]
-            continue
-        if expect_header is not None:
-            if line != expect_header:
-                raise DataError(f"{path}:{lineno}: expected header {expect_header!r}")
-            expect_header = None
-            continue
-        fields = line.split(",")
+    runs, fault = _sections(lines)
+    faults = [fault] if fault else []
+    rows = {name: list(chain.from_iterable(lines[a:b] for a, b in r))
+            for name, r in runs.items()}
+    gaze, k = _bulk_gaze(rows["#gaze"], meta)
+    if k is not None:
+        faults.append(_fault(partial(_check_session_gaze_row, meta=meta),
+                             rows["#gaze"], runs["#gaze"], gaze, k))
+    mouse, k = _bulk_mouse(rows["#mouse"])
+    if k is not None:
+        faults.append(_fault(_check_mouse_row, rows["#mouse"], runs["#mouse"], mouse, k))
+    labels = []
+    for k, row in enumerate(rows["#labels"]):
         try:
-            if section == "#gaze":
-                gaze.append(parse_gaze_row(fields, gaze[-1].t if gaze else None))
-            elif section == "#mouse":
-                if len(fields) != 3:
-                    raise ValueError("expected 3 fields")
-                row = [float(f) for f in fields]
-                check_row(row, mouse[-1].t if mouse else None)
-                mouse.append(MouseSample(*row))
-            elif section == "#labels":
-                if len(fields) != 3:
-                    raise ValueError("expected 3 fields")
-                if fields[2] not in LABELS:
-                    raise ValueError(f"unknown label {fields[2]!r}")
-                row = [float(fields[0]), float(fields[1])]
-                check_row(row, None)
-                labels.append(LabelInterval(*row, fields[2]))
-            else:
-                raise ValueError("data row outside any section")
+            labels.append(_parse_label_row(row.split(","), labels[-1] if labels else None))
         except ValueError as e:
-            raise DataError(f"{path}:{lineno}: {e}") from e
-
-        # per-row range validation with line numbers
-        if section == "#gaze":
-            s = gaze[-1]
-            for c, dim in ((s.lx, meta.screen_w), (s.ly, meta.screen_h),
-                           (s.rx, meta.screen_w), (s.ry, meta.screen_h)):
-                if c is not None and not (0 <= c <= dim):
-                    raise DataError(f"{path}:{lineno}: coordinate {c} out of range [0, {dim}]")
-            for v, name, vmax in ((s.vx, "x", vmax_x), (s.vy, "y", vmax_y)):
-                if not (-1e-9 <= v <= vmax + 1e-9):
-                    raise DataError(f"{path}:{lineno}: viewport {name} {v} outside [0, {vmax}]")
-        elif section == "#labels":
-            iv = labels[-1]
-            if iv.start >= iv.end:
-                raise DataError(f"{path}:{lineno}: empty label interval")
-            if len(labels) > 1 and iv.start < labels[-2].end:
-                raise DataError(f"{path}:{lineno}: overlapping label intervals")
-    return Session(meta, gaze, mouse, labels)
+            faults.append((_line_number(runs["#labels"], k), str(e)))
+            break
+    if faults:
+        lineno, message = min(faults)
+        raise DataError(f"{path}:{lineno}: {message}")
+    return Session(meta, GazeColumns(gaze.T.copy()), MouseColumns(mouse.T.copy()), labels)
 
 
 # ---------------------------------------------------------------------------
 # preprocessing
 
 
-def select_eye(gaze: list) -> str:
+def select_eye(gaze: GazeColumns) -> str:
     """Eye with the lower missing ratio over the first ceil(10%) of samples."""
-    if not gaze:
+    if not len(gaze):
         raise DataError("empty session")
     n = math.ceil(0.1 * len(gaze))
     head = gaze[:n]
-    left_missing = sum(1 for s in head if s.lx is None or s.ly is None)
-    right_missing = sum(1 for s in head if s.rx is None or s.ry is None)
+    left_missing = np.count_nonzero(eye_series(head, "left")[2])
+    right_missing = np.count_nonzero(eye_series(head, "right")[2])
     if left_missing == n and right_missing == n:
         raise DataError("both eyes fully missing in the calibration span")
     return "left" if left_missing <= right_missing else "right"
 
 
-def eye_series(gaze: list, eye: str):
+def eye_series(gaze: GazeColumns, eye: str):
     """Return (x, y, missing) arrays for one eye; missing where either coord absent."""
-    if eye == "left":
-        xs = [s.lx for s in gaze]
-        ys = [s.ly for s in gaze]
-    else:
-        xs = [s.rx for s in gaze]
-        ys = [s.ry for s in gaze]
-    missing = np.array([x is None or y is None for x, y in zip(xs, ys)])
+    x, y = (gaze.lx, gaze.ly) if eye == "left" else (gaze.rx, gaze.ry)
     # a sample with either coordinate absent counts as missing as a whole,
     # so interpolation and the exclusion mask agree
-    x = np.array([v if v is not None else np.nan for v in xs], dtype=np.float64)
-    y = np.array([v if v is not None else np.nan for v in ys], dtype=np.float64)
-    x[missing] = np.nan
-    y[missing] = np.nan
+    missing = np.isnan(x) | np.isnan(y)
+    x = np.where(missing, np.nan, x)
+    y = np.where(missing, np.nan, y)
     return x, y, missing
 
 
@@ -381,14 +601,12 @@ def windowize(session: Session, stride: int, mode: str, *,
     eye = eye or select_eye(gaze)
     x, y, missing = eye_series(gaze, eye)
     g, _ = interpolate_missing(np.stack([x, y]))
-    t = np.array([s.t for s in gaze])
-    view = np.array([[s.vx for s in gaze], [s.vy for s in gaze]])
+    t = gaze.t
     meta = session.meta
+    view = gaze.data[5:7]  # vx, vy
     c = compensate(g, view, meta.magnification, meta.screen_w, meta.screen_h)
 
-    mouse_t = np.array([s.t for s in session.mouse])
-    mouse_x = np.array([s.mx for s in session.mouse])
-    mouse_y = np.array([s.my for s in session.mouse])
+    mouse_t, mouse_x, mouse_y = session.mouse.data
     has_mouse = mouse_t.size > 0
 
     starts = np.arange(0, n - WINDOW_LEN + 1, stride)
@@ -464,12 +682,24 @@ class NormStats:
 
     @classmethod
     def from_json(cls, d: dict) -> "NormStats":
-        stats = cls(screen_w=d["screen_w"], screen_h=d["screen_h"])
+        """Inverse of `to_json`; raises ValueError unless the screen size is
+        positive and every mean and std is a pair of finite numbers."""
+        w, h = d["screen_w"], d["screen_h"]
+        if not (_real(w) and _real(h) and w > 0 and h > 0):
+            raise ValueError(f"screen size must be positive numbers, got {w!r} x {h!r}")
+        stats = cls(screen_w=w, screen_h=h)
         for k, (mu, sd) in d["channels"].items():
-            stats.channels[k] = (np.array(mu), np.array(sd))
+            stats.channels[k] = (_pair(mu), _pair(sd))
         if d.get("vel") is not None:
-            stats.vel = (np.array(d["vel"][0]), np.array(d["vel"][1]))
+            stats.vel = (_pair(d["vel"][0]), _pair(d["vel"][1]))
         return stats
+
+
+def _pair(values) -> np.ndarray:
+    a = np.array(values, dtype=np.float64)
+    if a.shape != (2,) or not np.isfinite(a).all():
+        raise ValueError(f"expected two finite numbers, got {values!r}")
+    return a
 
 
 def _safe_std(sd: np.ndarray) -> np.ndarray:

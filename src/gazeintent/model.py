@@ -47,6 +47,11 @@ class ModelConfig:
     input_mode: str = "gaze_plus_comp"
 
     def validate(self):
+        for name in ("d_model", "n_heads", "cnn_layers", "kernel", "transformer_layers",
+                     "ffn_hidden", "in_channels"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.input_mode not in INPUT_MODES:
@@ -369,7 +374,7 @@ def load_checkpoint(path):
         stats = None
         if manifest["stats"] is not None:
             stats = dataio.NormStats.from_json(manifest["stats"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed checkpoint manifest: {e!r}") from e
     return params, stats
 

@@ -19,9 +19,9 @@ import numpy as np
 from gazeintent.dataio import (
     GAZE_RATE,
     MOUSE_RATE,
-    GazeSample,
+    GazeColumns,
     LabelInterval,
-    MouseSample,
+    MouseColumns,
     Session,
     SessionMeta,
     q9,
@@ -133,6 +133,11 @@ def _content_path(cfg: SynthConfig, segs, n, rng) -> np.ndarray:
     return pos
 
 
+def _q9(a: np.ndarray) -> np.ndarray:
+    """`q9` of every element."""
+    return np.array([q9(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
 def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> Session:
     cfg.validate()
     if task == "webpage" and cfg.columns == 1:
@@ -186,15 +191,14 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
 
     meta = SessionMeta(subject_id=f"S{subject_idx:02d}", task=task,
                        magnification=m, screen_w=w, screen_h=h)
-    gaze = []
-    for i in range(n):
-        lx, ly = (None, None) if left_missing[i] else (q9(left[0, i]), q9(left[1, i]))
-        rx, ry = (None, None) if right_missing[i] else (q9(right[0, i]), q9(right[1, i]))
-        gaze.append(GazeSample(t=q9(i / GAZE_RATE), lx=lx, ly=ly, rx=rx, ry=ry,
-                               vx=q9(viewport[0, i]), vy=q9(viewport[1, i])))
+    eyes = _q9(np.concatenate([left, right]))
+    eyes[0:2, left_missing] = np.nan
+    eyes[2:4, right_missing] = np.nan
+    gaze = GazeColumns(np.concatenate([_q9(np.arange(n) / GAZE_RATE)[None], eyes,
+                                       _q9(viewport)]))
     step = GAZE_RATE // MOUSE_RATE
-    mouse = [MouseSample(t=q9(i / GAZE_RATE), mx=q9(mouse_path[0, i]), my=q9(mouse_path[1, i]))
-             for i in range(0, n, step)]
+    idx = np.arange(0, n, step)
+    mouse = MouseColumns(_q9(np.concatenate([(idx / GAZE_RATE)[None], mouse_path[:, idx]])))
     labels = [LabelInterval(q9(s.start), q9(s.end), s.label) for s in segs]
     return Session(meta, gaze, mouse, labels)
 

@@ -126,8 +126,24 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
 def _train_loop(params: model.ModelParams, trainable_names, make_loss,
                 eval_val, n_train: int, cfg: TrainConfig, stage: str):
     """Adam loop with early stopping on held-out-subject validation loss.
+    Only the tensors in `trainable_names` require gradients while the loop
+    runs, so the tape records no backward work for frozen ones.
     Returns (best_params, history)."""
     trainable = {k: params.tensors[k] for k in trainable_names}
+    frozen = [k for k, t in params.tensors.items() if k not in trainable and t.requires_grad]
+    for k in frozen:
+        params.tensors[k].requires_grad = False
+    try:
+        best, history = _epochs(params, trainable, make_loss, eval_val, n_train, cfg, stage)
+    finally:
+        for k in frozen:
+            params.tensors[k].requires_grad = True
+    for k in frozen:
+        best.tensors[k].requires_grad = True
+    return best, history
+
+
+def _epochs(params, trainable, make_loss, eval_val, n_train, cfg, stage):
     state = AdamState.for_params(trainable)
     rng = np.random.default_rng([cfg.seed, STAGES.index(stage)])
     history = []

@@ -177,6 +177,29 @@ class TestInfer:
         return cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", "left",
                          "--magnification", str(magnification)])
 
+    def test_feed_eye_auto_uses_batch_rule(self, workspace, capsys, monkeypatch, tmp_path):
+        # left eye missing over the first ceil(10%) of samples: auto picks
+        # the right eye on the feed exactly as on the session file
+        _, data, ckpt = workspace
+        session = dataio.parse_session(data / "S01_text.session")
+        head = slice(0, -(-len(session.gaze) // 10))
+        session.gaze.lx[head] = np.nan
+        session.gaze.ly[head] = np.nan
+        path = tmp_path / "S01_text.session"
+        dataio.write_session(session, path)
+        out = {}
+        for eye in ("auto", "left", "right"):
+            assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(path),
+                             "--eye", eye]) == 0
+            out[eye] = capsys.readouterr().out
+        assert out["auto"] == out["right"] != out["left"]
+
+        rows, mag = self._feed_rows(path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", "auto",
+                         "--magnification", str(mag)]) == 0
+        assert capsys.readouterr().out == out["right"]
+
     def test_feed_header_line_skipped(self, workspace, capsys, monkeypatch):
         _, data, ckpt = workspace
         rows, mag = self._feed_rows(data / "S01_text.session")
@@ -215,4 +238,4 @@ class TestInfer:
         shutil.copytree(ckpt, bad)
         (bad / "manifest.json").write_text('{"format": ')
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        assert cli.main(["infer", "--ckpt", str(bad), "--input", "-"]) == 3
+        assert cli.main(["infer", "--ckpt", str(bad), "--input", "-", "--eye", "left"]) == 3

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,7 +72,7 @@ class TestContainer:
 
     def test_non_monotonic_gaze_rejected(self, tmp_path):
         session = make_session(10)
-        session.gaze[5].t = session.gaze[4].t
+        session.gaze.t[5] = session.gaze.t[4]
         p = tmp_path / "a.session"
         dataio.write_session(session, p)
         with pytest.raises(DataError, match="non-monotonic"):
@@ -86,6 +88,8 @@ class TestContainer:
         ("#mouse", 1, 1, "nan"),    # mx
         ("#mouse", 1, 2, "-inf"),   # my
         ("#labels", 0, 1, "nan"),   # end
+        ("#gaze", 0, 0, ""),        # t missing on the first row
+        ("#gaze", 3, 5, ""),        # vx missing
     ])
     def test_bad_numeric_field_rejected(self, tmp_path, section, row, col, bad):
         p = tmp_path / "bad.session"
@@ -99,9 +103,29 @@ class TestContainer:
         with pytest.raises(DataError, match=rf"bad\.session:{i + 1}:"):
             dataio.parse_session(p)
 
+    def test_range_bounds_are_inclusive(self, tmp_path):
+        # screen 1000 x 800 at magnification 2: coordinates in [0, 1000] and
+        # [0, 800], the viewport in [0, 500] and [0, 400] with 1e-9 slack
+        p = tmp_path / "a.session"
+        for lx, vx, ok in (("1000", "500", True), ("0", "-0.0000000005", True),
+                           ("1000.0000001", "500", False), ("1", "500.0000000005", True),
+                           ("1", "500.000000002", False), ("-0.0000001", "1", False)):
+            dataio.write_session(make_session(10), p)
+            lines = p.read_text().splitlines()
+            i = lines.index("#gaze") + 4
+            fields = lines[i].split(",")
+            fields[1], fields[5] = lx, vx
+            lines[i] = ",".join(fields)
+            p.write_text("\n".join(lines) + "\n")
+            if ok:
+                assert dataio.parse_session(p).gaze.vx[2] == float(vx)
+            else:
+                with pytest.raises(DataError, match=rf"a\.session:{i + 1}: (coordinate|viewport)"):
+                    dataio.parse_session(p)
+
     def test_out_of_range_coordinate_rejected(self, tmp_path):
         session = make_session(10)
-        session.gaze[3].lx = 5000.0
+        session.gaze.lx[3] = 5000.0
         p = tmp_path / "a.session"
         dataio.write_session(session, p)
         with pytest.raises(DataError, match="out of range"):
@@ -146,7 +170,7 @@ class TestEyeSelection:
                 ly=None if i in left_missing else 2.0,
                 rx=None if i in right_missing else 3.0,
                 ry=None if i in right_missing else 4.0))
-        return out
+        return dataio.GazeColumns.from_rows(out)
 
     def test_uses_ceil_of_ten_percent(self):
         # 25 samples -> head of 3; left missing only at index 3 is invisible
@@ -168,7 +192,7 @@ class TestEyeSelection:
 
     def test_single_coordinate_missing_counts_as_missing(self):
         gaze = self._gaze(10, left_missing=set(), right_missing=set())
-        gaze[0].ly = None  # x present, y absent
+        gaze.ly[0] = np.nan  # x present, y absent
         _, _, missing = dataio.eye_series(gaze, "left")
         assert missing[0]
         x, _, _ = dataio.eye_series(gaze, "left")
@@ -367,8 +391,7 @@ class TestNormalization:
 
     def test_constant_channel_uses_unit_std(self):
         session = make_session(240)
-        for s in session.gaze:  # freeze the y coordinate
-            s.ly = 300.0
+        session.gaze.ly[:] = 300.0  # freeze the y coordinate
         wins = dataio.windowize(session, 2, "labeled", eye="left")
         stats = dataio.compute_stats(wins, session.meta)
         assert stats.channels["g"][1][1] == 1.0
@@ -570,3 +593,247 @@ class TestVectorizedReference:
             for k, v in keep.items():
                 np.testing.assert_array_equal(getattr(second, k), v)
             np.testing.assert_array_equal(first.c, own_c)
+
+
+# ---------------------------------------------------------------------------
+# bulk parser against the row-by-row reference
+
+
+def reference_parse(path):
+    """Row-by-row session parser: the per-row loop over `parse_gaze_row`
+    and `check_row` that the bulk parser replaced. Returns (meta, gaze
+    records, mouse records, labels) or raises its DataError/ConfigError."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("#meta "):
+        raise DataError(f"{path}:1: expected '#meta {{json}}' header")
+    try:
+        meta = dataio.SessionMeta(**json.loads(lines[0][len("#meta "):]))
+    except (TypeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}:1: malformed meta: {e}") from e
+    meta.validate()
+    vmax_x = meta.screen_w * (1 - 1 / meta.magnification)
+    vmax_y = meta.screen_h * (1 - 1 / meta.magnification)
+    section = expect_header = None
+    gaze, mouse, labels = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            section = line.strip()
+            if section not in ("#gaze", "#mouse", "#labels"):
+                raise DataError(f"{path}:{lineno}: unknown section {section}")
+            expect_header = {"#gaze": dataio.GAZE_HEADER, "#mouse": "t,mx,my",
+                             "#labels": "start,end,label"}[section]
+            continue
+        if expect_header is not None:
+            if line != expect_header:
+                raise DataError(f"{path}:{lineno}: expected header {expect_header!r}")
+            expect_header = None
+            continue
+        fields = line.split(",")
+        try:
+            if section == "#gaze":
+                gaze.append(dataio.parse_gaze_row(fields, gaze[-1].t if gaze else None))
+            elif section == "#mouse":
+                if len(fields) != 3:
+                    raise ValueError("expected 3 fields")
+                row = [float(f) for f in fields]
+                dataio.check_row(row, mouse[-1].t if mouse else None)
+                mouse.append(dataio.MouseSample(*row))
+            elif section == "#labels":
+                if len(fields) != 3:
+                    raise ValueError("expected 3 fields")
+                if fields[2] not in dataio.LABELS:
+                    raise ValueError(f"unknown label {fields[2]!r}")
+                row = [float(fields[0]), float(fields[1])]
+                dataio.check_row(row, None)
+                labels.append(dataio.LabelInterval(*row, fields[2]))
+            else:
+                raise ValueError("data row outside any section")
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from e
+        if section == "#gaze":
+            s = gaze[-1]
+            for c, dim in ((s.lx, meta.screen_w), (s.ly, meta.screen_h),
+                           (s.rx, meta.screen_w), (s.ry, meta.screen_h)):
+                if c is not None and not (0 <= c <= dim):
+                    raise DataError(f"{path}:{lineno}: coordinate {c} out of range [0, {dim}]")
+            for v, name, vmax in ((s.vx, "x", vmax_x), (s.vy, "y", vmax_y)):
+                if not (-1e-9 <= v <= vmax + 1e-9):
+                    raise DataError(f"{path}:{lineno}: viewport {name} {v} outside [0, {vmax}]")
+        elif section == "#labels":
+            iv = labels[-1]
+            if iv.start >= iv.end:
+                raise DataError(f"{path}:{lineno}: empty label interval")
+            if len(labels) > 1 and iv.start < labels[-2].end:
+                raise DataError(f"{path}:{lineno}: overlapping label intervals")
+    return meta, gaze, mouse, labels
+
+
+@st.composite
+def small_sessions(draw):
+    """Valid sessions of 0..60 gaze rows with eye dropout (one or both
+    coordinates), 0..8 mouse rows and 0..4 label intervals."""
+    q = dataio.q9
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    meta = dataio.SessionMeta("S01", draw(st.sampled_from(["text", "webpage"])), m,
+                              draw(st.sampled_from([1000.0, 1920, 640.5])), 800.0)
+    vmax = np.array([meta.screen_w, meta.screen_h]) * (1 - 1 / m)
+    n = draw(st.integers(0, 60))
+    t = np.cumsum(rng.uniform(1e-3, 0.02, n)) + rng.uniform(-1, 1)
+    eyes = rng.uniform(0, 1, (4, n)) * np.array([meta.screen_w, meta.screen_h] * 2)[:, None]
+    eyes[rng.random((4, n)) < 0.15] = np.nan
+    view = rng.uniform(0, 1, (2, n)) * vmax[:, None]
+    gaze = dataio.GazeColumns(np.vstack([t, eyes, view]))
+    k = draw(st.integers(0, 8))
+    mouse = dataio.MouseColumns(np.vstack([np.cumsum(rng.uniform(0.01, 0.2, k)),
+                                           rng.uniform(-50, 2000, (2, k))]))
+    bounds = np.unique(rng.uniform(0, 2, 2 * draw(st.integers(0, 4))))
+    labels = [dataio.LabelInterval(q(a), q(b), dataio.LABELS[int(rng.integers(2))])
+              for a, b in zip(bounds[::2], bounds[1::2])]
+    for cols in (gaze, mouse):
+        cols.data[:] = [[q(v) if v == v else v for v in row] for row in cols.data.tolist()]
+    return dataio.Session(meta, gaze, mouse, labels)
+
+
+FIELD_EDITS = ["", "", "", " ", "abc", "1.2.3", "nan", "NaN", "inf", "-inf", "1e999", "-1", "-1e-9",
+               "5000", "1e6", "0", " 2.5", "1_0", "reading", "scanning",
+               # screen and viewport bounds of small_sessions, and just past them
+               "1000", "1920", "800", "640.5", "1000.00001", "500", "400", "960",
+               "500.0000000005", "400.000000002", "-0.0000000005", "-0.000000002"]
+
+
+@st.composite
+def line_edits(draw, lines):
+    """1..3 single-line edits of a session file's lines: a blank line, a
+    field replaced (empty, non-numeric, non-finite, out of range), a field
+    dropped or added, a timestamp repeated, a line deleted or doubled."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        # any line, the meta line in about one edit out of ten
+        rnd = draw(st.randoms(use_true_random=False))
+        i = rnd.randrange(1, len(lines)) if len(lines) > 1 and rnd.random() > 0.1 else 0
+        fields = lines[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        op = draw(st.sampled_from(["blank", "field", "field", "field", "drop", "add",
+                                   "repeat_t", "delete", "double"]))
+        if op == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "   ", "\t"])))
+        elif op == "field":
+            fields[j] = draw(st.sampled_from(FIELD_EDITS))
+            lines[i] = ",".join(fields)
+        elif op == "drop":
+            del fields[j]
+            lines[i] = ",".join(fields)
+        elif op == "add":
+            fields.insert(j, draw(st.sampled_from(["", "1.0"])))
+            lines[i] = ",".join(fields)
+        elif op == "repeat_t" and i > 0:
+            fields[0] = lines[i - 1].split(",")[0]
+            lines[i] = ",".join(fields)
+        elif op == "delete":
+            del lines[i]
+        elif op == "double":
+            lines.insert(i, lines[i])
+        if not lines:
+            lines = [""]
+    return lines
+
+
+def _outcome(parse, path):
+    try:
+        return "ok", parse(path)
+    except (DataError, ConfigError) as e:
+        return type(e).__name__, str(e)
+
+
+class TestBulkParser:
+    @given(session=small_sessions(), data=st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_equals_row_reference(self, tmp_path_factory, session, data):
+        path = tmp_path_factory.mktemp("edit") / "s.session"
+        dataio.write_session(session, path)
+        lines = path.read_text().splitlines()
+        if data.draw(st.integers(0, 9)):
+            lines = data.draw(line_edits(lines))
+        path.write_text("\n".join(lines) + "\n")
+        got = _outcome(dataio.parse_session, path)
+        want = _outcome(reference_parse, path)
+        if want[0] != "ok":
+            assert got == want
+            return
+        assert got[0] == "ok", got
+        meta, gaze, mouse, labels = want[1]
+        back = got[1]
+        assert back.meta == meta and back.labels == labels
+        assert back.gaze == dataio.GazeColumns.from_rows(gaze)
+        assert back.mouse == dataio.MouseColumns.from_rows(mouse)
+        assert list(back.gaze) == gaze and list(back.mouse) == mouse
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        # faults in a later gaze run, an earlier mouse run and a section
+        # after both: the one on the lowest line is reported
+        p = tmp_path / "a.session"
+        dataio.write_session(make_session(30), p)
+        lines = p.read_text().splitlines()
+        mouse_at = lines.index("#mouse")
+        row = lines[mouse_at + 3]
+        lines[mouse_at + 3] = row.split(",")[0] + ",nan,1"
+        lines[-1:-1] = ["#gaze", dataio.GAZE_HEADER, "9,1,1,1,1,0,0", "1,1,1,1,1,0,0",
+                        "#bogus"]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"a\.session:{mouse_at + 4}: non-finite value nan"):
+            dataio.parse_session(p)
+        lines[mouse_at + 3] = row
+        p.write_text("\n".join(lines) + "\n")
+        assert _outcome(dataio.parse_session, p) == _outcome(reference_parse, p)
+        assert "non-monotonic timestamp 1.0" in _outcome(dataio.parse_session, p)[1]
+
+    def test_row_view(self):
+        session = make_session(30, missing_idx={2})
+        gaze = session.gaze
+        assert len(gaze) == 30 and len(gaze[5:9]) == 4
+        assert gaze[2] == dataio.GazeSample(gaze.t[2], None, None, 110.0, 210.0, 10.0, 5.0)
+        assert gaze[-1] == list(gaze)[-1] == gaze[25:][4]
+        assert gaze[5:9].t.base is gaze.data  # a slice is a view of the columns
+        with pytest.raises(IndexError):
+            gaze[30]
+
+
+class TestParserFuzz:
+    @given(blob=st.binary(max_size=400))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, tmp_path_factory, blob):
+        self._check(tmp_path_factory, blob)
+
+    @given(session=small_sessions(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_file_bytes(self, tmp_path_factory, session, data):
+        path = tmp_path_factory.mktemp("fuzz") / "s.session"
+        dataio.write_session(session, path)
+        blob = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(1, 6))):
+            i = data.draw(st.integers(0, len(blob)))
+            op = data.draw(st.sampled_from(["set", "insert", "delete"]))
+            b = data.draw(st.sampled_from(b",.\n#-e0123456789naif \x00\xff"))
+            if op == "set" and i < len(blob):
+                blob[i] = b
+            elif op == "insert":
+                blob.insert(i, b)
+            elif i < len(blob):
+                del blob[i]
+        self._check(tmp_path_factory, bytes(blob))
+
+    @staticmethod
+    def _check(tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("fuzz") / "f.session"
+        path.write_bytes(blob)
+        try:
+            session = dataio.parse_session(path)
+        except (DataError, ConfigError):
+            return
+        assert np.isfinite(session.gaze.t).all()
+        assert np.isfinite(session.gaze.data[5:7]).all()
+        assert np.isfinite(session.mouse.data).all()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gazeintent import dataio, model
 from gazeintent.errors import ConfigError, DataError, ShapeError
@@ -319,6 +320,78 @@ class TestCheckpoints:
         fresh = model.init_params(cfg, 99)
         np.testing.assert_array_equal(ft.tensors["head.w"].data,
                                       fresh.tensors["head.w"].data)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _json_paths(v, prefix + (k,))
+
+
+class TestCheckpointFuzz:
+    """Whatever the checkpoint files hold, `load_checkpoint` raises only
+    DataError or ConfigError."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        session_meta = dataio.SessionMeta("S00", "text", 2.0, 100.0, 100.0)
+        w = dataio.Window(g=np.ones((2, 24)), c=np.ones((2, 24)), t_end=0.2,
+                          subject_id="S00", label=0, vel_target=np.ones(2))
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt"
+        model.save_checkpoint(model.init_params(small_cfg(), seed=0),
+                              dataio.compute_stats([w], session_meta), path)
+        return json.loads((path / "manifest.json").read_text()), \
+            (path / "weights.bin").read_bytes()
+
+    @staticmethod
+    def _load(tmp_path_factory, manifest: bytes, blob: bytes):
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "manifest.json").write_bytes(manifest)
+        (path / "weights.bin").write_bytes(blob)
+        try:
+            _, stats = model.load_checkpoint(path)
+        except (DataError, ConfigError):
+            return
+        if stats is None:
+            return
+        assert stats.screen_w > 0 and stats.screen_h > 0
+        pairs = [*stats.channels.values(), stats.vel or ()]
+        for a in (a for pair in pairs for a in pair):
+            assert a.shape == (2,) and np.isfinite(a).all()
+
+    @given(manifest=st.binary(max_size=300), blob=st.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bytes(self, tmp_path_factory, saved, manifest, blob):
+        self._load(tmp_path_factory, manifest, blob)
+
+    @given(data=st.data(), value=JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_edited_manifest(self, tmp_path_factory, saved, data, value):
+        doc, blob = json.loads(json.dumps(saved[0])), saved[1]
+        # every field of the manifest, with one entry standing for all tensors
+        paths = list(_json_paths({**doc, "tensors": doc["tensors"][:1]}))[1:]
+        for _ in range(data.draw(st.integers(1, 2))):
+            where = data.draw(st.sampled_from(paths))
+            parent = doc
+            try:
+                for k in where[:-1]:
+                    parent = parent[k]
+                parent[where[-1]] = json.loads(json.dumps(value))
+            except (KeyError, IndexError, TypeError):   # an earlier edit moved it
+                pass
+        if data.draw(st.booleans()):
+            blob = blob[:data.draw(st.integers(0, len(blob)))]
+        self._load(tmp_path_factory, json.dumps(doc).encode(), blob)
 
 
 class TestSinusoidalTable:

@@ -5,6 +5,8 @@ import pytest
 
 from gazeintent import dataio, model, synth, train
 from gazeintent.errors import ConfigError, DataError
+from gazeintent.numerics import (AdamState, Tape, Tensor, adam_step, backward,
+                                 collect_grads, weighted_cross_entropy)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,46 @@ class TestPretext:
         with pytest.raises(ConfigError, match="input_mode"):
             train.finetune(pretrained[3], sessions,
                            quick_cfg(max_epochs=1, input_mode="gaze_only"))
+
+    def test_partial_step_skips_frozen_backward(self, pretrained):
+        # one partial-mode step: the frozen tensors get no gradient, and the
+        # updated tensors equal a step that back-propagates through all of
+        # them (every tensor requiring grad) bit for bit
+        ckpt = pretrained[3]
+        cfg = quick_cfg(max_epochs=1, batch_size=64, freeze="partial")
+        rng = np.random.default_rng(3)
+        params, _ = model.load_for_finetune(ckpt, head_seed=cfg.seed + 1)
+        x = {k: rng.normal(size=(40, 2, dataio.WINDOW_LEN)).astype(np.float32)
+             for k in params.config.streams}
+        y = rng.integers(0, 2, size=40)
+        weights = Tensor(train.compute_class_weights(y))
+
+        def step_loss(p, idx):
+            return weighted_cross_entropy(
+                model.forward(p, {k: v[idx] for k, v in x.items()}), y[idx], weights)
+
+        seen = []
+        names = train.partial_trainable_names(params)
+        reference = params.copy()
+        best, _ = train._train_loop(
+            params, names, lambda idx: seen.append(idx) or step_loss(params, idx),
+            lambda p: {"val_loss": 0.0}, 40, cfg, "finetune")
+        assert len(seen) == 1
+        frozen = [k for k in params.learnable_names() if k not in names]
+        assert len(frozen) == 34
+        assert all(params.tensors[k].grad is None for k in frozen)
+        assert all(params.tensors[k].grad is not None for k in names)
+        assert all(t.requires_grad == (k != "pos") for k, t in params.tensors.items())
+        assert all(t.requires_grad == (k != "pos") for k, t in best.tensors.items())
+
+        trainable = {k: reference.tensors[k] for k in names}
+        with Tape() as tape:
+            loss = step_loss(reference, seen[0])
+        backward(loss, tape, params=trainable.values())
+        adam_step(trainable, collect_grads(trainable), AdamState.for_params(trainable),
+                  lr=cfg.lr, weight_decay=cfg.weight_decay)
+        for k in params.tensors:
+            assert params.tensors[k].data.tobytes() == reference.tensors[k].data.tobytes(), k
 
     def test_partial_trainable_names(self, pretrained):
         names = train.partial_trainable_names(pretrained[0])
