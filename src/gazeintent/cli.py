@@ -115,11 +115,17 @@ def cmd_train(args) -> int:
         params, stats, history = train.finetune(args.from_ckpt, sessions, cfg)
     else:
         params, stats, history = train.supervised_train(sessions, cfg)
+    # windowize's accounting of the training split, before label subsampling
+    train_sessions, _ = train.split_train_val(sessions, cfg)
+    windows = train.collect_windows(train_sessions, cfg,
+                                    "pretext" if args.mode == "pretrain" else "labeled",
+                                    with_mouse="m" in params.config.streams)
     out = Path(args.out)
     checksums = {str(p): _sha256(p) for p in paths}
     train.write_artifacts(out, params, stats, history,
                           cfg, extra_manifest={"mode": args.mode,
-                                               "input_checksums": checksums})
+                                               "input_checksums": checksums,
+                                               "windows": windows.counts})
     _write_manifest(out, f"train:{args.mode}", cfg, checksums,
                     [out / "checkpoint", out / "history.jsonl"])
     last = history[-1]

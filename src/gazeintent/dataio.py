@@ -12,13 +12,22 @@ list. `parse_session` builds each section's columns in one pass and checks
 every row at once on them; when a check fails, the row parser
 (`parse_gaze_row`, `check_row`) is run on the first failing row, so the
 error is the `path:line: message` that row alone would give.
+
+`windowize` cuts a session into 24-step windows and returns them as a
+`Windows` container: one contiguous float64 (N, 2, 24) block per stream
+(`g` raw gaze, `c` compensated gaze, `m` mouse position when asked for),
+the columns `t_end`, `label` (-1 for none), `vel_target` (N, 2; a NaN row
+for none) and `subject_id`, and the session's window accounting (`counts`).
+It reads as a sequence of `Window` records holding views of the blocks.
+`compute_stats` and `normalize` work on whole blocks; both also accept a
+plain list of `Window`s, which they stack into a container first.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
@@ -74,6 +83,8 @@ class SessionMeta:
     mouse_rate: int = MOUSE_RATE
 
     def validate(self):
+        if not isinstance(self.subject_id, str):
+            raise DataError(f"subject_id must be a string, got {self.subject_id!r}")
         if self.task not in ("text", "webpage"):
             raise DataError(f"unknown task {self.task!r}")
         for name in ("magnification", "screen_w", "screen_h"):
@@ -204,6 +215,7 @@ class Session:
 
 @dataclass
 class Window:
+    """One window, as a `Windows` container gives it (views of its blocks)."""
     g: np.ndarray            # (2, 24) raw gaze, pixels until normalized
     c: np.ndarray            # (2, 24) compensated gaze
     t_end: float
@@ -211,6 +223,126 @@ class Window:
     label: int | None = None
     vel_target: np.ndarray | None = None   # (2,) px/s
     m: np.ndarray | None = None            # (2, 24) mouse position stream
+
+
+COUNTS = ("kept", "dropped_missing", "dropped_unlabeled", "dropped_no_mouse")
+
+
+def _stack(arrays: list, shape: tuple) -> np.ndarray:
+    """The arrays of one column as one float64 block, None -> a NaN row."""
+    nan = np.full(shape, np.nan)
+    return np.array([nan if a is None else a for a in arrays],
+                    dtype=np.float64).reshape(-1, *shape)
+
+
+def _absent(block: np.ndarray) -> np.ndarray:
+    """Rows of a block that are all NaN: the value is absent there."""
+    return np.isnan(block).all(axis=tuple(range(1, block.ndim)))
+
+
+class Windows:
+    """Windows stored as columns: one contiguous float64 (N, 2, 24) block
+    per stream (`g`, `c`, and `m` when present, else None), and the columns
+    `t_end` (N,), `label` (N,) with -1 for none, `vel_target` (N, 2) with a
+    NaN row for none, and `subject_id` (N,).
+
+    It reads as a sequence of `Window` records: `len`, an int index gives
+    one record, a slice or an integer-array index gives a `Windows` of
+    those rows, and iteration gives the records in order. A record holds
+    views of the blocks, so building one copies nothing and writing into
+    one writes the container. A record gives None where the label is -1,
+    where the `vel_target` row is NaN and where the `m` row is NaN or there
+    is no `m` block.
+
+    `a + b` concatenates the columns; a stream that one side lacks becomes
+    NaN rows there, the same "absent" rule as `vel_target`.
+
+    `counts` is the window accounting of `windowize`: of the window
+    positions of a session, how many were kept and how many were dropped
+    for more than 50 % missing samples, for no label at the final time
+    point, or for a mouse record that does not cover the window. `+` sums
+    the counts; a container made any other way counts all its rows as kept.
+    """
+
+    def __init__(self, g, c, t_end, label, vel_target, subject_id, m=None, counts=None):
+        self.g, self.c, self.m = g, c, m
+        self.t_end, self.label, self.vel_target = t_end, label, vel_target
+        self.subject_id = subject_id
+        self.counts = counts or dict.fromkeys(COUNTS, 0) | {"kept": len(t_end)}
+
+    @classmethod
+    def from_rows(cls, windows) -> "Windows":
+        """A container of `Window` records, stacked column by column."""
+        ws = list(windows)
+        ms = [w.m for w in ws]
+        stream = (2, WINDOW_LEN)
+        return cls(g=_stack([w.g for w in ws], stream),
+                   c=_stack([w.c for w in ws], stream),
+                   m=None if all(m is None for m in ms) else _stack(ms, stream),
+                   t_end=np.array([w.t_end for w in ws], dtype=np.float64),
+                   label=np.array([-1 if w.label is None else w.label for w in ws],
+                                  dtype=np.int64),
+                   vel_target=_stack([w.vel_target for w in ws], (2,)),
+                   subject_id=np.array([w.subject_id for w in ws], dtype=object))
+
+    @classmethod
+    def concat(cls, parts: list) -> "Windows":
+        """The parts one after another, with one concatenation per column."""
+        if not parts:
+            return cls.from_rows([])
+        if len(parts) == 1:
+            return parts[0]
+        if all(p.m is None for p in parts):
+            m = None
+        else:
+            m = np.concatenate([np.full(p.g.shape, np.nan) if p.m is None else p.m
+                                for p in parts])
+        return cls(**{k: np.concatenate([getattr(p, k) for p in parts])
+                      for k in ("g", "c", "t_end", "label", "vel_target", "subject_id")},
+                   m=m, counts={k: sum(p.counts[k] for p in parts) for k in COUNTS})
+
+    def __add__(self, other):
+        if not isinstance(other, Windows):
+            return NotImplemented
+        return Windows.concat([self, other])
+
+    def __len__(self) -> int:
+        return len(self.t_end)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            i = range(len(self))[i]
+            return next(self._records(slice(i, i + 1)))
+        return Windows(g=self.g[i], c=self.c[i], m=None if self.m is None else self.m[i],
+                       t_end=self.t_end[i], label=self.label[i],
+                       vel_target=self.vel_target[i], subject_id=self.subject_id[i])
+
+    def __iter__(self):
+        return self._records(slice(None))
+
+    def _records(self, rows: slice):
+        has_vel = ~_absent(self.vel_target[rows])
+        has_m = (np.zeros(has_vel.shape, dtype=bool) if self.m is None
+                 else ~_absent(self.m[rows]))
+        for i, t_end, label, subject, hv, hm in zip(
+                range(len(self))[rows], self.t_end[rows].tolist(),
+                self.label[rows].tolist(), self.subject_id[rows].tolist(),
+                has_vel.tolist(), has_m.tolist()):
+            yield Window(g=self.g[i], c=self.c[i], t_end=t_end, subject_id=subject,
+                         label=None if label < 0 else label,
+                         vel_target=self.vel_target[i] if hv else None,
+                         m=self.m[i] if hm else None)
+
+    def batch(self, streams) -> dict:
+        """The model input: each named stream as a float32 block."""
+        return {k: getattr(self, k).astype(np.float32) for k in streams}
+
+    def __repr__(self) -> str:
+        return f"Windows(n={len(self)}, m={self.m is not None})"
+
+
+def _as_windows(windows) -> Windows:
+    return windows if isinstance(windows, Windows) else Windows.from_rows(windows)
 
 
 # ---------------------------------------------------------------------------
@@ -573,22 +705,33 @@ def _label_ids(labels: list, t: np.ndarray) -> np.ndarray:
     return np.where(hit, cls[j], -1)
 
 
+def _no_windows(with_mouse: bool, counts: dict) -> Windows:
+    out = Windows.from_rows([])
+    if with_mouse:
+        out.m = np.empty((0, 2, WINDOW_LEN))
+    out.counts = counts
+    return out
+
+
 def windowize(session: Session, stride: int, mode: str, *,
-              eye: str | None = None, with_mouse: bool = False) -> list:
+              eye: str | None = None, with_mouse: bool = False) -> Windows:
     """Slice a session into 24-step windows.
 
     mode "labeled": attach the annotation at each window's final time
     point, dropping unannotated windows. mode "pretext": attach the mean
     mouse velocity over the trailing 0.2 s and ignore labels. Windows
-    with strictly more than 50% missing source samples are dropped.
+    with strictly more than 50% missing source samples are dropped, and
+    so are windows the mouse record does not cover (the pretext span, and
+    the whole window when `with_mouse` asks for the mouse stream).
 
     Every per-window quantity is computed for all window starts at once,
     so the cost is linear in session length. Labels are found by binary
     search over the label intervals, which is exact because
     `parse_session` guarantees they do not overlap. Results equal the
     per-window `label_at` / `mouse_velocity` reference bit for bit. The
-    streams of all kept windows live in one block; each window holds
-    disjoint views of it, so no two windows share memory.
+    kept windows come back as one `Windows` container whose `counts` say
+    why each other window position was dropped, the first reason in the
+    order above.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -596,8 +739,9 @@ def windowize(session: Session, stride: int, mode: str, *,
         raise ConfigError(f"unknown windowize mode {mode!r}")
     gaze = session.gaze
     n = len(gaze)
+    counts = dict.fromkeys(COUNTS, 0)
     if n < WINDOW_LEN:
-        return []
+        return _no_windows(with_mouse, counts)
     eye = eye or select_eye(gaze)
     x, y, missing = eye_series(gaze, eye)
     g, _ = interpolate_missing(np.stack([x, y]))
@@ -611,11 +755,14 @@ def windowize(session: Session, stride: int, mode: str, *,
 
     starts = np.arange(0, n - WINDOW_LEN + 1, stride)
     n_missing = np.concatenate(([0], np.cumsum(missing)))
-    starts = starts[n_missing[starts + WINDOW_LEN] - n_missing[starts] <= MAX_MISSING]
+    enough = n_missing[starts + WINDOW_LEN] - n_missing[starts] <= MAX_MISSING
+    counts["dropped_missing"] = starts.size - int(np.count_nonzero(enough))
+    starts = starts[enough]
     t_end = t[starts + WINDOW_LEN - 1]
     if mode == "labeled":
         label = _label_ids(session.labels, t_end)
         keep = label >= 0
+        counts["dropped_unlabeled"] = starts.size - int(np.count_nonzero(keep))
     elif has_mouse:
         keep = ~((t_end - WINDOW_SPAN_S < mouse_t[0]) | (t_end > mouse_t[-1]))
     else:
@@ -626,34 +773,35 @@ def windowize(session: Session, stride: int, mode: str, *,
         else:
             keep[:] = False
     starts, t_end = starts[keep], t_end[keep]
+    counts["kept"] = starts.size
+    counts["dropped_no_mouse"] = keep.size - counts["dropped_unlabeled"] - starts.size
     if starts.size == 0:
-        return []
+        return _no_windows(with_mouse, counts)
 
-    series = [*g, *c]
-    if with_mouse:
-        series += [np.interp(t, mouse_t, mouse_x), np.interp(t, mouse_t, mouse_y)]
     idx = starts[:, None] + np.arange(WINDOW_LEN)
-    block = np.empty((starts.size, len(series), WINDOW_LEN))
-    for j, s in enumerate(series):
-        block[:, j] = s[idx]
-    gs = list(block[:, 0:2])
-    cs = list(block[:, 2:4])
-    ms = list(block[:, 4:6]) if with_mouse else [None] * starts.size
 
+    def block(rows) -> np.ndarray:
+        """(2, n) series -> the (N, 2, 24) block of the kept windows."""
+        out = np.empty((starts.size, 2, WINDOW_LEN))
+        out[:, 0] = rows[0][idx]
+        out[:, 1] = rows[1][idx]
+        return out
+
+    m = None
+    if with_mouse:
+        m = block((np.interp(t, mouse_t, mouse_x), np.interp(t, mouse_t, mouse_y)))
+    vel = np.full((starts.size, 2), np.nan)
     if mode == "labeled":
-        labels = label[keep].tolist()
-        vels = [None] * starts.size
+        label = label[keep]
     else:
         t_start = t_end - WINDOW_SPAN_S
         dt = t_end - t_start
-        vel = np.empty((starts.size, 2))
         vel[:, 0] = (np.interp(t_end, mouse_t, mouse_x) - np.interp(t_start, mouse_t, mouse_x)) / dt
         vel[:, 1] = (np.interp(t_end, mouse_t, mouse_y) - np.interp(t_start, mouse_t, mouse_y)) / dt
-        labels = [None] * starts.size
-        vels = list(vel)
-    subject = session.meta.subject_id
-    return [Window(g=g, c=c, t_end=te, subject_id=subject, label=lab, vel_target=v, m=mm)
-            for g, c, te, lab, v, mm in zip(gs, cs, t_end.tolist(), labels, vels, ms)]
+        label = np.full(starts.size, -1, dtype=np.int64)
+    return Windows(g=block(g), c=block(c), m=m, t_end=t_end, label=label, vel_target=vel,
+                   subject_id=np.full(starts.size, meta.subject_id, dtype=object),
+                   counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -712,53 +860,58 @@ def _safe_std(sd: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_stats(windows: list, meta: SessionMeta) -> NormStats:
-    """Per-feature normalization statistics; call on training windows only."""
-    if not windows:
+def _present(block: np.ndarray | None) -> np.ndarray | None:
+    """The rows of a block that are not absent (all NaN)."""
+    if block is None:
+        return None
+    absent = _absent(block)
+    return block[~absent] if absent.any() else block
+
+
+def compute_stats(windows, meta: SessionMeta) -> NormStats:
+    """Per-feature normalization statistics over the rows where each stream
+    is present; call on training windows only. `windows` is a `Windows`
+    container or a list of `Window` records."""
+    if not len(windows):
         raise DataError("cannot compute normalization stats from zero windows")
+    windows = _as_windows(windows)
     dims = np.array([meta.screen_w, meta.screen_h])[:, None]
     stats = NormStats(screen_w=meta.screen_w, screen_h=meta.screen_h)
     for key in ("g", "c", "m"):
-        arrays = [getattr(w, key) for w in windows if getattr(w, key) is not None]
-        if not arrays:
+        block = _present(getattr(windows, key))
+        if block is None or not len(block):
             continue
-        stacked = np.stack(arrays) / dims  # (N, 2, 24)
-        mu = stacked.mean(axis=(0, 2))
-        sd = _safe_std(stacked.std(axis=(0, 2)))
-        stats.channels[key] = (mu, sd)
-    vels = [w.vel_target for w in windows if w.vel_target is not None]
-    if vels:
-        v = np.stack(vels) / dims[:, 0]
+        scaled = block / dims  # (N, 2, 24)
+        stats.channels[key] = (scaled.mean(axis=(0, 2)), _safe_std(scaled.std(axis=(0, 2))))
+    vel = _present(windows.vel_target)
+    if len(vel):
+        v = vel / dims[:, 0]
         stats.vel = (v.mean(axis=0), _safe_std(v.std(axis=0)))
     return stats
 
 
-def _standardize(windows: list, key: str, dims, mu, sd) -> None:
-    """Replace `key` on every window that has it by (v / dims - mu) / sd,
-    computed in place on one stacked array; each window gets a view of it."""
-    owners = [w for w in windows if getattr(w, key) is not None]
-    if not owners:
-        return
-    block = np.array([getattr(w, key) for w in owners], dtype=np.float64)
-    block /= dims
-    block -= mu
-    block /= sd
-    for w, arr in zip(owners, block):
-        setattr(w, key, arr)
+def normalize(windows, stats: NormStats) -> Windows:
+    """Standardize window streams (and velocity targets) with training-split
+    stats: (v / screen dims - mean) / std on a copy of each block. Absent
+    rows stay NaN; a stream the stats do not cover is passed through.
 
-
-def normalize(windows: list, stats: NormStats) -> list:
-    """Standardize window streams (and velocity targets) with training-split stats.
-
-    Returns new windows; the input windows are left untouched.
+    `windows` is a `Windows` container or a list of `Window` records.
+    Returns a new container; the input is left untouched.
     """
-    out = [replace(w) for w in windows]
+    windows = _as_windows(windows)
     dims = np.array([stats.screen_w, stats.screen_h])
-    dims_col = dims[:, None]
-    for key in ("g", "c", "m"):
-        if key in stats.channels:
-            mu, sd = stats.channels[key]
-            _standardize(out, key, dims_col, mu[:, None], sd[:, None])
+    scale = {k: (dims[:, None], mu[:, None], sd[:, None])
+             for k, (mu, sd) in stats.channels.items()}
     if stats.vel is not None:
-        _standardize(out, "vel_target", dims, *stats.vel)
-    return out
+        scale["vel_target"] = (dims, *stats.vel)
+    out = {}
+    for key in ("g", "c", "m", "vel_target"):
+        block = getattr(windows, key)
+        if block is not None and key in scale:
+            d, mu, sd = scale[key]
+            block = block / d
+            block -= mu
+            block /= sd
+        out[key] = block
+    return Windows(**out, t_end=windows.t_end.copy(), label=windows.label.copy(),
+                   subject_id=windows.subject_id.copy(), counts=dict(windows.counts))

@@ -112,14 +112,9 @@ def predict_labels(params: model.ModelParams, stats, windows, batch_size: int = 
     """Classify normalized-on-the-fly windows; returns (pred, gold) arrays."""
     windows = dataio.normalize(windows, stats)
     streams = params.config.streams
-    preds = []
-    for i in range(0, len(windows), batch_size):
-        chunk = windows[i:i + batch_size]
-        batch = {k: np.stack([getattr(w, k) for w in chunk]).astype(np.float32)
-                 for k in streams}
-        preds.append(model.predict_proba(params, batch).argmax(axis=1))
-    gold = np.array([w.label for w in windows])
-    return np.concatenate(preds), gold
+    preds = [model.predict_proba(params, windows[i:i + batch_size].batch(streams)).argmax(axis=1)
+             for i in range(0, len(windows), batch_size)]
+    return np.concatenate(preds), windows.label
 
 
 def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:

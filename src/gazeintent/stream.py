@@ -115,9 +115,7 @@ class StreamingEngine:
         return dataio.Window(g=g, c=c, t_end=float(win[4, -1]), subject_id="stream")
 
     def _emit(self) -> Decision:
-        w = dataio.normalize([self._window()], self.stats)[0]
-        batch = {k: getattr(w, k)[None].astype(np.float32)
-                 for k in self.params.config.streams}
-        probs = model.predict_proba(self.params, batch)[0]
+        w = dataio.normalize([self._window()], self.stats)
+        probs = model.predict_proba(self.params, w.batch(self.params.config.streams))[0]
         label = dataio.LABELS[int(probs.argmax())]
-        return Decision(t_end=w.t_end, label=label, p_reading=float(probs[0]))
+        return Decision(t_end=float(w.t_end[0]), label=label, p_reading=float(probs[0]))

@@ -82,36 +82,26 @@ def _pick_val_subject(subjects, index: int) -> str:
     return subjects[index % len(subjects)]
 
 
-def collect_windows(sessions, cfg: TrainConfig, mode: str, with_mouse: bool = False):
-    windows = []
-    for s in sessions:
-        windows.extend(dataio.windowize(s, cfg.stride, mode, with_mouse=with_mouse))
-    return windows
+def split_train_val(sessions, cfg: TrainConfig):
+    """(training sessions, validation sessions): every session of the
+    subject that cfg.val_subject_index picks is held out for validation."""
+    by_subject = split_by_subject(sessions)
+    val_subject = _pick_val_subject(by_subject, cfg.val_subject_index)
+    return [s for s in sessions if s.meta.subject_id != val_subject], by_subject[val_subject]
 
 
-def _subsample_labels(windows, fraction: float, seed: int):
+def collect_windows(sessions, cfg: TrainConfig, mode: str,
+                    with_mouse: bool = False) -> dataio.Windows:
+    return dataio.Windows.concat([dataio.windowize(s, cfg.stride, mode, with_mouse=with_mouse)
+                                  for s in sessions])
+
+
+def _subsample_labels(windows: dataio.Windows, fraction: float, seed: int) -> dataio.Windows:
     if fraction >= 1.0:
         return windows
     rng = np.random.default_rng([seed, 0x1abe1])
     keep = max(2, int(round(fraction * len(windows))))
-    idx = np.sort(rng.choice(len(windows), size=keep, replace=False))
-    return [windows[i] for i in idx]
-
-
-def _stack_batch(windows, streams, dtype=np.float32):
-    batch = {}
-    for key in streams:
-        batch[key] = np.stack([getattr(w, key) for w in windows]).astype(dtype)
-    return batch
-
-
-def _classifier_arrays(windows, streams):
-    return _stack_batch(windows, streams), np.array([w.label for w in windows])
-
-
-def _pretext_arrays(windows, streams):
-    return _stack_batch(windows, streams), np.stack(
-        [w.vel_target for w in windows]).astype(np.float32)
+    return windows[np.sort(rng.choice(len(windows), size=keep, replace=False))]
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +166,6 @@ def _epochs(params, trainable, make_loss, eval_val, n_train, cfg, stage):
 _VAL_BATCH = 512
 
 
-def _mean_loss_batched(params, batch, make_loss_on, batch_size=_VAL_BATCH):
-    n = len(next(iter(batch.values())) if isinstance(batch, dict) else batch)
-    total, count = 0.0, 0
-    for i in range(0, n, batch_size):
-        sl = slice(i, i + batch_size)
-        loss = make_loss_on(sl)
-        k = min(batch_size, n - i)
-        total += loss.item() * k
-        count += k
-    return total / max(count, 1)
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -201,35 +179,34 @@ def pretrain(sessions, cfg: TrainConfig):
     if cfg.input_mode in ("mouse_only", "mouse_gaze_comp"):
         raise ConfigError("the pretext stage predicts mouse velocity from gaze; "
                           "mouse input modes are not allowed")
-    by_subject = split_by_subject(sessions)
-    val_subject = _pick_val_subject(by_subject, cfg.val_subject_index)
-    train_sessions = [s for s in sessions if s.meta.subject_id != val_subject]
-    val_sessions = by_subject[val_subject]
-
+    train_sessions, val_sessions = split_train_val(sessions, cfg)
     train_w = collect_windows(train_sessions, cfg, "pretext")
     val_w = collect_windows(val_sessions, cfg, "pretext")
     if not train_w:
         raise DataError("no windows with mouse-velocity targets in the training split")
+    if not val_w:
+        raise DataError("no windows with mouse-velocity targets in the validation split")
     stats = dataio.compute_stats(train_w, sessions[0].meta)
     train_w = dataio.normalize(train_w, stats)
     val_w = dataio.normalize(val_w, stats)
 
     mcfg = model.ModelConfig(input_mode=cfg.input_mode)
     params = model.init_params(mcfg, cfg.seed, head_kind=model.VELOCITY_HEAD)
-    streams = mcfg.streams
-    x_train, v_train = _pretext_arrays(train_w, streams)
-    x_val, v_val = _pretext_arrays(val_w, streams)
+    x_train, v_train = train_w.batch(mcfg.streams), train_w.vel_target.astype(np.float32)
+    x_val, v_val = val_w.batch(mcfg.streams), val_w.vel_target.astype(np.float32)
 
     def make_loss(idx):
         batch = {k: v[idx] for k, v in x_train.items()}
         return mse_loss(model.forward(params, batch), Tensor(v_train[idx]))
 
     def eval_val(p):
-        loss = _mean_loss_batched(
-            p, x_val,
-            lambda sl: mse_loss(model.forward(p, {k: v[sl] for k, v in x_val.items()}),
-                                Tensor(v_val[sl])))
-        return {"val_loss": loss}
+        total = 0.0
+        for i in range(0, len(v_val), _VAL_BATCH):
+            sl = slice(i, i + _VAL_BATCH)
+            loss = mse_loss(model.forward(p, {k: v[sl] for k, v in x_val.items()}),
+                            Tensor(v_val[sl]))
+            total += loss.item() * len(v_val[sl])
+        return {"val_loss": total / len(v_val)}
 
     best, history = _train_loop(params, params.learnable_names(), make_loss,
                                 eval_val, len(train_w), cfg, "pretext")
@@ -238,11 +215,7 @@ def pretrain(sessions, cfg: TrainConfig):
 
 def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
                       trainable_names, permute_labels: bool = False):
-    by_subject = split_by_subject(sessions)
-    val_subject = _pick_val_subject(by_subject, cfg.val_subject_index)
-    train_sessions = [s for s in sessions if s.meta.subject_id != val_subject]
-    val_sessions = by_subject[val_subject]
-
+    train_sessions, val_sessions = split_train_val(sessions, cfg)
     mcfg = params.config
     with_mouse = "m" in mcfg.streams
     train_w = collect_windows(train_sessions, cfg, "labeled", with_mouse=with_mouse)
@@ -255,9 +228,8 @@ def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
     train_w = dataio.normalize(train_w, stats)
     val_w = dataio.normalize(val_w, stats)
 
-    streams = mcfg.streams
-    x_train, y_train = _classifier_arrays(train_w, streams)
-    x_val, y_val = _classifier_arrays(val_w, streams)
+    x_train, y_train = train_w.batch(mcfg.streams), train_w.label
+    x_val, y_val = val_w.batch(mcfg.streams), val_w.label
     if permute_labels:
         rng = np.random.default_rng([cfg.seed, 0x9e12])
         y_train = y_train[rng.permutation(y_train.size)]

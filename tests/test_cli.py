@@ -87,6 +87,13 @@ class TestTrain:
         history = (root / "run" / "history.jsonl").read_text().splitlines()
         assert json.loads(history[0])["stage"] == "supervised"
 
+    def test_run_json_records_window_counts(self, workspace):
+        root, _, _ = workspace
+        counts = json.loads((root / "run" / "run.json").read_text())["windows"]
+        assert set(counts) == set(dataio.COUNTS) and counts["kept"] > 0
+        # two training subjects' 8 s text sessions (960 samples) at stride 12
+        assert sum(counts.values()) == 2 * ((960 - 24) // 12 + 1)
+
     def test_unknown_task_filter(self, workspace, tmp_path):
         # all generated sessions are text/webpage; filtering is exercised in
         # the workspace fixture, here the empty result path
@@ -97,6 +104,20 @@ class TestTrain:
 
 
 class TestEval:
+    def test_non_string_subject_id_exits_3(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        path = sorted(bad.glob("*.session"))[0]
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[0][len("#meta "):])
+        lines[0] = "#meta " + json.dumps({**meta, "subject_id": [1]})
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["eval", "--pipeline", "supervised", "--data", str(bad),
+                         "--out", str(tmp_path / "report.json"), "--max-epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "subject_id must be a string" in err and "Traceback" not in err
+
     def test_report_structure(self, workspace, tmp_path):
         _, data, _ = workspace
         out = tmp_path / "report.json"

@@ -123,6 +123,17 @@ class TestContainer:
                 with pytest.raises(DataError, match=rf"a\.session:{i + 1}: (coordinate|viewport)"):
                     dataio.parse_session(p)
 
+    @pytest.mark.parametrize("subject_id", [[1], 1, None, {}])
+    def test_non_string_subject_id_rejected(self, tmp_path, subject_id):
+        p = tmp_path / "a.session"
+        dataio.write_session(make_session(10), p)
+        lines = p.read_text().splitlines()
+        meta = json.loads(lines[0][len("#meta "):])
+        lines[0] = "#meta " + json.dumps({**meta, "subject_id": subject_id})
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="subject_id must be a string"):
+            dataio.parse_session(p)
+
     def test_out_of_range_coordinate_rejected(self, tmp_path):
         session = make_session(10)
         session.gaze.lx[3] = 5000.0
@@ -307,7 +318,7 @@ class TestWindowize:
             assert got == (n - 24) // stride + 1, (n, stride)
 
     def test_too_short_session_is_empty(self):
-        assert dataio.windowize(make_session(23), 1, "labeled", eye="left") == []
+        assert len(dataio.windowize(make_session(23), 1, "labeled", eye="left")) == 0
 
     def test_half_missing_kept_more_dropped(self):
         kept = make_session(24, missing_idx=set(range(12)))
@@ -351,7 +362,7 @@ class TestWindowize:
 
     def test_pretext_without_mouse_coverage_dropped(self):
         session = make_session(120, mouse=False)
-        assert dataio.windowize(session, 6, "pretext", eye="left") == []
+        assert len(dataio.windowize(session, 6, "pretext", eye="left")) == 0
 
     def test_bad_stride_rejected(self):
         with pytest.raises(ConfigError):
@@ -533,6 +544,22 @@ class TestVectorizedReference:
             assert type(w.t_end) is float and w.t_end == t_end
             assert w.label == label and type(w.label) is type(label)
             assert w.subject_id == session.meta.subject_id
+        # the blocks and columns themselves, with the "absent" rule
+        n = len(want)
+        for key, k in (("g", 0), ("c", 1)):
+            block = getattr(got, key)
+            assert block.shape == (n, 2, 24) and block.flags.c_contiguous
+            assert block.tobytes() == b"".join(r[k].tobytes() for r in want)
+        if with_mouse:
+            assert got.m.shape == (n, 2, 24) and got.m.flags.c_contiguous
+            assert got.m.tobytes() == b"".join(r[2].tobytes() for r in want)
+        else:
+            assert got.m is None
+        vel = [[np.nan] * 2 if r[3] is None else r[3] for r in want]
+        np.testing.assert_array_equal(got.vel_target, np.array(vel).reshape(n, 2))
+        assert got.t_end.tolist() == [r[4] for r in want]
+        assert got.label.tolist() == [-1 if r[5] is None else r[5] for r in want]
+        assert got.subject_id.tolist() == [session.meta.subject_id] * n
 
     @given(session=hostile_sessions(), stride=st.integers(1, 25))
     @settings(max_examples=60, deadline=None)
@@ -593,6 +620,94 @@ class TestVectorizedReference:
             for k, v in keep.items():
                 np.testing.assert_array_equal(getattr(second, k), v)
             np.testing.assert_array_equal(first.c, own_c)
+
+
+def _record(w):
+    """Everything a `Window` record holds, comparable with ==."""
+    return (_bytes(w.g), _bytes(w.c), _bytes(w.m), _bytes(w.vel_target),
+            w.t_end, type(w.t_end), w.label, type(w.label), w.subject_id)
+
+
+def _reference_records(session, stride, mode, eye, with_mouse):
+    """`_record` of each window of the per-window reference list."""
+    return [(_bytes(g), _bytes(c), _bytes(m), _bytes(vel), t_end, float, label, type(label),
+             session.meta.subject_id)
+            for g, c, m, vel, t_end, label
+            in reference_windows(session, stride, mode, eye, with_mouse)]
+
+
+class TestWindowsContainer:
+    """A `Windows` container reads as the per-window list it replaced."""
+
+    @given(session=hostile_sessions(), stride=st.integers(1, 25),
+           mode=st.sampled_from(["labeled", "pretext"]), with_mouse=st.booleans(),
+           eye=st.sampled_from(["left", "right"]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sequence_reads_equal_reference_list(self, session, stride, mode, with_mouse,
+                                                 eye, data):
+        got = dataio.windowize(session, stride, mode, eye=eye, with_mouse=with_mouse)
+        want = _reference_records(session, stride, mode, eye, with_mouse)
+        n = len(want)
+        assert len(got) == n and bool(got) == bool(want)
+        assert [_record(w) for w in got] == want
+        if n:
+            i = data.draw(st.integers(-n, n - 1), label="index")
+            assert _record(got[i]) == want[i]
+        with pytest.raises(IndexError):
+            got[n]
+        bound = st.integers(-n - 2, n + 2) | st.none()
+        sl = slice(data.draw(bound), data.draw(bound),
+                   data.draw(st.sampled_from([None, 1, 2, 5, -1, -3])))
+        assert [_record(w) for w in got[sl]] == want[sl]
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else [],
+                       dtype=np.intp)
+        assert [_record(w) for w in got[idx]] == [want[k] for k in idx]
+        assert [_record(w) for w in dataio.Windows.from_rows(got)] == want
+
+    @given(session=hostile_sessions(), stride=st.integers(1, 25),
+           eye=st.sampled_from(["left", "right"]))
+    @settings(max_examples=60, deadline=None)
+    def test_add_concatenates_with_absent_streams(self, session, stride, eye):
+        labeled = dataio.windowize(session, stride, "labeled", eye=eye)
+        pretext = dataio.windowize(session, stride, "pretext", eye=eye, with_mouse=True)
+        want_l = _reference_records(session, stride, "labeled", eye, False)
+        want_p = _reference_records(session, stride, "pretext", eye, True)
+        both = labeled + pretext
+        assert [_record(w) for w in both] == want_l + want_p
+        assert [_record(w) for w in pretext + labeled] == want_p + want_l
+        assert both.counts == {k: labeled.counts[k] + pretext.counts[k] for k in dataio.COUNTS}
+        if len(pretext):
+            assert np.isnan(both.m[:len(labeled)]).all()
+            assert np.isnan(both.vel_target[:len(labeled)]).all()
+            assert (both.label[len(labeled):] == -1).all()
+
+    @given(session=hostile_sessions(), stride=st.sampled_from([1, 6, 7]),
+           mode=st.sampled_from(["labeled", "pretext"]), with_mouse=st.booleans(),
+           eye=st.sampled_from(["left", "right"]))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_add_up_to_window_positions(self, session, stride, mode, with_mouse, eye):
+        got = dataio.windowize(session, stride, mode, eye=eye, with_mouse=with_mouse)
+        t = session.gaze.t
+        _, _, missing = dataio.eye_series(session.gaze, eye)
+        mt = session.mouse.t
+        want = dict.fromkeys(dataio.COUNTS, 0)
+        positions = range(0, len(t) - dataio.WINDOW_LEN + 1, stride)
+        for start in positions:
+            t_end = float(t[start + dataio.WINDOW_LEN - 1])
+            if missing[start:start + dataio.WINDOW_LEN].sum() > dataio.MAX_MISSING:
+                reason = "dropped_missing"
+            elif mode == "labeled" and dataio.label_at(session.labels, t_end) is None:
+                reason = "dropped_unlabeled"
+            elif (mode == "pretext" and dataio.mouse_velocity(
+                    session.mouse, t_end - dataio.WINDOW_SPAN_S, t_end) is None) or (
+                    with_mouse and not (mt.size and mt[0] <= t[start] and t_end <= mt[-1])):
+                reason = "dropped_no_mouse"
+            else:
+                reason = "kept"
+            want[reason] += 1
+        assert got.counts == want
+        assert sum(got.counts.values()) == len(positions)
+        assert got.counts["kept"] == len(got)
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,10 @@ class TestSplits:
 
 class TestLabelSubsampling:
     def _windows(self, n):
-        return [dataio.Window(g=np.full((2, 24), i), c=np.zeros((2, 24)),
-                              t_end=i * 0.1, subject_id="S00", label=i % 2)
-                for i in range(n)]
+        return dataio.Windows.from_rows(
+            dataio.Window(g=np.full((2, 24), i), c=np.zeros((2, 24)),
+                          t_end=i * 0.1, subject_id="S00", label=i % 2)
+            for i in range(n))
 
     def test_full_fraction_is_identity(self):
         wins = self._windows(10)
@@ -168,6 +169,16 @@ class TestPretext:
             s.labels = []
         params, _, _ = train.pretrain(stripped, quick_cfg())
         assert params.checksum() == pretrained[0].checksum()
+
+    def test_validation_subject_without_mouse_rejected(self, sessions):
+        cfg = quick_cfg()
+        _, val_sessions = train.split_train_val(sessions, cfg)
+        stripped = [copy.deepcopy(s) for s in sessions]
+        for s in stripped:
+            if s.meta.subject_id == val_sessions[0].meta.subject_id:
+                s.mouse = []
+        with pytest.raises(DataError, match="validation split"):
+            train.pretrain(stripped, cfg)
 
     def test_mouse_input_modes_rejected(self, sessions):
         for mode in ("mouse_only", "mouse_gaze_comp"):
