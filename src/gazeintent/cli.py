@@ -59,12 +59,19 @@ def _write_manifest(out_dir, command: str, config, inputs: dict, artifacts: list
     Path(out_dir, "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
-def _load_sessions(data_dir) -> list:
+def _load_sessions(data_dir, task: str = "all"):
+    """(paths, sessions) of a directory's .session files, keeping only
+    `task`'s sessions unless it is "all"."""
     data_dir = Path(data_dir)
     paths = sorted(data_dir.glob("*.session"))
     if not paths:
         raise DataError(f"no .session files in {data_dir}")
-    return paths, [dataio.parse_session(p) for p in paths]
+    sessions = [dataio.parse_session(p) for p in paths]
+    if task != "all":
+        sessions = [s for s in sessions if s.meta.task == task]
+        if not sessions:
+            raise DataError(f"no sessions with task {task!r}")
+    return paths, sessions
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +111,7 @@ def cmd_train(args) -> int:
     cfg = _train_config_from_args(args)
     if args.mode == "finetune" and not getattr(args, "from_ckpt", None):
         raise ConfigError("finetune requires --from CKPT")
-    paths, sessions = _load_sessions(args.data)
-    if args.task != "all":
-        sessions = [s for s in sessions if s.meta.task == args.task]
-        if not sessions:
-            raise DataError(f"no sessions with task {args.task!r}")
+    paths, sessions = _load_sessions(args.data, args.task)
     if args.mode == "pretrain":
         params, stats, history = train.pretrain(sessions, cfg)
     elif args.mode == "finetune":
@@ -135,31 +138,79 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _train_config_from_args(args)
-    paths, sessions = _load_sessions(args.data)
-    if args.task != "all":
-        sessions = [s for s in sessions if s.meta.task == args.task]
-        if not sessions:
-            raise DataError(f"no sessions with task {args.task!r}")
-    report = evaluate.loso_evaluate(sessions, args.pipeline, cfg)
-    checksums = {str(p): _sha256(p) for p in paths}
+def _eval_report(sessions, checksums: dict, pipeline: str, cfg, out) -> evaluate.F1Report:
+    """One LOSO evaluation, written to `out` as eval's report.json."""
+    report = evaluate.loso_evaluate(sessions, pipeline, cfg)
     cfg_hash = hashlib.sha256(
         json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
-    evaluate.write_report(report, args.out,
+    evaluate.write_report(report, out,
                           extra={"config": asdict(cfg), "config_hash": cfg_hash,
                                  "input_checksums": checksums})
+    return report
+
+
+def cmd_eval(args) -> int:
+    cfg = _train_config_from_args(args)
+    paths, sessions = _load_sessions(args.data, args.task)
+    report = _eval_report(sessions, {str(p): _sha256(p) for p in paths},
+                          args.pipeline, cfg, args.out)
     print(report.table())
     print(f"report written to {args.out}")
     return 0
 
 
+def cmd_sweep(args) -> int:
+    """eval over every (label fraction, pipeline, seed) cell: one report per
+    cell, plus the mean and std of f1_overall over seeds per (fraction,
+    pipeline) in sweep.json and a table."""
+    base = _train_config_from_args(
+        argparse.Namespace(**{**vars(args), "seed": None, "label_fraction": None}))
+    fractions = list(dict.fromkeys(args.label_fraction or [base.label_fraction]))
+    pipelines = list(dict.fromkeys(args.pipeline))
+    seeds = list(dict.fromkeys(args.seed or [base.seed]))
+    for fraction in fractions:
+        replace(base, label_fraction=fraction).validate()
+    paths, sessions = _load_sessions(args.data, args.task)
+    checksums = {str(p): _sha256(p) for p in paths}
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e}") from e
+    rows = []
+    print("fraction " + "".join(f"{p:>18}" for p in pipelines))
+    for fraction in fractions:
+        line = f"{fraction:<9g}"
+        for pipeline in pipelines:
+            scores = []
+            for seed in seeds:
+                cell = out / f"{pipeline}_lf{fraction!r}_seed{seed}.json"
+                cfg = replace(base, seed=seed, label_fraction=fraction)
+                scores.append(_eval_report(sessions, checksums, pipeline, cfg, cell).f1_overall)
+                print(f"{cell}: f1_overall {scores[-1]:.2f}", file=sys.stderr)
+            rows.append({"label_fraction": fraction, "pipeline": pipeline, "seeds": seeds,
+                         "f1_overall": scores, "mean": float(np.mean(scores)),
+                         "std": float(np.std(scores))})
+            line += f"{rows[-1]['mean']:11.2f}+/-{rows[-1]['std']:4.2f}"
+        print(line)
+    (out / "sweep.json").write_text(json.dumps(rows, indent=1, sort_keys=True))
+    print(f"reports and sweep.json written to {out}")
+    return 0
+
+
 def _iter_feed_lines(source):
-    if source == "-":
-        yield from sys.stdin
-    else:
-        with open(source) as f:
-            yield from f
+    """Lines of a UTF-8 feed file, or of stdin for "-"; a feed that cannot
+    be read or decoded raises DataError."""
+    try:
+        if source == "-":
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(encoding="utf-8")
+            yield from sys.stdin
+        else:
+            with open(source, encoding="utf-8") as f:
+                yield from f
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read feed {source}: {e}") from e
 
 
 def _read_feed(source):
@@ -213,6 +264,24 @@ def cmd_infer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_training_args(p, many: bool = False) -> None:
+    """The data and TrainConfig options that train, eval and sweep share;
+    with `many`, --seed and --label-fraction take one or more values."""
+    nargs = "+" if many else None
+    p.add_argument("--data", required=True, help="directory of .session files")
+    p.add_argument("--config", help="TrainConfig JSON file")
+    p.add_argument("--task", default="all", choices=("all", "text", "webpage"))
+    p.add_argument("--input-mode", dest="input_mode", choices=model.INPUT_MODES,
+                   help="input ablation (default gaze_plus_comp)")
+    p.add_argument("--seed", type=int, nargs=nargs)
+    p.add_argument("--stride", type=int, help="window stride in samples (default 6)")
+    p.add_argument("--batch-size", dest="batch_size", type=int, help="default 256")
+    p.add_argument("--max-epochs", dest="max_epochs", type=int, help="default 50")
+    p.add_argument("--patience", type=int, help="early-stop patience (default 5)")
+    p.add_argument("--label-fraction", dest="label_fraction", type=float, nargs=nargs,
+                   help="fraction of training labels kept (default 1.0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gazeintent",
@@ -231,41 +300,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one stage")
     p.add_argument("--mode", required=True,
                    choices=("supervised", "pretrain", "finetune"))
-    p.add_argument("--data", required=True, help="directory of .session files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--from", dest="from_ckpt", help="pretext checkpoint (finetune)")
-    p.add_argument("--config", help="TrainConfig JSON file")
-    p.add_argument("--input-mode", dest="input_mode", choices=model.INPUT_MODES,
-                   help="input ablation (default gaze_plus_comp)")
     p.add_argument("--freeze", choices=train.FREEZE_MODES,
                    help="finetune freeze mode (default full)")
-    p.add_argument("--task", default="all", choices=("all", "text", "webpage"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stride", type=int, help="window stride in samples (default 6)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="default 256")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, help="default 50")
-    p.add_argument("--patience", type=int, help="early-stop patience (default 5)")
-    p.add_argument("--label-fraction", dest="label_fraction", type=float,
-                   help="fraction of training labels kept (default 1.0)")
     p.add_argument("--lr", type=float, help="default 3e-4")
     p.add_argument("--weight-decay", dest="weight_decay", type=float,
                    help="default 0.01")
+    _add_training_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="leave-one-subject-out evaluation")
     p.add_argument("--pipeline", required=True, choices=evaluate.PIPELINES)
-    p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="report.json path")
-    p.add_argument("--config", help="TrainConfig JSON file")
-    p.add_argument("--task", default="all", choices=("all", "text", "webpage"))
-    p.add_argument("--input-mode", dest="input_mode", choices=model.INPUT_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--label-fraction", dest="label_fraction", type=float)
+    _add_training_args(p)
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("sweep", help="eval over label fractions, pipelines and seeds")
+    p.add_argument("--pipeline", required=True, nargs="+", choices=evaluate.PIPELINES)
+    p.add_argument("--out", required=True,
+                   help="directory for one report per cell and sweep.json")
+    _add_training_args(p, many=True)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("infer", help="streaming gaze-only inference")
     p.add_argument("--ckpt", required=True, help="checkpoint directory")

@@ -4,6 +4,7 @@ sanity baseline."""
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from gazeintent import dataio, model, train
 from gazeintent.errors import ConfigError, DataError
 
 PIPELINES = ("supervised", "semi_partial", "semi_full", "random")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -34,26 +37,25 @@ def confusion(pred, gold, positive: int) -> ConfusionCounts:
     )
 
 
-def _f1_from_counts(c: ConfusionCounts, in_gold: bool, in_pred: bool) -> float:
-    if not in_gold:
-        # degenerate conventions: class absent everywhere is a vacuous 100
-        return 100.0 if not in_pred else 0.0
-    denom = 2 * c.tp + c.fp + c.fn
-    return 100.0 * 2 * c.tp / denom if denom else 0.0
+def _f1_from_counts(c: ConfusionCounts) -> float:
+    if c.tp + c.fn == 0:
+        # class absent from gold: a vacuous 100 unless it was predicted
+        return 100.0 if c.tp + c.fp == 0 else 0.0
+    return 100.0 * 2 * c.tp / (2 * c.tp + c.fp + c.fn)
 
 
-def f1_per_class(pred, gold):
-    """Per-class F1 in percent, classes (reading, scanning)."""
+def _class_counts(pred, gold) -> tuple:
+    """(reading, scanning) confusion counts of equal-length, non-empty inputs."""
     pred = np.asarray(pred)
     gold = np.asarray(gold)
     if pred.size == 0 or pred.size != gold.size:
         raise DataError("f1_per_class requires equal-length, non-empty inputs")
-    out = []
-    for cls in (dataio.READING, dataio.SCANNING):
-        c = confusion(pred, gold, cls)
-        out.append(_f1_from_counts(c, in_gold=bool((gold == cls).any()),
-                                   in_pred=bool((pred == cls).any())))
-    return tuple(out)
+    return tuple(confusion(pred, gold, cls) for cls in (dataio.READING, dataio.SCANNING))
+
+
+def f1_per_class(pred, gold):
+    """Per-class F1 in percent, classes (reading, scanning)."""
+    return tuple(_f1_from_counts(c) for c in _class_counts(pred, gold))
 
 
 def macro_f1(f1_reading: float, f1_scanning: float) -> float:
@@ -135,37 +137,26 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
         train_sessions = [s for s in sessions if s.meta.subject_id != test_subject]
         test_windows = train.collect_windows(by_subject[test_subject], cfg, "labeled")
         if not test_windows:
-            import logging
-            logging.getLogger(__name__).warning(
-                "subject %s has no valid windows; fold skipped", test_subject)
+            _log.warning("subject %s has no valid windows; fold skipped", test_subject)
             report.skipped.append(test_subject)
             continue
-        fold_cfg = replace(cfg, seed=cfg.seed + fold_idx)
-        if pipeline == "supervised":
+        fold_cfg = replace(cfg, seed=cfg.seed + fold_idx, val_subject_index=fold_idx)
+        if pipeline in ("supervised", "random"):
             params, stats, _ = train.supervised_train(
-                train_sessions, replace(fold_cfg, val_subject_index=fold_idx))
-        elif pipeline == "random":
-            params, stats, _ = train.supervised_train(
-                train_sessions, replace(fold_cfg, val_subject_index=fold_idx),
-                permute_labels=True)
+                train_sessions, fold_cfg, permute_labels=(pipeline == "random"))
         else:
-            pre_params, pre_stats, _ = train.pretrain(
-                train_sessions, replace(fold_cfg, val_subject_index=fold_idx))
-            import tempfile
-            with tempfile.TemporaryDirectory() as tmp:
-                ckpt = Path(tmp) / "pretext"
-                model.save_checkpoint(pre_params, pre_stats, ckpt)
-                ft_cfg = replace(fold_cfg, val_subject_index=fold_idx,
-                                 freeze="partial" if pipeline == "semi_partial" else "full")
-                params, stats, _ = train.finetune(ckpt, train_sessions, ft_cfg)
+            pre_params, pre_stats, _ = train.pretrain(train_sessions, fold_cfg)
+            params, stats, _ = train.finetune_params(
+                pre_params, pre_stats, train_sessions,
+                replace(fold_cfg, freeze="partial" if pipeline == "semi_partial" else "full"))
         pred, gold = predict_labels(params, stats, test_windows)
-        f1_r, f1_s = f1_per_class(pred, gold)
+        counts_r, counts_s = _class_counts(pred, gold)
+        f1_r, f1_s = _f1_from_counts(counts_r), _f1_from_counts(counts_s)
         report.folds.append(FoldResult(
             subject=test_subject,
             f1_reading=f1_r, f1_scanning=f1_s, f1_overall=macro_f1(f1_r, f1_s),
             n_windows=len(test_windows),
-            counts_reading=confusion(pred, gold, dataio.READING),
-            counts_scanning=confusion(pred, gold, dataio.SCANNING),
+            counts_reading=counts_r, counts_scanning=counts_s,
         ))
     return report
 

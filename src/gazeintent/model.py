@@ -277,7 +277,7 @@ def transformer_forward(h: Tensor, params: ModelParams) -> Tensor:
     return _transformer(h, params, last_row_only=False)
 
 
-def forward(params: ModelParams, batch: dict, head_kind: str | None = None) -> Tensor:
+def forward(params: ModelParams, batch: dict) -> Tensor:
     """Batch of normalized windows -> (B, 2) head output (logits or velocity).
 
     The head reads row window-1 of the transformer output, so the last
@@ -285,9 +285,6 @@ def forward(params: ModelParams, batch: dict, head_kind: str | None = None) -> T
     for that row alone.
     """
     cfg = params.config
-    head_kind = head_kind or params.head_kind
-    if head_kind != params.head_kind:
-        raise ConfigError(f"model carries head {params.head_kind}, asked for {head_kind}")
     streams = cfg.streams
     dtype = params.tensors["head.w"].dtype
     encoded = {}
@@ -379,15 +376,22 @@ def load_checkpoint(path):
     return params, stats
 
 
-def load_for_finetune(path, head_seed: int):
-    """Load a checkpoint keeping the backbone and reinitializing only the
+def reinit_head(params: ModelParams, head_seed: int) -> ModelParams:
+    """Copy of `params` keeping the backbone, with a freshly initialized
     classifier head. Backbone shapes must match the stored config."""
-    params, stats = load_checkpoint(path)
     fresh = init_params(params.config, head_seed, head_kind=CLASSIFIER_HEAD)
     for name in params.backbone_names():
         if name not in fresh.tensors or fresh.tensors[name].shape != params.tensors[name].shape:
             raise DataError(f"checkpoint backbone tensor {name} does not match config")
+    out = params.copy()
     for name in ("head.w", "head.b"):
-        params.tensors[name] = fresh.tensors[name]
-    params.head_kind = CLASSIFIER_HEAD
-    return params, stats
+        out.tensors[name] = fresh.tensors[name]
+    out.head_kind = CLASSIFIER_HEAD
+    return out
+
+
+def load_for_finetune(path, head_seed: int):
+    """Load a checkpoint keeping the backbone and reinitializing only the
+    classifier head (`reinit_head`)."""
+    params, stats = load_checkpoint(path)
+    return reinit_head(params, head_seed), stats

@@ -59,10 +59,6 @@ class Tape:
                     parent.grad = parent.grad + g
 
 
-def active_tape() -> Tape | None:
-    return _ACTIVE_TAPE
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad over axes that were broadcast to reach grad.shape."""
     while grad.ndim > len(shape):

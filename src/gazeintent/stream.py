@@ -40,8 +40,8 @@ class StreamingEngine:
             raise ConfigError("streaming inference needs a classifier-head checkpoint")
         if "m" in params.config.streams:
             raise ConfigError("streaming inference is gaze-only")
-        if magnification < 1:
-            raise ConfigError(f"magnification must be >= 1, got {magnification}")
+        if not np.isfinite(magnification) or magnification < 1:
+            raise ConfigError(f"magnification must be a finite number >= 1, got {magnification}")
         if eye not in ("left", "right"):
             raise ConfigError(f"eye must be 'left' or 'right', got {eye!r}")
         if stride < 1:

@@ -261,22 +261,30 @@ def partial_trainable_names(params: model.ModelParams) -> list:
             if k.startswith("tf") or k.startswith("head.")]
 
 
-def finetune(checkpoint_path, sessions, cfg: TrainConfig):
-    """Swap the pretext head for a fresh classifier and fine-tune.
+def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig):
+    """Swap the pretext head of `params` for a fresh classifier and fine-tune
+    a copy; the caller's params are left untouched.
 
     cfg.freeze selects full (all parameters) or partial (transformer +
     head only) updates. Mouse data is never consumed here.
     """
     cfg.validate()
-    params, stats = model.load_for_finetune(checkpoint_path, head_seed=cfg.seed + 1)
+    params = model.reinit_head(params, head_seed=cfg.seed + 1)
     if params.config.input_mode != cfg.input_mode:
-        raise ConfigError(f"checkpoint input_mode {params.config.input_mode} "
+        raise ConfigError(f"pretext input_mode {params.config.input_mode} "
                           f"!= requested {cfg.input_mode}")
     if "m" in params.config.streams:
         raise ConfigError("fine-tuning consumes gaze streams only")
     trainable = (params.learnable_names() if cfg.freeze == "full"
                  else partial_trainable_names(params))
     return _classifier_stage(params, stats, sessions, cfg, "finetune", trainable)
+
+
+def finetune(checkpoint_path, sessions, cfg: TrainConfig):
+    """`finetune_params` on a pretext checkpoint read from disk."""
+    cfg.validate()
+    params, stats = model.load_checkpoint(checkpoint_path)
+    return finetune_params(params, stats, sessions, cfg)
 
 
 def supervised_train(sessions, cfg: TrainConfig, permute_labels: bool = False):

@@ -1,10 +1,15 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
+import math
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gazeintent import cli, dataio
 
@@ -130,6 +135,68 @@ class TestEval:
         assert set(doc["mean"]) == {"f1_reading", "f1_scanning", "f1_overall"}
 
 
+def option_strings(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+
+
+def test_train_and_eval_options_unchanged():
+    shared = {"-h", "--help", "--data", "--out", "--config", "--task", "--input-mode",
+              "--seed", "--stride", "--batch-size", "--max-epochs", "--patience",
+              "--label-fraction"}
+    assert option_strings("train") == shared | {"--mode", "--from", "--freeze", "--lr",
+                                                "--weight-decay"}
+    assert option_strings("eval") == shared | {"--pipeline"}
+    assert option_strings("sweep") == option_strings("eval")
+
+
+class TestSweep:
+    def test_cells_equal_eval_reports(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        opts = ["--data", str(data), "--task", "text", "--stride", "24",
+                "--batch-size", "128", "--max-epochs", "1"]
+        assert cli.main(["sweep", "--pipeline", "supervised", "semi_full",
+                         "--label-fraction", "0.5", "--seed", "0", "1",
+                         "--out", str(tmp_path / "sweep")] + opts) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split() == ["fraction", "supervised", "semi_full"]
+        assert table[1].split()[0] == "0.5"
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+        assert [(r["label_fraction"], r["pipeline"], r["seeds"]) for r in rows] == \
+            [(0.5, "supervised", [0, 1]), (0.5, "semi_full", [0, 1])]
+        for r in rows:
+            assert r["mean"] == pytest.approx(np.mean(r["f1_overall"]))
+            assert r["std"] == pytest.approx(np.std(r["f1_overall"]))
+        assert cli.main(["eval", "--pipeline", "semi_full", "--label-fraction", "0.5",
+                         "--seed", "1", "--out", str(tmp_path / "report.json")] + opts) == 0
+        cell = tmp_path / "sweep" / "semi_full_lf0.5_seed1.json"
+        assert cell.read_bytes() == (tmp_path / "report.json").read_bytes()
+        assert json.loads(cell.read_text())["mean"]["f1_overall"] == rows[1]["f1_overall"][1]
+
+    def test_missing_data_dir(self, tmp_path, capsys):
+        assert cli.main(["sweep", "--pipeline", "supervised", "--data",
+                         str(tmp_path / "none"), "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_out_is_a_file(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        (tmp_path / "o").write_text("")
+        assert cli.main(["sweep", "--pipeline", "supervised", "--data", str(data),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
+    def test_label_fraction_outside_unit_interval(self, workspace, tmp_path, capsys,
+                                                  fraction):
+        _, data, _ = workspace
+        assert cli.main(["sweep", "--pipeline", "supervised", "--data", str(data),
+                         "--label-fraction", "0.5", fraction,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "label_fraction must be in (0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestInfer:
     def test_missing_checkpoint(self, tmp_path):
         assert cli.main(["infer", "--ckpt", str(tmp_path / "none"),
@@ -253,6 +320,34 @@ class TestInfer:
         assert self._infer_stdin(ckpt, rows, monkeypatch, mag) == 3
         assert "feed line 42: non-monotonic timestamp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_magnification(self, workspace, capsys, monkeypatch, value):
+        _, data, ckpt = workspace
+        rows, _ = self._feed_rows(data / "S01_text.session")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", "left",
+                         "--magnification", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "magnification" in captured.err
+
+    def test_non_utf8_feed_file(self, workspace, tmp_path, capsys):
+        _, _, ckpt = workspace
+        feed = tmp_path / "feed.csv"
+        feed.write_bytes(b"0.1,1,1,1,1,0,0\n\xff\xfe,1\n")
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(feed)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_directory_as_feed(self, workspace, tmp_path, capsys):
+        _, _, ckpt = workspace
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(tmp_path)]) == 3
+        assert "cannot read feed" in capsys.readouterr().err
+
+    def test_non_utf8_stdin(self, workspace, monkeypatch, capsys):
+        _, _, ckpt = workspace
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xc3\x28,1\n")))
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-"]) == 3
+        assert "cannot read feed -" in capsys.readouterr().err
+
     def test_malformed_checkpoint_manifest(self, workspace, tmp_path, monkeypatch):
         _, _, ckpt = workspace
         bad = tmp_path / "ckpt"
@@ -260,3 +355,38 @@ class TestInfer:
         (bad / "manifest.json").write_text('{"format": ')
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert cli.main(["infer", "--ckpt", str(bad), "--input", "-", "--eye", "left"]) == 3
+
+
+@pytest.fixture(scope="module")
+def feed_prefix(workspace):
+    """The first 60 rows of a real feed, as bytes."""
+    _, data, _ = workspace
+    rows, _ = TestInfer._feed_rows(data / "S01_text.session")
+    return ("\n".join(rows[:60]) + "\n").encode()
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), eye=st.sampled_from(["auto", "left"]))
+def test_infer_fuzz_random_bytes(workspace, feed_prefix, via, data, eye):
+    # random bytes, alone or spliced into a real feed so that some inputs
+    # get far enough to emit decisions
+    spliced = st.tuples(st.integers(0, len(feed_prefix)), st.binary(max_size=40)).map(
+        lambda t: feed_prefix[:t[0]] + t[1] + feed_prefix[t[0]:])
+    raw = data.draw(st.binary(max_size=200) | spliced)
+    root, _, ckpt = workspace
+    argv = ["infer", "--ckpt", str(ckpt), "--eye", eye, "--magnification", "2"]
+    stdin = io.TextIOWrapper(io.BytesIO(raw))
+    if via == "file":
+        (root / "fuzz.csv").write_bytes(raw)
+        argv += ["--input", str(root / "fuzz.csv")]
+    else:
+        argv += ["--input", "-"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", stdin):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    for line in out.getvalue().splitlines():
+        doc = json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert math.isfinite(doc["p_reading"])

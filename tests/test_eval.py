@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gazeintent import dataio, evaluate, synth, train
+from gazeintent import dataio, evaluate, model, synth, train
 from gazeintent.errors import ConfigError, DataError
 
 
@@ -126,6 +126,16 @@ class TestLoso:
     def test_unknown_pipeline_rejected(self, sessions):
         with pytest.raises(ConfigError):
             evaluate.loso_evaluate(sessions, "semi", train.TrainConfig())
+
+    @pytest.mark.parametrize("pipeline", ["semi_partial", "semi_full"])
+    def test_semi_pipelines_write_no_checkpoint(self, sessions, monkeypatch, pipeline):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LOSO must not go through a checkpoint")
+        monkeypatch.setattr(model, "save_checkpoint", refuse)
+        monkeypatch.setattr(model, "load_checkpoint", refuse)
+        cfg = train.TrainConfig(stride=24, batch_size=128, max_epochs=1)
+        rep = evaluate.loso_evaluate(sessions, pipeline, cfg)
+        assert [f.subject for f in rep.folds] == ["S00", "S01", "S02"]
 
     def test_random_pipeline_differs_from_supervised(self, sessions, report):
         cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)

@@ -99,12 +99,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(p, batch)
 
-    def test_head_kind_mismatch_rejected(self):
-        cfg = small_cfg()
-        p = model.init_params(cfg, seed=0, head_kind=model.VELOCITY_HEAD)
-        with pytest.raises(ConfigError):
-            model.forward(p, rand_batch(cfg), head_kind=model.CLASSIFIER_HEAD)
-
     def test_batch_rows_independent(self):
         cfg = small_cfg()
         p = model.init_params(cfg, seed=0)
@@ -320,6 +314,14 @@ class TestCheckpoints:
         fresh = model.init_params(cfg, 99)
         np.testing.assert_array_equal(ft.tensors["head.w"].data,
                                       fresh.tensors["head.w"].data)
+
+    def test_reinit_head_returns_a_copy(self):
+        p = model.init_params(small_cfg(), seed=0, head_kind=model.VELOCITY_HEAD)
+        before = p.checksum()
+        ft = model.reinit_head(p, head_seed=99)
+        assert p.checksum() == before and p.head_kind == model.VELOCITY_HEAD
+        assert ft.head_kind == model.CLASSIFIER_HEAD
+        assert all(ft.tensors[k] is not p.tensors[k] for k in p.tensors)
 
 
 JSON_VALUES = st.recursive(

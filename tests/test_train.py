@@ -215,6 +215,17 @@ class TestPretext:
         assert not np.array_equal(loaded.tensors["head.w"].data,
                                   params.tensors["head.w"].data)
 
+    def test_finetune_params_leaves_pretext_params_unchanged(self, sessions, pretrained):
+        params, stats, _, ckpt = pretrained
+        before = params.checksum()
+        cfg = quick_cfg(max_epochs=1, freeze="full")
+        ft, _, _ = train.finetune_params(params, stats, sessions, cfg)
+        assert params.checksum() == before
+        assert params.head_kind == model.VELOCITY_HEAD
+        assert all(t.requires_grad == (k != "pos") for k, t in params.tensors.items())
+        # the same fine-tune as from the checkpoint on disk
+        assert ft.checksum() == train.finetune(ckpt, sessions, cfg)[0].checksum()
+
     def test_finetune_input_mode_mismatch_rejected(self, sessions, pretrained):
         with pytest.raises(ConfigError, match="input_mode"):
             train.finetune(pretrained[3], sessions,
