@@ -41,8 +41,7 @@ def _load_config(path, cls):
         raise ConfigError(f"{path}: malformed config JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
     return cls(**doc)
@@ -52,16 +51,34 @@ def _write_manifest(out_dir, command: str, config, inputs: dict, artifacts: list
     manifest = {
         "tool_version": gazeintent.__version__,
         "command": command,
-        "config": asdict(config) if dataclasses.is_dataclass(config) else config,
+        "config": asdict(config),
         "input_checksums": inputs,
         "artifacts": [str(a) for a in artifacts],
     }
     Path(out_dir, "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
+def _config(cls, args):
+    """`cls` from the --config file (or its defaults), with every field that a
+    same-named option gives on the command line replaced, checked as built."""
+    cfg = _load_config(args.config, cls) if args.config else cls()
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                           if getattr(args, f.name, None) is not None})
+
+
+def _out_dir(path) -> Path:
+    """The --out directory, created before any work: failing to is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e}") from e
+    return out
+
+
 def _load_sessions(data_dir, task: str = "all"):
-    """(paths, sessions) of a directory's .session files, keeping only
-    `task`'s sessions unless it is "all"."""
+    """(sessions, sha256 of each file by path) of a directory's .session
+    files, keeping only `task`'s sessions unless it is "all"."""
     data_dir = Path(data_dir)
     paths = sorted(data_dir.glob("*.session"))
     if not paths:
@@ -71,7 +88,7 @@ def _load_sessions(data_dir, task: str = "all"):
         sessions = [s for s in sessions if s.meta.task == task]
         if not sessions:
             raise DataError(f"no sessions with task {task!r}")
-    return paths, sessions
+    return sessions, {str(p): _sha256(p) for p in paths}
 
 
 # ---------------------------------------------------------------------------
@@ -79,39 +96,19 @@ def _load_sessions(data_dir, task: str = "all"):
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(args.config, synth.SynthConfig) if args.config else synth.SynthConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.subjects is not None:
-        cfg = replace(cfg, n_subjects=args.subjects)
-    if args.session_len is not None:
-        cfg = replace(cfg, session_len=args.session_len)
-    paths = synth.generate_dataset(cfg, args.out)
+    cfg = _config(synth.SynthConfig, args)
+    paths = synth.generate_dataset(cfg, _out_dir(args.out))
     _write_manifest(args.out, "gen", cfg, {}, paths)
     print(f"wrote {len(paths)} session files to {args.out}")
     return 0
 
 
-def _train_config_from_args(args) -> train.TrainConfig:
-    cfg = _load_config(args.config, train.TrainConfig) if args.config else train.TrainConfig()
-    overrides = {}
-    for name in ("seed", "stride", "batch_size", "max_epochs", "patience",
-                 "label_fraction", "lr", "weight_decay"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    if getattr(args, "input_mode", None):
-        overrides["input_mode"] = args.input_mode
-    if getattr(args, "freeze", None):
-        overrides["freeze"] = args.freeze
-    return replace(cfg, **overrides)
-
-
 def cmd_train(args) -> int:
-    cfg = _train_config_from_args(args)
-    if args.mode == "finetune" and not getattr(args, "from_ckpt", None):
+    cfg = _config(train.TrainConfig, args)
+    if args.mode == "finetune" and not args.from_ckpt:
         raise ConfigError("finetune requires --from CKPT")
-    paths, sessions = _load_sessions(args.data, args.task)
+    out = _out_dir(args.out)
+    sessions, checksums = _load_sessions(args.data, args.task)
     if args.mode == "pretrain":
         params, stats, history = train.pretrain(sessions, cfg)
     elif args.mode == "finetune":
@@ -123,8 +120,6 @@ def cmd_train(args) -> int:
     windows = train.collect_windows(train_sessions, cfg,
                                     "pretext" if args.mode == "pretrain" else "labeled",
                                     with_mouse="m" in params.config.streams)
-    out = Path(args.out)
-    checksums = {str(p): _sha256(p) for p in paths}
     train.write_artifacts(out, params, stats, history,
                           cfg, extra_manifest={"mode": args.mode,
                                                "input_checksums": checksums,
@@ -150,10 +145,12 @@ def _eval_report(sessions, checksums: dict, pipeline: str, cfg, out) -> evaluate
 
 
 def cmd_eval(args) -> int:
-    cfg = _train_config_from_args(args)
-    paths, sessions = _load_sessions(args.data, args.task)
-    report = _eval_report(sessions, {str(p): _sha256(p) for p in paths},
-                          args.pipeline, cfg, args.out)
+    cfg = _config(train.TrainConfig, args)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {out} must be a file path in an existing directory")
+    sessions, checksums = _load_sessions(args.data, args.task)
+    report = _eval_report(sessions, checksums, args.pipeline, cfg, out)
     print(report.table())
     print(f"report written to {args.out}")
     return 0
@@ -163,20 +160,15 @@ def cmd_sweep(args) -> int:
     """eval over every (label fraction, pipeline, seed) cell: one report per
     cell, plus the mean and std of f1_overall over seeds per (fraction,
     pipeline) in sweep.json and a table."""
-    base = _train_config_from_args(
-        argparse.Namespace(**{**vars(args), "seed": None, "label_fraction": None}))
+    base = _config(train.TrainConfig,
+                   argparse.Namespace(**{**vars(args), "seed": None, "label_fraction": None}))
     fractions = list(dict.fromkeys(args.label_fraction or [base.label_fraction]))
     pipelines = list(dict.fromkeys(args.pipeline))
     seeds = list(dict.fromkeys(args.seed or [base.seed]))
-    for fraction in fractions:
-        replace(base, label_fraction=fraction).validate()
-    paths, sessions = _load_sessions(args.data, args.task)
-    checksums = {str(p): _sha256(p) for p in paths}
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create output directory {out}: {e}") from e
+    cells = {(fraction, seed): replace(base, label_fraction=fraction, seed=seed)
+             for fraction in fractions for seed in seeds}
+    out = _out_dir(args.out)
+    sessions, checksums = _load_sessions(args.data, args.task)
     rows = []
     print("fraction " + "".join(f"{p:>18}" for p in pipelines))
     for fraction in fractions:
@@ -185,8 +177,8 @@ def cmd_sweep(args) -> int:
             scores = []
             for seed in seeds:
                 cell = out / f"{pipeline}_lf{fraction!r}_seed{seed}.json"
-                cfg = replace(base, seed=seed, label_fraction=fraction)
-                scores.append(_eval_report(sessions, checksums, pipeline, cfg, cell).f1_overall)
+                scores.append(_eval_report(sessions, checksums, pipeline,
+                                           cells[fraction, seed], cell).f1_overall)
                 print(f"{cell}: f1_overall {scores[-1]:.2f}", file=sys.stderr)
             rows.append({"label_fraction": fraction, "pipeline": pipeline, "seeds": seeds,
                          "f1_overall": scores, "mean": float(np.mean(scores)),
@@ -292,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="SynthConfig JSON file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--subjects", type=int, help="override subject count")
+    p.add_argument("--subjects", dest="n_subjects", type=int, help="override subject count")
     p.add_argument("--session-len", dest="session_len", type=float,
                    help="override session length (seconds)")
     p.set_defaults(func=cmd_gen)

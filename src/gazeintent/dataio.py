@@ -72,6 +72,24 @@ def _real(x) -> bool:
         return False
 
 
+_KINDS = {"int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+          "float": ("a finite number", _real), "str": ("a string", lambda v: isinstance(v, str))}
+
+
+def check_fields(obj, error=ConfigError, **bounds) -> None:
+    """Raise `error` unless each field of dataclass `obj` annotated (as a string)
+    `int`, `float` or `str` holds an int that is not a bool, a `_real` or a str,
+    and each field named in `bounds` lies in its bound: `low` or `(low, high)`."""
+    for f in fields(obj):
+        kind, ok = _KINDS.get(f.type, (None, None))
+        if ok and not ok(getattr(obj, f.name)):
+            raise error(f"{f.name} must be {kind}, got {getattr(obj, f.name)!r}")
+    for name, bound in bounds.items():
+        low, high = bound if isinstance(bound, tuple) else (bound, math.inf)
+        if not low <= getattr(obj, name) <= high:
+            raise error(f"{name} must be in [{low}, {high}], got {getattr(obj, name)!r}")
+
+
 @dataclass
 class SessionMeta:
     subject_id: str
@@ -79,17 +97,14 @@ class SessionMeta:
     magnification: float
     screen_w: float
     screen_h: float
-    gaze_rate: int = GAZE_RATE
-    mouse_rate: int = MOUSE_RATE
+    gaze_rate: int | float = GAZE_RATE  # a file may hold 120 or 120.0
+    mouse_rate: int | float = MOUSE_RATE
 
-    def validate(self):
-        if not isinstance(self.subject_id, str):
-            raise DataError(f"subject_id must be a string, got {self.subject_id!r}")
+    def __post_init__(self):
+        # task first and rates last keep the messages of the checks they replace
         if self.task not in ("text", "webpage"):
             raise DataError(f"unknown task {self.task!r}")
-        for name in ("magnification", "screen_w", "screen_h"):
-            if not _real(getattr(self, name)):
-                raise DataError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        check_fields(self, DataError)
         if self.magnification < 1:
             raise ConfigError(f"magnification must be >= 1, got {self.magnification}")
         if self.screen_w <= 0 or self.screen_h <= 0:
@@ -567,7 +582,6 @@ def parse_session(path) -> Session:
         meta = SessionMeta(**json.loads(lines[0][len("#meta "):]))
     except (TypeError, ValueError, RecursionError) as e:  # ValueError: JSONDecodeError
         raise DataError(f"{path}:1: malformed meta: {e}") from e
-    meta.validate()
 
     runs, fault = _sections(lines)
     faults = [fault] if fault else []

@@ -110,12 +110,12 @@ class F1Report:
         return "\n".join(lines)
 
 
-def predict_labels(params: model.ModelParams, stats, windows, batch_size: int = 512):
+def predict_labels(params: model.ModelParams, stats, windows):
     """Classify normalized-on-the-fly windows; returns (pred, gold) arrays."""
     windows = dataio.normalize(windows, stats)
     streams = params.config.streams
-    preds = [model.predict_proba(params, windows[i:i + batch_size].batch(streams)).argmax(axis=1)
-             for i in range(0, len(windows), batch_size)]
+    preds = [model.predict_proba(params, windows[i:i + train.EVAL_BATCH].batch(streams))
+             .argmax(axis=1) for i in range(0, len(windows), train.EVAL_BATCH)]
     return np.concatenate(preds), windows.label
 
 

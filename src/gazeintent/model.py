@@ -46,18 +46,14 @@ class ModelConfig:
     in_channels: int = 2
     input_mode: str = "gaze_plus_comp"
 
-    def validate(self):
-        for name in ("d_model", "n_heads", "cnn_layers", "kernel", "transformer_layers",
-                     "ffn_hidden", "in_channels"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+    def __post_init__(self):
+        dataio.check_fields(self, d_model=1, n_heads=1, cnn_layers=1, kernel=1,
+                            transformer_layers=1, ffn_hidden=1, in_channels=1,
+                            window=(dataio.WINDOW_LEN, dataio.WINDOW_LEN))
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.input_mode not in INPUT_MODES:
             raise ConfigError(f"unknown input_mode {self.input_mode!r}")
-        if self.window != dataio.WINDOW_LEN:
-            raise ConfigError(f"window length is fixed to {dataio.WINDOW_LEN}")
 
     @property
     def streams(self) -> tuple:
@@ -142,7 +138,6 @@ def param_count(cfg: ModelConfig) -> int:
 def init_params(cfg: ModelConfig, seed: int, head_kind: str = CLASSIFIER_HEAD) -> ModelParams:
     """Deterministic initialization: uniform fan-in scaling, zero biases,
     unit layer-norm gains."""
-    cfg.validate()
     if head_kind not in (VELOCITY_HEAD, CLASSIFIER_HEAD):
         raise ConfigError(f"unknown head kind {head_kind!r}")
     rng = np.random.default_rng(seed)
@@ -342,7 +337,7 @@ def load_checkpoint(path):
     """Returns (ModelParams, NormStats | None); bit-exact inverse of save.
 
     A checkpoint that cannot be read or interpreted raises DataError; a
-    stored config that fails `ModelConfig.validate` raises ConfigError.
+    stored config that `ModelConfig` rejects raises ConfigError.
     """
     path = Path(path)
     try:
@@ -355,9 +350,7 @@ def load_checkpoint(path):
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     try:
-        cfg = ModelConfig(**manifest["config"])
-        cfg.validate()
-        params = ModelParams(cfg, manifest["head_kind"])
+        params = ModelParams(ModelConfig(**manifest["config"]), manifest["head_kind"])
         total = sum(e["nbytes"] for e in manifest["tensors"])
         if total != len(blob):
             raise DataError(f"{path}: weights.bin length {len(blob)} != manifest total {total}")

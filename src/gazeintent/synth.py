@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,13 @@ from gazeintent.dataio import (
     MouseColumns,
     Session,
     SessionMeta,
+    check_fields,
     q9,
     write_session,
 )
 from gazeintent.errors import ConfigError, DataError
+
+DAY_S = 86400.0
 
 
 @dataclass
@@ -54,15 +58,18 @@ class SynthConfig:
     viewport_gain: float = 0.08      # per-sample viewport tracking rate
     mouse_gain: float = 0.05         # per-sample cursor smoothing rate
 
-    def validate(self):
-        if self.magnification < 1:
-            raise ConfigError(f"magnification must be >= 1, got {self.magnification}")
-        if self.session_len < 1.0:
-            raise ConfigError("session_len too short for a single behavior segment")
+    def __post_init__(self):
+        # a day caps durations (webpages scale scan segments by 1.5); a gain above 1 overshoots
+        check_fields(self, seed=0, n_subjects=1, session_len=(1.0, DAY_S), magnification=1,
+                     columns=1, fixation_ms_std=0, saccade_px_std=0, tracker_noise_px=0,
+                     read_seg_s=(0, DAY_S), scan_seg_s=(0, DAY_S), viewport_gain=(0, 1),
+                     mouse_gain=(0, 1), dropout_burst_len_ms=(0, 1000 * DAY_S))
         for name in ("fixation_ms_mean", "saccade_px_mean", "scan_jump_px",
                      "read_seg_s", "scan_seg_s", "screen_w", "screen_h"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if not 0 <= 2 * self.margin_px < min(self.screen_w, self.screen_h):
+            raise ConfigError("margin_px must be >= 0 and leave room on the screen")
 
 
 def _segments(cfg: SynthConfig, rng) -> list:
@@ -133,13 +140,17 @@ def _content_path(cfg: SynthConfig, segs, n, rng) -> np.ndarray:
     return pos
 
 
-def _q9(a: np.ndarray) -> np.ndarray:
-    """`q9` of every element."""
-    return np.array([q9(v) for v in a.ravel().tolist()]).reshape(a.shape)
+def _q9(a: np.ndarray, hi=()) -> np.ndarray:
+    """`q9` of every element; one of row i that rounds above `hi[i]` takes the
+    largest 9-digit value below it, which the session file's range checks accept."""
+    out = np.array([q9(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    for row, bound in zip(out, hi):
+        d = Decimal(bound)
+        row[row > bound] = float(d.quantize(Decimal(1).scaleb(d.adjusted() - 8), ROUND_FLOOR))
+    return out
 
 
 def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> Session:
-    cfg.validate()
     if task == "webpage" and cfg.columns == 1:
         cfg = replace(cfg, columns=2,
                       read_seg_s=0.6 * cfg.read_seg_s,
@@ -191,11 +202,11 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
 
     meta = SessionMeta(subject_id=f"S{subject_idx:02d}", task=task,
                        magnification=m, screen_w=w, screen_h=h)
-    eyes = _q9(np.concatenate([left, right]))
+    eyes = _q9(np.concatenate([left, right]), [w, h, w, h])
     eyes[0:2, left_missing] = np.nan
     eyes[2:4, right_missing] = np.nan
     gaze = GazeColumns(np.concatenate([_q9(np.arange(n) / GAZE_RATE)[None], eyes,
-                                       _q9(viewport)]))
+                                       _q9(viewport, vmax)]))
     step = GAZE_RATE // MOUSE_RATE
     idx = np.arange(0, n, step)
     mouse = MouseColumns(_q9(np.concatenate([(idx / GAZE_RATE)[None], mouse_path[:, idx]])))
@@ -204,18 +215,13 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
 
 
 def generate_dataset(cfg: SynthConfig, out_dir) -> list:
-    """One session file per subject x {text, webpage}; returns written paths."""
-    cfg.validate()
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise DataError(f"cannot create output directory {out_dir}: {e}") from e
+    """One session file per subject x {text, webpage} in the existing
+    directory `out_dir`; returns written paths."""
     paths = []
     for subject_idx in range(cfg.n_subjects):
         for task in ("text", "webpage"):
             session = generate_session(cfg, subject_idx, task)
-            path = out_dir / f"{session.meta.subject_id}_{task}.session"
+            path = Path(out_dir, f"{session.meta.subject_id}_{task}.session")
             try:
                 write_session(session, path)
             except OSError as e:

@@ -44,15 +44,18 @@ class TrainConfig:
     label_fraction: float = 1.0
     val_subject_index: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        # before the field rule, so that NaN also reads "must be in (0, 1]"
+        if not (isinstance(self.label_fraction, (int, float)) and 0 < self.label_fraction <= 1):
+            raise ConfigError("label_fraction must be in (0, 1]")
+        dataio.check_fields(self, batch_size=1, max_epochs=1, stride=1, seed=0, patience=0,
+                            val_subject_index=0, weight_decay=0)
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr!r}")
         if self.freeze not in FREEZE_MODES:
             raise ConfigError(f"unknown freeze mode {self.freeze!r}")
         if self.input_mode not in model.INPUT_MODES:
             raise ConfigError(f"unknown input_mode {self.input_mode!r}")
-        if not (0.0 < self.label_fraction <= 1.0):
-            raise ConfigError("label_fraction must be in (0, 1]")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
 
 
 def compute_class_weights(labels) -> np.ndarray:
@@ -104,8 +107,35 @@ def _subsample_labels(windows: dataio.Windows, fraction: float, seed: int) -> da
     return windows[np.sort(rng.choice(len(windows), size=keep, replace=False))]
 
 
+def _stage_windows(sessions, cfg: TrainConfig, mode: str, streams, fraction: float = 1.0,
+                   stats=None):
+    """One stage's windows: split by subject, collect `mode` windows (with
+    mouse positions when `streams` holds "m"), keep `fraction` of the
+    training windows, compute stats on them unless given, and normalize
+    both splits. Returns (train windows, validation windows, stats)."""
+    train_sessions, val_sessions = split_train_val(sessions, cfg)
+    train_w = _subsample_labels(collect_windows(train_sessions, cfg, mode, "m" in streams),
+                                fraction, cfg.seed)
+    val_w = collect_windows(val_sessions, cfg, mode, "m" in streams)
+    for split, windows in (("training", train_w), ("validation", val_w)):
+        if not windows:
+            raise DataError(f"no {mode} windows in the {split} split")
+    if stats is None:
+        stats = dataio.compute_stats(train_w, sessions[0].meta)
+    return dataio.normalize(train_w, stats), dataio.normalize(val_w, stats), stats
+
+
 # ---------------------------------------------------------------------------
 # generic loop
+
+EVAL_BATCH = 512  # rows per untaped forward in validation and `evaluate.predict_labels`
+
+
+def _val_outputs(params, x_val: dict, n: int):
+    """(slice, untaped forward output) for each EVAL_BATCH rows of `x_val`."""
+    for i in range(0, n, EVAL_BATCH):
+        sl = slice(i, i + EVAL_BATCH)
+        yield sl, model.forward(params, {k: v[sl] for k, v in x_val.items()})
 
 
 def _epoch_batches(n: int, batch_size: int, rng) -> list:
@@ -117,53 +147,45 @@ def _train_loop(params: model.ModelParams, trainable_names, make_loss,
                 eval_val, n_train: int, cfg: TrainConfig, stage: str):
     """Adam loop with early stopping on held-out-subject validation loss.
     Only the tensors in `trainable_names` require gradients while the loop
-    runs, so the tape records no backward work for frozen ones.
+    runs, so the tape records no backward work for frozen ones. An epoch
+    whose train or validation loss is not finite raises ConfigError.
     Returns (best_params, history)."""
     trainable = {k: params.tensors[k] for k in trainable_names}
     frozen = [k for k, t in params.tensors.items() if k not in trainable and t.requires_grad]
     for k in frozen:
         params.tensors[k].requires_grad = False
+    state = AdamState.for_params(trainable)
+    rng = np.random.default_rng([cfg.seed, STAGES.index(stage)])
+    history = []
+    best_epoch = -1
     try:
-        best, history = _epochs(params, trainable, make_loss, eval_val, n_train, cfg, stage)
+        for epoch in range(cfg.max_epochs):
+            losses = []
+            for idx in _epoch_batches(n_train, cfg.batch_size, rng):
+                zero_grads(params.tensors.values())
+                with Tape() as tape:
+                    loss = make_loss(idx)
+                backward(loss, tape, params=trainable.values())
+                adam_step(trainable, collect_grads(trainable), state,
+                          lr=cfg.lr, weight_decay=cfg.weight_decay)
+                losses.append(loss.item())
+            entry = {"stage": stage, "epoch": epoch,
+                     "train_loss": float(np.mean(losses)), **eval_val(params)}
+            if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
+                raise ConfigError(f"{stage} stage diverged in epoch {epoch} at lr {cfg.lr}: "
+                                  f"train_loss {entry['train_loss']}, val_loss {entry['val_loss']}")
+            history.append(entry)
+            if best_epoch < 0 or entry["val_loss"] < history[best_epoch]["val_loss"]:
+                best = params.copy()
+                best_epoch = epoch
+            elif epoch - best_epoch >= cfg.patience:
+                break
     finally:
         for k in frozen:
             params.tensors[k].requires_grad = True
     for k in frozen:
         best.tensors[k].requires_grad = True
     return best, history
-
-
-def _epochs(params, trainable, make_loss, eval_val, n_train, cfg, stage):
-    state = AdamState.for_params(trainable)
-    rng = np.random.default_rng([cfg.seed, STAGES.index(stage)])
-    history = []
-    best = params.copy()
-    best_loss = float("inf")
-    best_epoch = -1
-    for epoch in range(cfg.max_epochs):
-        losses = []
-        for idx in _epoch_batches(n_train, cfg.batch_size, rng):
-            zero_grads(params.tensors.values())
-            with Tape() as tape:
-                loss = make_loss(idx)
-            backward(loss, tape, params=trainable.values())
-            adam_step(trainable, collect_grads(trainable), state,
-                      lr=cfg.lr, weight_decay=cfg.weight_decay)
-            losses.append(loss.item())
-        val = eval_val(params)
-        entry = {"stage": stage, "epoch": epoch,
-                 "train_loss": float(np.mean(losses)), **val}
-        history.append(entry)
-        if val["val_loss"] < best_loss:
-            best_loss = val["val_loss"]
-            best = params.copy()
-            best_epoch = epoch
-        elif epoch - best_epoch >= cfg.patience:
-            break
-    return best, history
-
-
-_VAL_BATCH = 512
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +197,11 @@ def pretrain(sessions, cfg: TrainConfig):
 
     Returns (params_with_velocity_head, stats, history).
     """
-    cfg.validate()
     if cfg.input_mode in ("mouse_only", "mouse_gaze_comp"):
         raise ConfigError("the pretext stage predicts mouse velocity from gaze; "
                           "mouse input modes are not allowed")
-    train_sessions, val_sessions = split_train_val(sessions, cfg)
-    train_w = collect_windows(train_sessions, cfg, "pretext")
-    val_w = collect_windows(val_sessions, cfg, "pretext")
-    if not train_w:
-        raise DataError("no windows with mouse-velocity targets in the training split")
-    if not val_w:
-        raise DataError("no windows with mouse-velocity targets in the validation split")
-    stats = dataio.compute_stats(train_w, sessions[0].meta)
-    train_w = dataio.normalize(train_w, stats)
-    val_w = dataio.normalize(val_w, stats)
-
     mcfg = model.ModelConfig(input_mode=cfg.input_mode)
+    train_w, val_w, stats = _stage_windows(sessions, cfg, "pretext", mcfg.streams)
     params = model.init_params(mcfg, cfg.seed, head_kind=model.VELOCITY_HEAD)
     x_train, v_train = train_w.batch(mcfg.streams), train_w.vel_target.astype(np.float32)
     x_val, v_val = val_w.batch(mcfg.streams), val_w.vel_target.astype(np.float32)
@@ -201,11 +212,8 @@ def pretrain(sessions, cfg: TrainConfig):
 
     def eval_val(p):
         total = 0.0
-        for i in range(0, len(v_val), _VAL_BATCH):
-            sl = slice(i, i + _VAL_BATCH)
-            loss = mse_loss(model.forward(p, {k: v[sl] for k, v in x_val.items()}),
-                            Tensor(v_val[sl]))
-            total += loss.item() * len(v_val[sl])
+        for sl, out in _val_outputs(p, x_val, len(v_val)):
+            total += mse_loss(out, Tensor(v_val[sl])).item() * len(v_val[sl])
         return {"val_loss": total / len(v_val)}
 
     best, history = _train_loop(params, params.learnable_names(), make_loss,
@@ -215,19 +223,9 @@ def pretrain(sessions, cfg: TrainConfig):
 
 def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
                       trainable_names, permute_labels: bool = False):
-    train_sessions, val_sessions = split_train_val(sessions, cfg)
     mcfg = params.config
-    with_mouse = "m" in mcfg.streams
-    train_w = collect_windows(train_sessions, cfg, "labeled", with_mouse=with_mouse)
-    val_w = collect_windows(val_sessions, cfg, "labeled", with_mouse=with_mouse)
-    train_w = _subsample_labels(train_w, cfg.label_fraction, cfg.seed)
-    if not train_w or not val_w:
-        raise DataError("labeled windows missing in train or validation split")
-    if stats is None:
-        stats = dataio.compute_stats(train_w, sessions[0].meta)
-    train_w = dataio.normalize(train_w, stats)
-    val_w = dataio.normalize(val_w, stats)
-
+    train_w, val_w, stats = _stage_windows(sessions, cfg, "labeled", mcfg.streams,
+                                           cfg.label_fraction, stats)
     x_train, y_train = train_w.batch(mcfg.streams), train_w.label
     x_val, y_val = val_w.batch(mcfg.streams), val_w.label
     if permute_labels:
@@ -242,9 +240,7 @@ def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
     def eval_val(p):
         # one untaped forward per slice gives both the loss and the accuracy
         total, hits = 0.0, 0
-        for i in range(0, y_val.size, _VAL_BATCH):
-            sl = slice(i, i + _VAL_BATCH)
-            logits = model.forward(p, {k: v[sl] for k, v in x_val.items()})
+        for sl, logits in _val_outputs(p, x_val, y_val.size):
             total += weighted_cross_entropy(logits, y_val[sl], weights).item() * y_val[sl].size
             hits += int((softmax_lastaxis(logits).data.argmax(axis=1) == y_val[sl]).sum())
         return {"val_loss": total / y_val.size, "val_acc": hits / y_val.size}
@@ -268,7 +264,6 @@ def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig
     cfg.freeze selects full (all parameters) or partial (transformer +
     head only) updates. Mouse data is never consumed here.
     """
-    cfg.validate()
     params = model.reinit_head(params, head_seed=cfg.seed + 1)
     if params.config.input_mode != cfg.input_mode:
         raise ConfigError(f"pretext input_mode {params.config.input_mode} "
@@ -282,14 +277,12 @@ def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig
 
 def finetune(checkpoint_path, sessions, cfg: TrainConfig):
     """`finetune_params` on a pretext checkpoint read from disk."""
-    cfg.validate()
     params, stats = model.load_checkpoint(checkpoint_path)
     return finetune_params(params, stats, sessions, cfg)
 
 
 def supervised_train(sessions, cfg: TrainConfig, permute_labels: bool = False):
     """Weighted-CE training from random init; supports all input ablations."""
-    cfg.validate()
     mcfg = model.ModelConfig(input_mode=cfg.input_mode)
     params = model.init_params(mcfg, cfg.seed, head_kind=model.CLASSIFIER_HEAD)
     return _classifier_stage(params, None, sessions, cfg, "supervised",
@@ -304,7 +297,6 @@ def write_artifacts(out_dir, params, stats, history, cfg: TrainConfig,
                     extra_manifest: dict | None = None):
     """Checkpoint directory + history.jsonl + run.json."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(params, stats, out_dir / "checkpoint")
     with open(out_dir / "history.jsonl", "w") as f:
         for entry in history:

@@ -1,17 +1,20 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import shutil
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazeintent import cli, dataio
+from gazeintent import cli, dataio, synth, train
+from gazeintent.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,111 @@ def test_train_and_eval_options_unchanged():
                                                 "--weight-decay"}
     assert option_strings("eval") == shared | {"--pipeline"}
     assert option_strings("sweep") == option_strings("eval")
+    assert option_strings("gen") == {"-h", "--help", "--config", "--out", "--seed",
+                                     "--subjects", "--session-len"}
+    assert option_strings("infer") == {"-h", "--help", "--ckpt", "--input", "--stride",
+                                       "--eye", "--magnification"}
+
+
+# Each option or config file below once ended in a traceback (exit 1), or in
+# gen's case also in session files that train rejects; each is a config error.
+BAD_CONFIGS = [
+    ("train", ["--batch-size", "0"], None),
+    ("train", ["--max-epochs", "0"], None),
+    ("train", ["--seed", "-1"], None),
+    ("train", [], '{"batch_size": "x"}'),
+    ("sweep", ["--batch-size", "0"], None),
+    ("sweep", ["--seed", "0", "-1"], None),
+    ("eval", [], '{"max_epochs": 0}'),
+    ("gen", ["--seed", "-1"], None),
+    ("gen", [], '{"session_len": NaN}'),
+    ("gen", [], '{"n_subjects": 1.5}'),
+    ("gen", [], '{"columns": 0}'),
+    ("gen", [], '{"tracker_noise_px": -1}'),
+    ("gen", [], '{"magnification": NaN}'),
+    ("gen", [], '{"viewport_gain": NaN}'),
+    ("gen", [], '{"screen_w": Infinity}'),
+    ("gen", [], '{"seed": true}'),
+]
+
+
+@pytest.mark.parametrize("command,options,config", BAD_CONFIGS)
+def test_bad_config_exits_2_before_any_work(workspace, tmp_path, capsys, command,
+                                            options, config):
+    _, data, _ = workspace
+    argv = [command, "--out", str(tmp_path / "out")] + options
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    argv += {"train": ["--mode", "supervised"], "eval": ["--pipeline", "supervised"],
+             "sweep": ["--pipeline", "supervised"], "gen": []}[command]
+    if command != "gen":
+        argv += ["--data", str(data)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_option_checked_before_sessions_are_read(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    (bad / "S00_text.session").write_text("#gaze\n")
+    argv = ["train", "--mode", "supervised", "--data", str(bad), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--stride", "0"]) == 2
+    assert "stride" in capsys.readouterr().err
+    assert cli.main(argv) == 3
+
+
+def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    (tmp_path / "file").write_text("")
+    opts = ["--data", str(data), "--max-epochs", "1", "--stride", "48"]
+    with mock.patch.object(cli, "_load_sessions", side_effect=AssertionError("read")):
+        assert cli.main(["eval", "--pipeline", "supervised", "--out", str(tmp_path)]
+                        + opts) == 2
+        assert "--out" in capsys.readouterr().err
+        assert cli.main(["train", "--mode", "supervised",
+                         "--out", str(tmp_path / "file")] + opts) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_diverged_training_exits_2_without_artifacts(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["gen", "--out", str(data), "--subjects", "3",
+                     "--session-len", "6", "--seed", "0"]) == 0
+    assert cli.main(["train", "--mode", "supervised", "--data", str(data), "--out", str(out),
+                     "--stride", "24", "--lr", "1e6", "--max-epochs", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "supervised stage diverged in epoch 0 at lr 1000000.0" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+CONFIG_VALUES = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.integers(-2, 4)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.floats(0, 4)
+                 | st.text(max_size=4) | st.lists(st.integers(), max_size=2))
+
+
+@pytest.mark.parametrize("cls", [synth.SynthConfig, train.TrainConfig])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_json_fuzz(tmp_path_factory, cls, data):
+    # any JSON value in any field: a ConfigError, or a config that works;
+    # an accepted SynthConfig makes a session file that parses
+    names = [f.name for f in dataclasses.fields(cls)]
+    doc = data.draw(st.dictionaries(st.sampled_from(names), CONFIG_VALUES, max_size=4))
+    root = tmp_path_factory.mktemp("cfg")
+    (root / "cfg.json").write_text(json.dumps(doc))
+    try:
+        cfg = cli._load_config(root / "cfg.json", cls)
+    except ConfigError:
+        return
+    if cls is synth.SynthConfig:
+        session = synth.generate_session(replace(cfg, session_len=2.0), 0,
+                                         data.draw(st.sampled_from(["text", "webpage"])))
+        dataio.write_session(session, root / "s.session")
+        assert dataio.parse_session(root / "s.session").gaze == session.gaze
 
 
 class TestSweep:

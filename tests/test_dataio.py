@@ -726,7 +726,6 @@ def reference_parse(path):
         meta = dataio.SessionMeta(**json.loads(lines[0][len("#meta "):]))
     except (TypeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}:1: malformed meta: {e}") from e
-    meta.validate()
     vmax_x = meta.screen_w * (1 - 1 / meta.magnification)
     vmax_y = meta.screen_h * (1 - 1 / meta.magnification)
     section = expect_header = None

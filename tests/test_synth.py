@@ -130,6 +130,15 @@ class TestContracts:
             for c, dim in ((g.lx, w), (g.ly, h), (g.rx, w), (g.ry, h)):
                 assert c is None or 0.0 <= c <= dim
 
+    @pytest.mark.parametrize("kw", [{"magnification": 2.2}, {"screen_w": 1920.123456789}])
+    def test_coordinates_at_a_bound_survive_quantization(self, tmp_path, kw):
+        # a viewport or gaze coordinate clipped to a bound of more than 9
+        # significant digits must not round above it in the file
+        for task in ("text", "webpage"):
+            session = synth.generate_session(short_cfg(session_len=10.0, **kw), 0, task)
+            dataio.write_session(session, tmp_path / "s.session")
+            assert dataio.parse_session(tmp_path / "s.session").gaze == session.gaze
+
     def test_webpage_uses_shorter_reading_segments(self):
         reads = {"text": [], "webpage": []}
         for seed in range(10):
@@ -152,3 +161,12 @@ class TestValidation:
     def test_nonpositive_segment_length(self):
         with pytest.raises(ConfigError):
             synth.generate_session(short_cfg(read_seg_s=0.0), 0)
+
+    @pytest.mark.parametrize("kw", [
+        {"margin_px": 1e308}, {"margin_px": -1.0}, {"margin_px": 540.0},
+        {"scan_seg_s": 1.7e308}, {"session_len": 1e9}, {"viewport_gain": 1.5},
+        {"mouse_gain": -0.1}, {"fixation_ms_std": -1.0}, {"n_subjects": 0},
+        {"dropout_burst_len_ms": 1e300}])
+    def test_out_of_range_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            short_cfg(**kw)

@@ -99,15 +99,31 @@ class TestLabelSubsampling:
 class TestConfigValidation:
     def test_bad_freeze(self):
         with pytest.raises(ConfigError):
-            quick_cfg(freeze="none").validate()
+            quick_cfg(freeze="none")
 
     def test_bad_label_fraction(self):
         with pytest.raises(ConfigError):
-            quick_cfg(label_fraction=0.0).validate()
+            quick_cfg(label_fraction=0.0)
 
     def test_bad_input_mode(self):
         with pytest.raises(ConfigError):
-            quick_cfg(input_mode="gaze").validate()
+            quick_cfg(input_mode="gaze")
+
+
+@pytest.mark.parametrize("stage,mode", [("supervised_train", "labeled"), ("pretrain", "pretext")])
+def test_step_functions_called_through_train_module(sessions, monkeypatch, stage, mode):
+    # perfbench's tracer counts steps by wrapping these names in `train`
+    calls = {}
+    for name in ("zero_grads", "backward", "adam_step"):
+        def counted(*args, _name=name, _fn=getattr(train, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(train, name, counted)
+    cfg = quick_cfg(max_epochs=1, batch_size=64)
+    getattr(train, stage)(sessions, cfg)
+    n = len(train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, mode))
+    assert calls == dict.fromkeys(("zero_grads", "backward", "adam_step"), -(-n // 64))
+    assert -(-n // 64) > 1
 
 
 class TestSupervised:
