@@ -895,13 +895,22 @@ def compute_stats(windows, meta: SessionMeta) -> NormStats:
         block = _present(getattr(windows, key))
         if block is None or not len(block):
             continue
-        scaled = block / dims  # (N, 2, 24)
-        stats.channels[key] = (scaled.mean(axis=(0, 2)), _safe_std(scaled.std(axis=(0, 2))))
+        mu, sd = _mean_std(block / dims, axis=(0, 2))  # (N, 2, 24)
+        stats.channels[key] = (mu, _safe_std(sd))
     vel = _present(windows.vel_target)
     if len(vel):
-        v = vel / dims[:, 0]
-        stats.vel = (v.mean(axis=0), _safe_std(v.std(axis=0)))
+        mu, sd = _mean_std(vel / dims[:, 0], axis=0)
+        stats.vel = (mu, _safe_std(sd))
     return stats
+
+
+def _mean_std(x: np.ndarray, axis) -> tuple:
+    """(x.mean(axis), x.std(axis)) with the same bytes, the std taken from
+    the mean already computed instead of a second one; x is overwritten."""
+    mu = x.mean(axis=axis, keepdims=True)
+    x -= mu
+    x *= x
+    return mu.reshape(-1), np.sqrt(np.add.reduce(x, axis=axis) / (x.size // mu.size))
 
 
 def normalize(windows, stats: NormStats) -> Windows:

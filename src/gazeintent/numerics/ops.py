@@ -3,7 +3,9 @@
 The training hot path is made of primitives, each one tape node with a
 hand-written backward pass: conv1d (one im2col GEMM), linear (x @ W + b),
 layer_norm, scaled_dot_attention, softmax and log_softmax. The losses are
-compositions and get their gradients from the tape.
+compositions and get their gradients from the tape. Each backward captures
+only the arrays it reads (see `Tensor._result`); an array read only for
+the gradient of a parent that requires none is not kept.
 """
 
 from __future__ import annotations
@@ -57,12 +59,15 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     wm = w.data.transpose(0, 2, 1).reshape(c_out, K * c_in)
     out = cols @ wm.T
     out += b.data
+    if not w.requires_grad:
+        cols = None           # read only for the kernel gradient
+    if not a.requires_grad:
+        wm = None             # read only for the input gradient
 
     def backward(g):
         g2 = g.transpose(0, 2, 1).reshape(B * T, c_out)
-        gw = (g2.T @ cols).reshape(c_out, K, c_in).transpose(0, 2, 1)
-        grads = [(w, np.ascontiguousarray(gw)), (b, np.einsum("ni->i", g2))]
-        if a.requires_grad:
+        gx = gw = None
+        if wm is not None:
             # col2im: every tap adds its column block back onto the frames it
             # read; the centre tap reads every frame, so it starts the sum
             gcols = (g2 @ wm).reshape(B, T, K, c_in)
@@ -70,8 +75,10 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             for k, lo, hi in taps:
                 if k != pad:
                     gxt[:, lo + k - pad:hi + k - pad] += gcols[:, lo:hi, k]
-            grads.append((a, gxt.transpose(0, 2, 1)))
-        return grads
+            gx = gxt.transpose(0, 2, 1)
+        if cols is not None:
+            gw = np.ascontiguousarray((g2.T @ cols).reshape(c_out, K, c_in).transpose(0, 2, 1))
+        return [gx, gw, np.einsum("ni->i", g2)]
 
     res = Tensor._result(out.reshape(B, T, c_out).transpose(0, 2, 1), (a, w, b), backward)
     if squeeze:
@@ -95,46 +102,44 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
     n_in, n_out = w.shape
-    a = x
-    x2 = a.data.reshape(-1, n_in)
-    out = x2 @ w.data
+    shape = x.shape
+    x2 = x.data.reshape(-1, n_in)
+    wd = w.data
+    out = x2 @ wd
     out += b.data
+    if not w.requires_grad:
+        x2 = None             # read only for the weight gradient
+    if not x.requires_grad:
+        wd = None             # read only for the input gradient
 
     def backward(g):
         g2 = g.reshape(-1, n_out)
-        grads = [(w, x2.T @ g2), (b, np.einsum("ni->i", g2))]
-        if a.requires_grad:
-            grads.append((a, (g2 @ w.data.T).reshape(a.shape)))
-        return grads
+        return [None if wd is None else (g2 @ wd.T).reshape(shape),
+                None if x2 is None else x2.T @ g2,
+                np.einsum("ni->i", g2)]
 
-    return Tensor._result(out.reshape(a.shape[:-1] + (n_out,)), (a, w, b), backward)
+    return Tensor._result(out.reshape(shape[:-1] + (n_out,)), (x, w, b), backward)
 
 
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis."""
-    a = x
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return [(a, y * (g - dot))]
+        return [y * (g - dot)]
 
-    return Tensor._result(y, (a,), backward)
+    return Tensor._result(y, (x,), backward)
 
 
 def log_softmax_lastaxis(x: Tensor) -> Tensor:
-    a = x
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     sm = np.exp(out)
-
-    def backward(g):
-        return [(a, g - sm * g.sum(axis=-1, keepdims=True))]
-
-    return Tensor._result(out, (a,), backward)
+    return Tensor._result(out, (x,), lambda g: [g - sm * g.sum(axis=-1, keepdims=True)])
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -148,27 +153,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}, {beta.shape} "
                          f"do not match the last axis of {x.shape}")
-    a = x
-    xhat = a.data - _mean_lastaxis(a.data)
+    xhat = x.data - _mean_lastaxis(x.data)
     inv = 1.0 / np.sqrt(_mean_lastaxis(xhat, xhat) + eps)
     xhat *= inv
-    out = xhat * gamma.data
+    gd = gamma.data
+    out = xhat * gd
     out += beta.data
+    if not x.requires_grad:
+        inv = gd = None       # read only for the input gradient
 
     def backward(g):
         g2 = g.reshape(-1, d)
-        grads = [(gamma, np.einsum("ni,ni->i", g2, xhat.reshape(-1, d))),
-                 (beta, np.einsum("ni->i", g2))]
-        if a.requires_grad:
-            gx = g * gamma.data
+        gx = None
+        if gd is not None:
+            gx = g * gd
             dot = _mean_lastaxis(gx, xhat)
             gx -= _mean_lastaxis(gx)
             gx -= xhat * dot
             gx *= inv
-            grads.append((a, gx))
-        return grads
+        return [gx, np.einsum("ni,ni->i", g2, xhat.reshape(-1, d)), np.einsum("ni->i", g2)]
 
-    return Tensor._result(out, (a, gamma, beta), backward)
+    return Tensor._result(out, (x, gamma, beta), backward)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -186,6 +191,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"K/V lengths disagree: {k.shape} vs {v.shape}")
     scale = 1.0 / math.sqrt(d)
     qd, kd, vd = q.data, k.data, v.data
+    sq, sk, sv = q.shape, k.shape, v.shape
     p = qd @ np.swapaxes(kd, -1, -2)
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
@@ -202,8 +208,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         gs *= scale
         gq = gs @ kd
         gk = np.swapaxes(gs, -1, -2) @ qd
-        return [(q, _unbroadcast(gq, q.shape)), (k, _unbroadcast(gk, k.shape)),
-                (v, _unbroadcast(gv, v.shape))]
+        return [_unbroadcast(gq, sq), _unbroadcast(gk, sk), _unbroadcast(gv, sv)]
 
     return Tensor._result(out, (q, k, v), backward)
 

@@ -147,9 +147,10 @@ def _train_loop(params: model.ModelParams, trainable_names, make_loss,
                 eval_val, n_train: int, cfg: TrainConfig, stage: str):
     """Adam loop with early stopping on held-out-subject validation loss.
     Only the tensors in `trainable_names` require gradients while the loop
-    runs, so the tape records no backward work for frozen ones. An epoch
-    whose train or validation loss is not finite raises ConfigError.
-    Returns (best_params, history)."""
+    runs, so the tape records no backward work for frozen ones. Steps and
+    validation run with numpy's overflow, invalid and divide warnings off;
+    an epoch whose train or validation loss is not finite raises
+    ConfigError instead. Returns (best_params, history)."""
     trainable = {k: params.tensors[k] for k in trainable_names}
     frozen = [k for k, t in params.tensors.items() if k not in trainable and t.requires_grad]
     for k in frozen:
@@ -159,27 +160,30 @@ def _train_loop(params: model.ModelParams, trainable_names, make_loss,
     history = []
     best_epoch = -1
     try:
-        for epoch in range(cfg.max_epochs):
-            losses = []
-            for idx in _epoch_batches(n_train, cfg.batch_size, rng):
-                zero_grads(params.tensors.values())
-                with Tape() as tape:
-                    loss = make_loss(idx)
-                backward(loss, tape, params=trainable.values())
-                adam_step(trainable, collect_grads(trainable), state,
-                          lr=cfg.lr, weight_decay=cfg.weight_decay)
-                losses.append(loss.item())
-            entry = {"stage": stage, "epoch": epoch,
-                     "train_loss": float(np.mean(losses)), **eval_val(params)}
-            if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
-                raise ConfigError(f"{stage} stage diverged in epoch {epoch} at lr {cfg.lr}: "
-                                  f"train_loss {entry['train_loss']}, val_loss {entry['val_loss']}")
-            history.append(entry)
-            if best_epoch < 0 or entry["val_loss"] < history[best_epoch]["val_loss"]:
-                best = params.copy()
-                best_epoch = epoch
-            elif epoch - best_epoch >= cfg.patience:
-                break
+        # a diverging stage overflows; the finite-loss check below reports it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(cfg.max_epochs):
+                losses = []
+                for idx in _epoch_batches(n_train, cfg.batch_size, rng):
+                    zero_grads(params.tensors.values())
+                    with Tape() as tape:
+                        loss = make_loss(idx)
+                    backward(loss, tape, params=trainable.values())
+                    adam_step(trainable, collect_grads(trainable), state,
+                              lr=cfg.lr, weight_decay=cfg.weight_decay)
+                    losses.append(loss.item())
+                entry = {"stage": stage, "epoch": epoch,
+                         "train_loss": float(np.mean(losses)), **eval_val(params)}
+                if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
+                    raise ConfigError(f"{stage} stage diverged in epoch {epoch} at lr {cfg.lr}: "
+                                      f"train_loss {entry['train_loss']}, "
+                                      f"val_loss {entry['val_loss']}")
+                history.append(entry)
+                if best_epoch < 0 or entry["val_loss"] < history[best_epoch]["val_loss"]:
+                    best = params.copy()
+                    best_epoch = epoch
+                elif epoch - best_epoch >= cfg.patience:
+                    break
     finally:
         for k in frozen:
             params.tensors[k].requires_grad = True

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shutil
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -226,10 +227,16 @@ def test_diverged_training_exits_2_without_artifacts(tmp_path, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     assert cli.main(["gen", "--out", str(data), "--subjects", "3",
                      "--session-len", "6", "--seed", "0"]) == 0
-    assert cli.main(["train", "--mode", "supervised", "--data", str(data), "--out", str(out),
-                     "--stride", "24", "--lr", "1e6", "--max-epochs", "3"]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--mode", "supervised", "--data", str(data),
+                         "--out", str(out), "--stride", "24", "--lr", "1e6",
+                         "--max-epochs", "3"]) == 2
+    # the overflow is reported by the divergence check, not by numpy
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert "supervised stage diverged in epoch 0 at lr 1000000.0" in err
+    assert "Warning" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -421,6 +421,24 @@ class TestNormalization:
             np.testing.assert_array_equal(wa.c, wb.c)
             np.testing.assert_array_equal(wa.vel_target, wb.vel_target)
 
+    def test_stats_bytes_equal_numpy_mean_and_std(self):
+        # labeled windows carry no mouse block or velocity: absent (NaN) rows
+        session = make_session(600, missing_idx=set(range(100, 110)))
+        mixed = (dataio.windowize(session, 3, "labeled", eye="left")
+                 + dataio.windowize(session, 2, "pretext", eye="left", with_mouse=True))
+        stats = dataio.compute_stats(mixed, session.meta)
+        dims = np.array([session.meta.screen_w, session.meta.screen_h])
+        present = {k: ~np.isnan(getattr(mixed, k)).all(axis=(1, 2)) for k in ("g", "c", "m")}
+        assert present["m"].sum() not in (0, len(mixed))
+        for key, rows in present.items():
+            scaled = getattr(mixed, key)[rows] / dims[:, None]
+            mu, sd = stats.channels[key]
+            assert mu.tobytes() == np.mean(scaled, axis=(0, 2)).tobytes(), key
+            assert sd.tobytes() == np.std(scaled, axis=(0, 2)).tobytes(), key
+        v = mixed.vel_target[present["m"]] / dims
+        assert stats.vel[0].tobytes() == np.mean(v, axis=0).tobytes()
+        assert stats.vel[1].tobytes() == np.std(v, axis=0).tobytes()
+
     def test_empty_stats_rejected(self):
         with pytest.raises(DataError):
             dataio.compute_stats([], make_meta())

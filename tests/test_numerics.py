@@ -1,9 +1,15 @@
+import gc
 import math
+import platform
+import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gazeintent import model
 from gazeintent.errors import ShapeError
 from gazeintent.numerics import (
     AdamState,
@@ -11,6 +17,7 @@ from gazeintent.numerics import (
     Tensor,
     adam_step,
     backward,
+    collect_grads,
     concat,
     conv1d,
     finite_difference_check,
@@ -20,6 +27,7 @@ from gazeintent.numerics import (
     scaled_dot_attention,
     softmax_lastaxis,
     weighted_cross_entropy,
+    zero_grads,
 )
 
 
@@ -507,3 +515,95 @@ class TestReproducibility:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestTapeMemory:
+    """What a taped default-model classifier step holds (numpy allocations
+    traced with tracemalloc), and the pages it faults in once warm."""
+
+    B = 64
+
+    @pytest.fixture(scope="class")
+    def step(self):
+        params = model.init_params(model.ModelConfig(), 0, head_kind=model.CLASSIFIER_HEAD)
+        rng = np.random.default_rng(5)
+        batch = {k: rng.normal(size=(self.B, 2, 24)).astype(np.float32)
+                 for k in params.config.streams}
+        labels = rng.integers(0, 2, size=self.B)
+        weights = Tensor(np.array([1.0, 1.5]))
+        trainable = {k: params.tensors[k] for k in params.learnable_names()}
+        state = AdamState.for_params(trainable)
+
+        def forward():
+            with Tape() as tape:
+                loss = weighted_cross_entropy(model.forward(params, batch), labels, weights)
+            return loss, tape
+
+        def full_step():
+            zero_grads(trainable)
+            loss, tape = forward()
+            backward(loss, tape, params=trainable.values())
+            adam_step(trainable, collect_grads(trainable), state)
+
+        return trainable, forward, full_step
+
+    def test_step_keeps_only_what_backward_reads(self, step):
+        trainable, forward, full_step = step
+        full_step()
+        zero_grads(trainable)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss, tape = forward()
+            retained = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            backward(loss, tape, params=trainable.values())
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        mb = 2 ** 20
+        assert retained <= 30 * mb
+        assert peak <= 1.1 * retained
+        # `loss` is still referenced; the leaves' grads are 0.9 MB
+        assert np.isfinite(loss.item()) and held <= 2 * mb
+        assert all(p.grad is not None for p in trainable.values())
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="the kept heap is a glibc mallopt setting")
+    def test_warm_steps_fault_in_no_pages(self, step):
+        import resource
+
+        full_step = step[2]
+        for _ in range(3):
+            full_step()
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            full_step()
+            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+    def test_output_read_by_no_backward_is_freed_in_forward(self):
+        x, y, w, b = leaves(3, np.float32, (8, 5, 16), (8, 5, 16), (16, 4), (4,))
+        g = Tensor(np.ones(16, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(16, np.float32))
+        with Tape() as tape:
+            s = x + y                      # layer_norm keeps its own normalized copy
+            summed = weakref.ref(s.data)
+            n = layer_norm(s, g, beta)
+            del s
+            h = n * 2.0                    # linear reads its input for w's gradient
+            read = weakref.ref(h.data)
+            out = linear(h, w, b)
+            del n, h
+            loss = (out * out).sum()
+        assert summed() is None
+        assert read() is not None
+        backward(loss, tape)
+        assert read() is None              # backward dropped the op that read it
+        assert all(t.grad is not None for t in (x, y, w, b, g))
+        assert beta.grad is None and out.grad is None and loss.grad is None
+
+    def test_untaped_ops_record_nothing(self):
+        x, w, b = leaves(4, np.float32, (3, 4), (4, 2), (2,))
+        out = linear(x, w, b).relu()
+        assert out._node is None and not out.requires_grad
