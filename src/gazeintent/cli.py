@@ -116,10 +116,7 @@ def cmd_train(args) -> int:
     else:
         params, stats, history = train.supervised_train(sessions, cfg)
     # windowize's accounting of the training split, before label subsampling
-    train_sessions, _ = train.split_train_val(sessions, cfg)
-    windows = train.collect_windows(train_sessions, cfg,
-                                    "pretext" if args.mode == "pretrain" else "labeled",
-                                    with_mouse="m" in params.config.streams)
+    windows, _ = train.stage_windows(sessions, cfg, params)
     train.write_artifacts(out, params, stats, history,
                           cfg, extra_manifest={"mode": args.mode,
                                                "input_checksums": checksums,
@@ -229,6 +226,7 @@ def cmd_infer(args) -> int:
     if args.input != "-" and not Path(args.input).exists():
         raise DataError(f"no such input file: {args.input}")
 
+    session = None
     if args.input != "-" and args.input.endswith(".session"):
         session = dataio.parse_session(args.input)
         magnification = session.meta.magnification
@@ -242,6 +240,9 @@ def cmd_infer(args) -> int:
     eye = args.eye if args.eye != "auto" else dataio.select_eye(samples)
     engine = stream.StreamingEngine.from_checkpoint(
         ckpt, magnification, eye=eye, stride=args.stride)
+    if session is not None:
+        # the checkpoint's stats normalize by the screen they were made on
+        dataio.one_screen([session.meta, engine.stats])
     n = 0
     for sample in samples:
         decision = engine.push(sample)

@@ -882,6 +882,18 @@ def _present(block: np.ndarray | None) -> np.ndarray | None:
     return block[~absent] if absent.any() else block
 
 
+def one_screen(items):
+    """The first of `items` (session metas or stats), after checking that
+    all of them have one screen size: a run normalizes every window by it,
+    so a second size raises DataError."""
+    items = list(items)
+    sizes = sorted({(x.screen_w, x.screen_h) for x in items})
+    if len(sizes) > 1:
+        raise DataError("screen sizes differ (" + ", ".join(f"{w:g}x{h:g}" for w, h in sizes)
+                        + "); a run normalizes by one screen size")
+    return items[0]
+
+
 def compute_stats(windows, meta: SessionMeta) -> NormStats:
     """Per-feature normalization statistics over the rows where each stream
     is present; call on training windows only. `windows` is a `Windows`

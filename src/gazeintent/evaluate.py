@@ -124,22 +124,29 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
 
     Semi pipelines pretrain on the training subjects' unlabeled windows
     inside every fold, so the test subject never leaks into pretraining
-    or normalization statistics.
+    or normalization statistics. A subject without labeled windows is
+    listed in `skipped` and left out of every fold. All sessions must share
+    one screen size.
     """
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     by_subject = train.split_by_subject(sessions)
-    subjects = sorted(by_subject)
-    if len(subjects) < 3:
-        raise DataError(f"LOSO needs at least 3 subjects, got {len(subjects)}")
     report = F1Report(pipeline=pipeline)
-    for fold_idx, test_subject in enumerate(subjects):
+    folds = {}
+    for subject in sorted(by_subject):
+        windows = train.collect_windows(by_subject[subject], cfg, "labeled")
+        if windows:
+            folds[subject] = windows
+        else:
+            # it trains in no fold: one validating on it would find no windows
+            _log.warning("subject %s has no valid windows; fold skipped", subject)
+            report.skipped.append(subject)
+    if len(folds) < 3:
+        raise DataError(f"LOSO needs at least 3 subjects with labeled windows, got {len(folds)}")
+    dataio.one_screen(s.meta for s in sessions)
+    sessions = [s for s in sessions if s.meta.subject_id in folds]
+    for fold_idx, (test_subject, test_windows) in enumerate(folds.items()):
         train_sessions = [s for s in sessions if s.meta.subject_id != test_subject]
-        test_windows = train.collect_windows(by_subject[test_subject], cfg, "labeled")
-        if not test_windows:
-            _log.warning("subject %s has no valid windows; fold skipped", test_subject)
-            report.skipped.append(test_subject)
-            continue
         fold_cfg = replace(cfg, seed=cfg.seed + fold_idx, val_subject_index=fold_idx)
         if pipeline in ("supervised", "random"):
             params, stats, _ = train.supervised_train(

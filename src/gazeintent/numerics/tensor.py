@@ -220,9 +220,6 @@ class Tensor:
         return Tensor._result(a.data - b.data, (a, b),
                               lambda g: [_unbroadcast(g, sa), _unbroadcast(-g, sb)])
 
-    def __rsub__(self, other):
-        return Tensor._coerce(other, self) - self
-
     def __neg__(self):
         return Tensor._result(-self.data, (self,), lambda g: [-g])
 
@@ -243,32 +240,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Tensor._coerce(other, self)
-        a, b = self, other
-        sa, sb = a.shape, b.shape
-        ad, bd = (a.data if b.requires_grad else None), b.data
-        data = a.data / bd
-
-        def backward(g):
-            return [_unbroadcast(g / bd, sa),
-                    None if ad is None else _unbroadcast(-g * ad / (bd * bd), sb)]
-
-        return Tensor._result(data, (a, b), backward)
-
     def power(self, exponent: float) -> "Tensor":
         """Elementwise power with a constant exponent."""
         ad = self.data
         return Tensor._result(ad ** exponent, (self,),
                               lambda g: [g * exponent * ad ** (exponent - 1.0)])
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        return Tensor._result(data, (self,), lambda g: [g * data])
-
-    def log(self) -> "Tensor":
-        ad = self.data
-        return Tensor._result(np.log(ad), (self,), lambda g: [g / ad])
 
     def relu(self) -> "Tensor":
         data = np.maximum(self.data, 0)

@@ -67,7 +67,6 @@ class StreamingEngine:
         # one ring of raw samples, rows x, y (NaN where the eye is
         # missing), vx, vy, t; slot = global index % W
         self._ring = np.full((5, W), np.nan)
-        self._newest_valid: int | None = None  # global index
         # (global index, [x, y]) of the last valid sample that has left the
         # ring, the left neighbour of a gap that starts before the window;
         # NaN (no neighbour) until one has
@@ -84,8 +83,6 @@ class StreamingEngine:
             x, y = sample.rx, sample.ry
         if x is None or y is None:
             x = y = np.nan
-        else:
-            self._newest_valid = self.count
         self._ring[:, i] = (x, y, sample.vx, sample.vy, sample.t)
         self.count += 1
 
@@ -100,7 +97,7 @@ class StreamingEngine:
     def has_open_gap(self) -> bool:
         """True when the current window ends in a not-yet-closed gap (the
         case where streaming and offline interpolation may disagree)."""
-        return self._newest_valid is None or self._newest_valid < self.count - 1
+        return bool(np.isnan(self._ring[0, (self.count - 1) % W]))
 
     def _window(self) -> dataio.Window:
         """The window ending at the newest sample, gap-filled over global

@@ -1,6 +1,10 @@
 """Two-stage training recipe: mouse-velocity pretext pretraining, then
 partial or full fine-tuning for intent classification, plus the purely
 supervised baseline and the input-ablation configurations.
+
+`stage_windows` alone maps a stage to its windows, and every stage runs
+the one `_train_loop`: a stage hands it model inputs, targets and a
+loss, and the loop gathers batches, validates and stops early.
 """
 
 from __future__ import annotations
@@ -103,25 +107,37 @@ def _subsample_labels(windows: dataio.Windows, fraction: float, seed: int) -> da
     if fraction >= 1.0:
         return windows
     rng = np.random.default_rng([seed, 0x1abe1])
-    keep = max(2, int(round(fraction * len(windows))))
+    keep = min(len(windows), max(2, int(round(fraction * len(windows)))))
     return windows[np.sort(rng.choice(len(windows), size=keep, replace=False))]
 
 
-def _stage_windows(sessions, cfg: TrainConfig, mode: str, streams, fraction: float = 1.0,
-                   stats=None):
-    """One stage's windows: split by subject, collect `mode` windows (with
-    mouse positions when `streams` holds "m"), keep `fraction` of the
-    training windows, compute stats on them unless given, and normalize
-    both splits. Returns (train windows, validation windows, stats)."""
-    train_sessions, val_sessions = split_train_val(sessions, cfg)
-    train_w = _subsample_labels(collect_windows(train_sessions, cfg, mode, "m" in streams),
-                                fraction, cfg.seed)
-    val_w = collect_windows(val_sessions, cfg, mode, "m" in streams)
-    for split, windows in (("training", train_w), ("validation", val_w)):
+def stage_windows(sessions, cfg: TrainConfig, params: model.ModelParams):
+    """(training windows, validation windows) of the stage that trains
+    `params`, unnormalized and before label subsampling: pretext windows
+    for a velocity head, labeled windows for a classifier head, with mouse
+    positions when the model's streams hold "m". An empty split raises
+    DataError."""
+    mode = "pretext" if params.head_kind == model.VELOCITY_HEAD else "labeled"
+    with_mouse = "m" in params.config.streams
+    splits = [collect_windows(split, cfg, mode, with_mouse)
+              for split in split_train_val(sessions, cfg)]
+    for name, windows in zip(("training", "validation"), splits):
         if not windows:
-            raise DataError(f"no {mode} windows in the {split} split")
+            raise DataError(f"no {mode} windows in the {name} split")
+    return splits
+
+
+def _stage_windows(sessions, cfg: TrainConfig, params: model.ModelParams, stats=None):
+    """`stage_windows` with cfg.label_fraction of a classifier's training
+    windows kept, stats computed on the training windows unless given, and
+    both splits normalized. The sessions (and given stats) must share one
+    screen size. Returns (train windows, validation windows, stats)."""
+    train_w, val_w = stage_windows(sessions, cfg, params)
+    screen = dataio.one_screen([s.meta for s in sessions] + ([] if stats is None else [stats]))
+    if params.head_kind == model.CLASSIFIER_HEAD:
+        train_w = _subsample_labels(train_w, cfg.label_fraction, cfg.seed)
     if stats is None:
-        stats = dataio.compute_stats(train_w, sessions[0].meta)
+        stats = dataio.compute_stats(train_w, screen)
     return dataio.normalize(train_w, stats), dataio.normalize(val_w, stats), stats
 
 
@@ -131,32 +147,32 @@ def _stage_windows(sessions, cfg: TrainConfig, mode: str, streams, fraction: flo
 EVAL_BATCH = 512  # rows per untaped forward in validation and `evaluate.predict_labels`
 
 
-def _val_outputs(params, x_val: dict, n: int):
-    """(slice, untaped forward output) for each EVAL_BATCH rows of `x_val`."""
-    for i in range(0, n, EVAL_BATCH):
-        sl = slice(i, i + EVAL_BATCH)
-        yield sl, model.forward(params, {k: v[sl] for k, v in x_val.items()})
-
-
 def _epoch_batches(n: int, batch_size: int, rng) -> list:
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _train_loop(params: model.ModelParams, trainable_names, make_loss,
-                eval_val, n_train: int, cfg: TrainConfig, stage: str):
+def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_train,
+                x_val: dict, y_val, loss_fn, cfg: TrainConfig, stage: str):
     """Adam loop with early stopping on held-out-subject validation loss.
-    Only the tensors in `trainable_names` require gradients while the loop
-    runs, so the tape records no backward work for frozen ones. Steps and
-    validation run with numpy's overflow, invalid and divide warnings off;
-    an epoch whose train or validation loss is not finite raises
-    ConfigError instead. Returns (best_params, history)."""
+
+    `x_*` map each stream to its model inputs, `y_*` hold one target row
+    per window, and `loss_fn(output, targets)` gives the mean loss of a
+    forward output. Each step gathers a shuffled batch of rows; each epoch
+    ends with an untaped validation pass in EVAL_BATCH slices, which also
+    records `val_acc` when the targets are class ids. Only the tensors in
+    `trainable_names` require gradients while the loop runs, so the tape
+    records no backward work for frozen ones. Steps and validation run
+    with numpy's overflow, invalid and divide warnings off; an epoch whose
+    train or validation loss is not finite raises ConfigError instead.
+    Returns (best_params, history)."""
     trainable = {k: params.tensors[k] for k in trainable_names}
     frozen = [k for k, t in params.tensors.items() if k not in trainable and t.requires_grad]
     for k in frozen:
         params.tensors[k].requires_grad = False
     state = AdamState.for_params(trainable)
     rng = np.random.default_rng([cfg.seed, STAGES.index(stage)])
+    classify = y_val.dtype.kind in "iu"
     history = []
     best_epoch = -1
     try:
@@ -164,16 +180,26 @@ def _train_loop(params: model.ModelParams, trainable_names, make_loss,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for epoch in range(cfg.max_epochs):
                 losses = []
-                for idx in _epoch_batches(n_train, cfg.batch_size, rng):
+                for idx in _epoch_batches(len(y_train), cfg.batch_size, rng):
                     zero_grads(params.tensors.values())
                     with Tape() as tape:
-                        loss = make_loss(idx)
+                        out = model.forward(params, {k: v[idx] for k, v in x_train.items()})
+                        loss = loss_fn(out, y_train[idx])
                     backward(loss, tape, params=trainable.values())
                     adam_step(trainable, collect_grads(trainable), state,
                               lr=cfg.lr, weight_decay=cfg.weight_decay)
                     losses.append(loss.item())
-                entry = {"stage": stage, "epoch": epoch,
-                         "train_loss": float(np.mean(losses)), **eval_val(params)}
+                total, hits = 0.0, 0
+                for i in range(0, len(y_val), EVAL_BATCH):
+                    sl = slice(i, i + EVAL_BATCH)
+                    out = model.forward(params, {k: v[sl] for k, v in x_val.items()})
+                    total += loss_fn(out, y_val[sl]).item() * len(y_val[sl])
+                    if classify:
+                        hits += int((softmax_lastaxis(out).data.argmax(axis=1) == y_val[sl]).sum())
+                entry = {"stage": stage, "epoch": epoch, "train_loss": float(np.mean(losses)),
+                         "val_loss": total / len(y_val)}
+                if classify:
+                    entry["val_acc"] = hits / len(y_val)
                 if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
                     raise ConfigError(f"{stage} stage diverged in epoch {epoch} at lr {cfg.lr}: "
                                       f"train_loss {entry['train_loss']}, "
@@ -205,52 +231,29 @@ def pretrain(sessions, cfg: TrainConfig):
         raise ConfigError("the pretext stage predicts mouse velocity from gaze; "
                           "mouse input modes are not allowed")
     mcfg = model.ModelConfig(input_mode=cfg.input_mode)
-    train_w, val_w, stats = _stage_windows(sessions, cfg, "pretext", mcfg.streams)
     params = model.init_params(mcfg, cfg.seed, head_kind=model.VELOCITY_HEAD)
-    x_train, v_train = train_w.batch(mcfg.streams), train_w.vel_target.astype(np.float32)
-    x_val, v_val = val_w.batch(mcfg.streams), val_w.vel_target.astype(np.float32)
-
-    def make_loss(idx):
-        batch = {k: v[idx] for k, v in x_train.items()}
-        return mse_loss(model.forward(params, batch), Tensor(v_train[idx]))
-
-    def eval_val(p):
-        total = 0.0
-        for sl, out in _val_outputs(p, x_val, len(v_val)):
-            total += mse_loss(out, Tensor(v_val[sl])).item() * len(v_val[sl])
-        return {"val_loss": total / len(v_val)}
-
-    best, history = _train_loop(params, params.learnable_names(), make_loss,
-                                eval_val, len(train_w), cfg, "pretext")
+    train_w, val_w, stats = _stage_windows(sessions, cfg, params)
+    best, history = _train_loop(
+        params, params.learnable_names(),
+        train_w.batch(mcfg.streams), train_w.vel_target.astype(np.float32),
+        val_w.batch(mcfg.streams), val_w.vel_target.astype(np.float32),
+        lambda out, v: mse_loss(out, Tensor(v)), cfg, "pretext")
     return best, stats, history
 
 
 def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
                       trainable_names, permute_labels: bool = False):
-    mcfg = params.config
-    train_w, val_w, stats = _stage_windows(sessions, cfg, "labeled", mcfg.streams,
-                                           cfg.label_fraction, stats)
-    x_train, y_train = train_w.batch(mcfg.streams), train_w.label
-    x_val, y_val = val_w.batch(mcfg.streams), val_w.label
+    train_w, val_w, stats = _stage_windows(sessions, cfg, params, stats)
+    y_train = train_w.label
     if permute_labels:
         rng = np.random.default_rng([cfg.seed, 0x9e12])
         y_train = y_train[rng.permutation(y_train.size)]
     weights = Tensor(compute_class_weights(y_train))
-
-    def make_loss(idx):
-        batch = {k: v[idx] for k, v in x_train.items()}
-        return weighted_cross_entropy(model.forward(params, batch), y_train[idx], weights)
-
-    def eval_val(p):
-        # one untaped forward per slice gives both the loss and the accuracy
-        total, hits = 0.0, 0
-        for sl, logits in _val_outputs(p, x_val, y_val.size):
-            total += weighted_cross_entropy(logits, y_val[sl], weights).item() * y_val[sl].size
-            hits += int((softmax_lastaxis(logits).data.argmax(axis=1) == y_val[sl]).sum())
-        return {"val_loss": total / y_val.size, "val_acc": hits / y_val.size}
-
-    best, history = _train_loop(params, trainable_names, make_loss, eval_val,
-                                len(train_w), cfg, stage)
+    streams = params.config.streams
+    best, history = _train_loop(
+        params, trainable_names, train_w.batch(streams), y_train,
+        val_w.batch(streams), val_w.label,
+        lambda logits, y: weighted_cross_entropy(logits, y, weights), cfg, stage)
     return best, stats, history
 
 

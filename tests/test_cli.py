@@ -344,6 +344,19 @@ class TestInfer:
         assert set(first) == {"t", "label", "p_reading"}
         assert first["label"] in dataio.LABELS
 
+    def test_session_on_another_screen_exits_3(self, workspace, tmp_path, capsys):
+        # the checkpoint's stats were made on 1920 x 1080 sessions
+        _, data, ckpt = workspace
+        path = tmp_path / "S00_text.session"
+        lines = (data / "S00_text.session").read_text().splitlines()
+        meta = json.loads(lines[0][len("#meta "):])
+        lines[0] = "#meta " + json.dumps({**meta, "screen_w": 2560.0, "screen_h": 1440.0})
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "screen size" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_session_file_and_csv_feed_agree(self, workspace, capsys,
                                              monkeypatch, tmp_path):
         _, data, ckpt = workspace

@@ -88,6 +88,8 @@ class TestContainer:
         ("#mouse", 1, 1, "nan"),    # mx
         ("#mouse", 1, 2, "-inf"),   # my
         ("#labels", 0, 1, "nan"),   # end
+        ("#labels", 0, 2, "writing"),  # unknown label
+        ("#labels", 0, 1, "0"),     # empty label interval: end == start
         ("#gaze", 0, 0, ""),        # t missing on the first row
         ("#gaze", 3, 5, ""),        # vx missing
     ])

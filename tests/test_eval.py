@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -136,6 +137,30 @@ class TestLoso:
         cfg = train.TrainConfig(stride=24, batch_size=128, max_epochs=1)
         rep = evaluate.loso_evaluate(sessions, pipeline, cfg)
         assert [f.subject for f in rep.folds] == ["S00", "S01", "S02"]
+
+    def test_subject_without_labeled_windows_skipped(self):
+        # S01 has no labels: its fold is skipped, and it trains (or
+        # validates) in no other fold
+        cfg = synth.SynthConfig(n_subjects=4, session_len=8.0, seed=5)
+        sessions = [synth.generate_session(cfg, i, "text") for i in range(4)]
+        sessions[1] = dataclasses.replace(sessions[1], labels=[])
+        rep = evaluate.loso_evaluate(sessions, "supervised",
+                                     train.TrainConfig(stride=24, max_epochs=1))
+        assert rep.skipped == ["S01"]
+        assert [f.subject for f in rep.folds] == ["S00", "S02", "S03"]
+        assert rep.to_json()["skipped_subjects"] == ["S01"]
+        sessions[2] = dataclasses.replace(sessions[2], labels=[])
+        with pytest.raises(DataError, match="3 subjects with labeled windows, got 2"):
+            evaluate.loso_evaluate(sessions, "supervised", train.TrainConfig())
+
+    def test_two_screen_sizes_rejected(self, sessions, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no fold may train")
+        monkeypatch.setattr(train, "supervised_train", refuse)
+        small = dataclasses.replace(sessions[2].meta, screen_w=1280.0, screen_h=720.0)
+        mixed = sessions[:2] + [dataclasses.replace(sessions[2], meta=small)]
+        with pytest.raises(DataError, match="screen size"):
+            evaluate.loso_evaluate(mixed, "supervised", train.TrainConfig())
 
     def test_random_pipeline_differs_from_supervised(self, sessions, report):
         cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)

@@ -6,7 +6,7 @@ import pytest
 from gazeintent import dataio, model, synth, train
 from gazeintent.errors import ConfigError, DataError
 from gazeintent.numerics import (AdamState, Tape, Tensor, adam_step, backward,
-                                 collect_grads, weighted_cross_entropy)
+                                 collect_grads, mse_loss, weighted_cross_entropy)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,10 @@ class TestLabelSubsampling:
         wins = self._windows(30)
         assert len(train._subsample_labels(wins, 0.01, seed=0)) == 2
 
+    def test_single_window_kept(self):
+        wins = self._windows(1)
+        assert len(train._subsample_labels(wins, 0.5, seed=0)) == 1
+
 
 class TestConfigValidation:
     def test_bad_freeze(self):
@@ -124,6 +128,80 @@ def test_step_functions_called_through_train_module(sessions, monkeypatch, stage
     n = len(train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, mode))
     assert calls == dict.fromkeys(("zero_grads", "backward", "adam_step"), -(-n // 64))
     assert -(-n // 64) > 1
+
+
+class TestStageWindows:
+    @pytest.mark.parametrize("head,input_mode,mode", [
+        (model.VELOCITY_HEAD, "gaze_plus_comp", "pretext"),
+        (model.CLASSIFIER_HEAD, "gaze_only", "labeled"),
+        (model.CLASSIFIER_HEAD, "mouse_gaze_comp", "labeled"),
+    ])
+    def test_head_and_streams_pick_the_windows(self, sessions, head, input_mode, mode):
+        cfg = quick_cfg(input_mode=input_mode)
+        mcfg = model.ModelConfig(input_mode=input_mode)
+        params = model.init_params(mcfg, 0, head_kind=head)
+        with_mouse = "m" in mcfg.streams
+        got = train.stage_windows(sessions, cfg, params)
+        for windows, split in zip(got, train.split_train_val(sessions, cfg)):
+            want = train.collect_windows(split, cfg, mode, with_mouse)
+            assert windows.counts == want.counts and len(windows) == len(want) > 0
+            assert (windows.m is not None) == with_mouse
+            assert (windows.label >= 0).all() == (mode == "labeled")
+            np.testing.assert_array_equal(windows.g, want.g)
+
+    def test_empty_split_rejected(self, sessions):
+        cfg = quick_cfg()
+        params = model.init_params(model.ModelConfig(), 0, head_kind=model.CLASSIFIER_HEAD)
+        train_sessions, _ = train.split_train_val(sessions, cfg)
+        stripped = [copy.deepcopy(s) for s in sessions]
+        for s in stripped:
+            if s.meta.subject_id != train_sessions[0].meta.subject_id:
+                s.labels = []
+        with pytest.raises(DataError, match="no labeled windows in the validation split"):
+            train.stage_windows(stripped, cfg, params)
+
+
+def mixed_screen_sessions():
+    """Two 1920 x 1080 subjects and one 1280 x 720 subject."""
+    big = synth.SynthConfig(n_subjects=3, session_len=8.0, seed=5)
+    small = synth.SynthConfig(n_subjects=3, session_len=8.0, seed=5,
+                              screen_w=1280.0, screen_h=720.0)
+    return [synth.generate_session(cfg, i, "text") for i, cfg in enumerate((big, big, small))]
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]])
+def test_stage_with_two_screen_sizes_rejected(order):
+    sessions = mixed_screen_sessions()
+    sessions = [sessions[i] for i in order]
+    with pytest.raises(DataError, match="screen size"):
+        train.supervised_train(sessions, quick_cfg(max_epochs=1))
+
+
+def test_early_stopping_returns_best_epoch():
+    # the validation loss rises after epoch 0: with patience p the loop
+    # runs p + 1 epochs and returns the params it had after epoch 0
+    patience = 2
+    cfg = quick_cfg(max_epochs=10, patience=patience, batch_size=16)
+    params = model.init_params(model.ModelConfig(input_mode="gaze_only"), 0,
+                               head_kind=model.VELOCITY_HEAD)
+    rng = np.random.default_rng(4)
+    x = {"g": rng.normal(size=(16, 2, dataio.WINDOW_LEN)).astype(np.float32)}
+    y_train = np.zeros((16, 2), dtype=np.float32)
+    y_val = np.ones((16, 2), dtype=np.float32)
+    after_epoch = []
+
+    def loss_fn(out, targets):
+        if targets[0, 0] == 0:  # a training batch
+            return mse_loss(out, Tensor(targets))
+        after_epoch.append(params.checksum())
+        return Tensor(np.float32(len(after_epoch)))
+
+    best, history = train._train_loop(params, params.learnable_names(), x, y_train,
+                                      x, y_val, loss_fn, cfg, "pretext")
+    assert [h["epoch"] for h in history] == list(range(patience + 1))
+    assert [h["val_loss"] for h in history] == [1.0, 2.0, 3.0]
+    assert all("val_acc" not in h for h in history)
+    assert best.checksum() == after_epoch[0] != params.checksum()
 
 
 class TestSupervised:
@@ -247,7 +325,7 @@ class TestPretext:
             train.finetune(pretrained[3], sessions,
                            quick_cfg(max_epochs=1, input_mode="gaze_only"))
 
-    def test_partial_step_skips_frozen_backward(self, pretrained):
+    def test_partial_step_skips_frozen_backward(self, pretrained, monkeypatch):
         # one partial-mode step: the frozen tensors get no gradient, and the
         # updated tensors equal a step that back-propagates through all of
         # them (every tensor requiring grad) bit for bit
@@ -260,16 +338,21 @@ class TestPretext:
         y = rng.integers(0, 2, size=40)
         weights = Tensor(train.compute_class_weights(y))
 
-        def step_loss(p, idx):
-            return weighted_cross_entropy(
-                model.forward(p, {k: v[idx] for k, v in x.items()}), y[idx], weights)
+        def loss_fn(out, targets):
+            return weighted_cross_entropy(out, targets, weights)
 
         seen = []
+        epoch_batches = train._epoch_batches
+
+        def recorded(*args):
+            batches = epoch_batches(*args)
+            seen.extend(batches)
+            return batches
+
+        monkeypatch.setattr(train, "_epoch_batches", recorded)
         names = train.partial_trainable_names(params)
         reference = params.copy()
-        best, _ = train._train_loop(
-            params, names, lambda idx: seen.append(idx) or step_loss(params, idx),
-            lambda p: {"val_loss": 0.0}, 40, cfg, "finetune")
+        best, _ = train._train_loop(params, names, x, y, x, y, loss_fn, cfg, "finetune")
         assert len(seen) == 1
         frozen = [k for k in params.learnable_names() if k not in names]
         assert len(frozen) == 34
@@ -280,7 +363,8 @@ class TestPretext:
 
         trainable = {k: reference.tensors[k] for k in names}
         with Tape() as tape:
-            loss = step_loss(reference, seen[0])
+            idx = seen[0]
+            loss = loss_fn(model.forward(reference, {k: v[idx] for k, v in x.items()}), y[idx])
         backward(loss, tape, params=trainable.values())
         adam_step(trainable, collect_grads(trainable), AdamState.for_params(trainable),
                   lr=cfg.lr, weight_decay=cfg.weight_decay)
