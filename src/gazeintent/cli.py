@@ -115,12 +115,10 @@ def cmd_train(args) -> int:
         params, stats, history = train.finetune(args.from_ckpt, sessions, cfg)
     else:
         params, stats, history = train.supervised_train(sessions, cfg)
-    # windowize's accounting of the training split, before label subsampling
-    windows, _ = train.stage_windows(sessions, cfg, params)
     train.write_artifacts(out, params, stats, history,
                           cfg, extra_manifest={"mode": args.mode,
                                                "input_checksums": checksums,
-                                               "windows": windows.counts})
+                                               "windows": history.windows})
     _write_manifest(out, f"train:{args.mode}", cfg, checksums,
                     [out / "checkpoint", out / "history.jsonl"])
     last = history[-1]

@@ -12,6 +12,7 @@ import numpy as np
 
 from gazeintent import dataio, model, train
 from gazeintent.errors import ConfigError, DataError
+from gazeintent.numerics import softmax_lastaxis
 
 PIPELINES = ("supervised", "semi_partial", "semi_full", "random")
 
@@ -112,10 +113,12 @@ class F1Report:
 
 def predict_labels(params: model.ModelParams, stats, windows):
     """Classify normalized-on-the-fly windows; returns (pred, gold) arrays."""
+    if params.head_kind != model.CLASSIFIER_HEAD:
+        raise ConfigError("predict_labels requires the classifier head")
     windows = dataio.normalize(windows, stats)
-    streams = params.config.streams
-    preds = [model.predict_proba(params, windows[i:i + train.EVAL_BATCH].batch(streams))
-             .argmax(axis=1) for i in range(0, len(windows), train.EVAL_BATCH)]
+    x = windows.batch(params.config.streams)
+    preds = [softmax_lastaxis(train.forward_rows(params, x, slice(i, i + train.EVAL_BATCH)))
+             .data.argmax(axis=1) for i in range(0, len(windows), train.EVAL_BATCH)]
     return np.concatenate(preds), windows.label
 
 

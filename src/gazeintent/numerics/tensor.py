@@ -86,19 +86,27 @@ class Tape:
         """Append the op that produced `node` (a result Tensor)."""
         self._nodes.append(node._node)
 
-    def backward(self, loss: "Tensor"):
+    def backward(self, loss: "Tensor", grad: np.ndarray | None = None):
         """Propagate gradients from a scalar loss through the recorded ops,
         popping each op and dropping its gradient and closure as it runs.
-        Afterwards only leaves hold a `.grad`."""
+        Afterwards only leaves hold a `.grad`.
+
+        `grad` seeds the backward of a non-scalar output with the gradient
+        of some loss with respect to it (its own shape); a data-parallel
+        shard passes its slice of the batch output's gradient."""
         if self._consumed:
             raise RuntimeError("tape already consumed; run a new forward pass")
-        if loss.data.size != 1:
-            raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if grad is None:
+            if loss.data.size != 1:
+                raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+            grad = np.ones_like(loss.data)
+        elif grad.shape != loss.shape:
+            raise ShapeError(f"backward seed shape {grad.shape} != output shape {loss.shape}")
         self._consumed = True
         if loss._node is None:
-            loss.grad = np.ones_like(loss.data)
+            loss.grad = grad
         else:
-            loss._node.grad = np.ones_like(loss.data)
+            loss._node.grad = grad
         nodes = self._nodes
         while nodes:
             node = nodes.pop()
@@ -333,10 +341,11 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return Tensor._result(data, tuple(tensors), backward)
 
 
-def backward(loss: Tensor, tape: Tape, params=None) -> None:
-    """Run reverse-mode accumulation; params (if given) get zero-filled grads
-    when unreachable from the loss."""
-    tape.backward(loss)
+def backward(loss: Tensor, tape: Tape, params=None, grad: np.ndarray | None = None) -> None:
+    """Run reverse-mode accumulation (seeded with `grad`, see
+    `Tape.backward`); params (if given) get zero-filled grads when
+    unreachable from the loss."""
+    tape.backward(loss, grad)
     if params is not None:
         for p in params:
             if p.grad is None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gazeintent import dataio, model
+from gazeintent import dataio, model, shards
 from gazeintent.errors import ConfigError, DataError
 from gazeintent.numerics import (
     AdamState,
@@ -131,20 +131,36 @@ def _stage_windows(sessions, cfg: TrainConfig, params: model.ModelParams, stats=
     """`stage_windows` with cfg.label_fraction of a classifier's training
     windows kept, stats computed on the training windows unless given, and
     both splits normalized. The sessions (and given stats) must share one
-    screen size. Returns (train windows, validation windows, stats)."""
+    screen size. Returns (train windows, validation windows, stats, the
+    training split's windowize counts before label subsampling)."""
     train_w, val_w = stage_windows(sessions, cfg, params)
+    counts = train_w.counts
     screen = dataio.one_screen([s.meta for s in sessions] + ([] if stats is None else [stats]))
     if params.head_kind == model.CLASSIFIER_HEAD:
         train_w = _subsample_labels(train_w, cfg.label_fraction, cfg.seed)
     if stats is None:
         stats = dataio.compute_stats(train_w, screen)
-    return dataio.normalize(train_w, stats), dataio.normalize(val_w, stats), stats
+    return dataio.normalize(train_w, stats), dataio.normalize(val_w, stats), stats, counts
+
+
+class History(list):
+    """A stage's epoch entries, plus `windows`: windowize's accounting of
+    its training split before label subsampling (written to run.json)."""
+
+    def __init__(self, entries=(), windows: dict | None = None):
+        super().__init__(entries)
+        self.windows = windows
 
 
 # ---------------------------------------------------------------------------
 # generic loop
 
 EVAL_BATCH = 512  # rows per untaped forward in validation and `evaluate.predict_labels`
+
+
+def forward_rows(params: model.ModelParams, x: dict, sl: slice) -> Tensor:
+    """Untaped forward output of rows `sl` of `x`, run in `shards`."""
+    return Tensor(shards.forward(params, {k: v[sl] for k, v in x.items()}))
 
 
 def _epoch_batches(n: int, batch_size: int, rng) -> list:
@@ -158,8 +174,10 @@ def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_tra
 
     `x_*` map each stream to its model inputs, `y_*` hold one target row
     per window, and `loss_fn(output, targets)` gives the mean loss of a
-    forward output. Each step gathers a shuffled batch of rows; each epoch
-    ends with an untaped validation pass in EVAL_BATCH slices, which also
+    forward output. Each step gathers a shuffled batch of rows and runs it
+    through `shards.step` (forward and backward on every core, one loss on
+    the whole batch's output) before the Adam update; each epoch ends with
+    an untaped validation pass in EVAL_BATCH slices, also sharded, which
     records `val_acc` when the targets are class ids. Only the tensors in
     `trainable_names` require gradients while the loop runs, so the tape
     records no backward work for frozen ones. Steps and validation run
@@ -182,17 +200,15 @@ def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_tra
                 losses = []
                 for idx in _epoch_batches(len(y_train), cfg.batch_size, rng):
                     zero_grads(params.tensors.values())
-                    with Tape() as tape:
-                        out = model.forward(params, {k: v[idx] for k, v in x_train.items()})
-                        loss = loss_fn(out, y_train[idx])
-                    backward(loss, tape, params=trainable.values())
+                    loss = shards.step(params, {k: v[idx] for k, v in x_train.items()},
+                                       y_train[idx], loss_fn, Tape, backward)
                     adam_step(trainable, collect_grads(trainable), state,
                               lr=cfg.lr, weight_decay=cfg.weight_decay)
                     losses.append(loss.item())
                 total, hits = 0.0, 0
                 for i in range(0, len(y_val), EVAL_BATCH):
                     sl = slice(i, i + EVAL_BATCH)
-                    out = model.forward(params, {k: v[sl] for k, v in x_val.items()})
+                    out = forward_rows(params, x_val, sl)
                     total += loss_fn(out, y_val[sl]).item() * len(y_val[sl])
                     if classify:
                         hits += int((softmax_lastaxis(out).data.argmax(axis=1) == y_val[sl]).sum())
@@ -232,18 +248,18 @@ def pretrain(sessions, cfg: TrainConfig):
                           "mouse input modes are not allowed")
     mcfg = model.ModelConfig(input_mode=cfg.input_mode)
     params = model.init_params(mcfg, cfg.seed, head_kind=model.VELOCITY_HEAD)
-    train_w, val_w, stats = _stage_windows(sessions, cfg, params)
+    train_w, val_w, stats, counts = _stage_windows(sessions, cfg, params)
     best, history = _train_loop(
         params, params.learnable_names(),
         train_w.batch(mcfg.streams), train_w.vel_target.astype(np.float32),
         val_w.batch(mcfg.streams), val_w.vel_target.astype(np.float32),
         lambda out, v: mse_loss(out, Tensor(v)), cfg, "pretext")
-    return best, stats, history
+    return best, stats, History(history, counts)
 
 
 def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
                       trainable_names, permute_labels: bool = False):
-    train_w, val_w, stats = _stage_windows(sessions, cfg, params, stats)
+    train_w, val_w, stats, counts = _stage_windows(sessions, cfg, params, stats)
     y_train = train_w.label
     if permute_labels:
         rng = np.random.default_rng([cfg.seed, 0x9e12])
@@ -254,7 +270,7 @@ def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
         params, trainable_names, train_w.batch(streams), y_train,
         val_w.batch(streams), val_w.label,
         lambda logits, y: weighted_cross_entropy(logits, y, weights), cfg, stage)
-    return best, stats, history
+    return best, stats, History(history, counts)
 
 
 def partial_trainable_names(params: model.ModelParams) -> list:

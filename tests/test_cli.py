@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import signal
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazeintent import cli, dataio, synth, train
+from gazeintent import cli, dataio, model, shards, synth, train
 from gazeintent.errors import ConfigError
 
 
@@ -102,6 +104,26 @@ class TestTrain:
         assert set(counts) == set(dataio.COUNTS) and counts["kept"] > 0
         # two training subjects' 8 s text sessions (960 samples) at stride 12
         assert sum(counts.values()) == 2 * ((960 - 24) // 12 + 1)
+
+    @pytest.mark.parametrize("mode,windows", [("supervised", "labeled"),
+                                              ("pretrain", "pretext")])
+    def test_train_windowizes_each_split_once(self, workspace, tmp_path, monkeypatch,
+                                              mode, windows):
+        # the stage hands back its training split's counts for run.json
+        _, data, _ = workspace
+        calls = []
+        collect = train.collect_windows
+        monkeypatch.setattr(train, "collect_windows",
+                            lambda *a, **k: calls.append(a[2]) or collect(*a, **k))
+        assert cli.main(["train", "--mode", mode, "--data", str(data),
+                         "--out", str(tmp_path / "run"), "--stride", "12",
+                         "--max-epochs", "1", "--task", "text"]) == 0
+        assert calls == [windows, windows]
+        sessions, _ = cli._load_sessions(data, "text")
+        head = model.VELOCITY_HEAD if mode == "pretrain" else model.CLASSIFIER_HEAD
+        params = model.init_params(model.ModelConfig(), 0, head_kind=head)
+        want = train.stage_windows(sessions, train.TrainConfig(stride=12), params)[0].counts
+        assert json.loads((tmp_path / "run" / "run.json").read_text())["windows"] == want
 
     def test_unknown_task_filter(self, workspace, tmp_path):
         # all generated sessions are text/webpage; filtering is exercised in
@@ -223,14 +245,14 @@ def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys):
         assert "cannot create output directory" in capsys.readouterr().err
 
 
-def test_diverged_training_exits_2_without_artifacts(tmp_path, capsys):
+def _train_diverging(tmp_path, capsys, session_len: str, stride: str) -> None:
     data, out = tmp_path / "data", tmp_path / "run"
     assert cli.main(["gen", "--out", str(data), "--subjects", "3",
-                     "--session-len", "6", "--seed", "0"]) == 0
+                     "--session-len", session_len, "--seed", "0"]) == 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(["train", "--mode", "supervised", "--data", str(data),
-                         "--out", str(out), "--stride", "24", "--lr", "1e6",
+                         "--out", str(out), "--stride", stride, "--lr", "1e6",
                          "--max-epochs", "3"]) == 2
     # the overflow is reported by the divergence check, not by numpy
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
@@ -238,6 +260,47 @@ def test_diverged_training_exits_2_without_artifacts(tmp_path, capsys):
     assert "supervised stage diverged in epoch 0 at lr 1000000.0" in err
     assert "Warning" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_diverged_training_exits_2_without_artifacts(tmp_path, capsys):
+    _train_diverging(tmp_path, capsys, "6", "24")
+
+
+needs_helpers = pytest.mark.skipif(
+    shards._openblas() is None or len(os.sched_getaffinity(0)) < 2,
+    reason="helpers run only where OpenBLAS is loaded and two CPUs are usable")
+
+
+@needs_helpers
+def test_diverged_training_with_a_helper_exits_2_without_warnings(tmp_path, capsys,
+                                                                 monkeypatch):
+    # batches of 256 rows: the helper runs shard 1 under the loop's errstate
+    used = []
+    helpers = shards._helpers
+    monkeypatch.setattr(shards, "_helpers", lambda n: used.append(n) or helpers(n))
+    _train_diverging(tmp_path, capsys, "15", "6")
+    assert max(used) == 1
+
+
+@needs_helpers
+def test_killed_helper_exits_4(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--out", str(data), "--subjects", "3",
+                     "--session-len", "15", "--seed", "0"]) == 0
+    adam_step = train.adam_step
+
+    def adam_then_kill(*args, **kwargs):
+        adam_step(*args, **kwargs)
+        for pid in shards.helper_pids():
+            os.kill(pid, signal.SIGKILL)
+
+    monkeypatch.setattr(train, "adam_step", adam_then_kill)
+    assert cli.main(["train", "--mode", "supervised", "--data", str(data),
+                     "--out", str(tmp_path / "run"), "--stride", "6",
+                     "--max-epochs", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: shard helper (pid" in err and "exited" in err
+    assert "Traceback" not in err
 
 
 CONFIG_VALUES = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.integers(-2, 4)
