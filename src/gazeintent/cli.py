@@ -249,6 +249,8 @@ def cmd_infer(args) -> int:
             print(json.dumps({"t": decision.t_end, "label": decision.label,
                               "p_reading": decision.p_reading}))
     print(f"emitted {n} decisions", file=sys.stderr)
+    print(json.dumps({"pushes": engine.count, "decisions": n, "silent": engine.silent_counts()}),
+          file=sys.stderr)
     return 0
 
 

@@ -22,8 +22,10 @@ from gazeintent.numerics import (
     conv1d,
     layer_norm,
     linear,
+    merge_heads,
     scaled_dot_attention,
     softmax_lastaxis,
+    split_heads,
 )
 
 VELOCITY_HEAD = "velocity_regressor"
@@ -195,24 +197,17 @@ def init_params(cfg: ModelConfig, seed: int, head_kind: str = CLASSIFIER_HEAD) -
 
 
 def _mha(q_in: Tensor, kv_in: Tensor, t: dict, prefix: str, n_heads: int) -> Tensor:
-    B, T, d = q_in.shape
-    Tk = kv_in.shape[1]
-    dh = d // n_heads
-
-    def heads(x, n):
-        return x.reshape(B, n, n_heads, dh).swapaxes(1, 2)  # contiguous (B, H, T, dh)
-
-    q = heads(linear(q_in, t[f"{prefix}.wq"], t[f"{prefix}.qb"]), T)
-    k = heads(linear(kv_in, t[f"{prefix}.wk"], t[f"{prefix}.kb"]), Tk)
-    v = heads(linear(kv_in, t[f"{prefix}.wv"], t[f"{prefix}.vb"]), Tk)
-    out = scaled_dot_attention(q, k, v).swapaxes(1, 2).reshape(B, T, d)
+    q = split_heads(linear(q_in, t[f"{prefix}.wq"], t[f"{prefix}.qb"]), n_heads)
+    k = split_heads(linear(kv_in, t[f"{prefix}.wk"], t[f"{prefix}.kb"]), n_heads)
+    v = split_heads(linear(kv_in, t[f"{prefix}.wv"], t[f"{prefix}.vb"]), n_heads)
+    out = merge_heads(scaled_dot_attention(q, k, v))
     return linear(out, t[f"{prefix}.wo"], t[f"{prefix}.ob"])
 
 
 def encode_stream(x: Tensor, stream: str, params: ModelParams) -> Tensor:
     """(B, C, T) -> (B, T, d) through the stream's CNN stack."""
     cfg = params.config
-    if x.shape[-2:] != (cfg.in_channels, cfg.window):
+    if x.data.shape[-2:] != (cfg.in_channels, cfg.window):
         raise ShapeError(f"stream input must be (..,{cfg.in_channels},{cfg.window}), got {x.shape}")
     h = x
     for li in range(cfg.cnn_layers):
@@ -281,7 +276,7 @@ def forward(params: ModelParams, batch: dict) -> Tensor:
     """
     cfg = params.config
     streams = cfg.streams
-    dtype = params.tensors["head.w"].dtype
+    dtype = params.tensors["head.w"].data.dtype
     encoded = {}
     for s in streams:
         if s not in batch:

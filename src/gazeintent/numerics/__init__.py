@@ -6,6 +6,8 @@ from gazeintent.numerics.ops import (
     log_softmax_lastaxis,
     layer_norm,
     scaled_dot_attention,
+    split_heads,
+    merge_heads,
     mse_loss,
     weighted_cross_entropy,
 )
@@ -15,7 +17,7 @@ from gazeintent.numerics.gradcheck import finite_difference_check
 __all__ = [
     "Tensor", "Tape", "backward", "concat",
     "conv1d", "linear", "softmax_lastaxis", "log_softmax_lastaxis", "layer_norm",
-    "scaled_dot_attention", "mse_loss", "weighted_cross_entropy",
+    "scaled_dot_attention", "split_heads", "merge_heads", "mse_loss", "weighted_cross_entropy",
     "AdamState", "adam_step", "zero_grads", "collect_grads",
     "finite_difference_check",
 ]

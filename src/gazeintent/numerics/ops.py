@@ -25,16 +25,18 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     Output has the same temporal length T.
 
     Computed as one GEMM over an im2col matrix whose row (b, t) holds the
-    K input frames around step t (Chellapilla et al., 2006). The output is
+    K input frames around step t (Chellapilla et al., 2006), gathered in
+    one copy through a strided view of the zero-padded input. The output is
     a (B, C_out, T) view of a (B, T, C_out) buffer.
     """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape((1,) + x.shape)
-    if x.ndim != 3 or kernels.ndim != 3:
-        raise ShapeError(f"conv1d expects (B,C_in,T) and (C_out,C_in,K), got {x.shape}, {kernels.shape}")
-    B, c_in, T = x.shape
-    c_out, c_in_k, K = kernels.shape
+    if x.data.ndim == 2:
+        res = conv1d(x.reshape((1,) + x.data.shape), kernels, bias)
+        return res.reshape(res.data.shape[1:])
+    xd, wd = x.data, kernels.data
+    if xd.ndim != 3 or wd.ndim != 3:
+        raise ShapeError(f"conv1d expects (B,C_in,T) and (C_out,C_in,K), got {xd.shape}, {wd.shape}")
+    B, c_in, T = xd.shape
+    c_out, c_in_k, K = wd.shape
     if c_in != c_in_k:
         raise ShapeError(f"conv1d channel mismatch: input {c_in}, kernel {c_in_k}")
     if K % 2 != 1:
@@ -42,26 +44,17 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if T < 1:
         raise ShapeError("conv1d requires at least one time step")
     pad = (K - 1) // 2
-    # tap k reads input step t + k - pad; output rows [lo, hi) have it in range
-    taps = []
-    for k in range(K):
-        lo = min(T, max(0, pad - k))
-        taps.append((k, lo, max(lo, min(T, T + pad - k))))
-
-    a, w, b = x, kernels, bias
-    xt = a.data.transpose(0, 2, 1)                        # (B, T, C_in)
-    cols = np.empty((B, T, K, c_in), dtype=a.dtype)
-    for k, lo, hi in taps:
-        cols[:, :lo, k] = 0.0
-        cols[:, hi:, k] = 0.0
-        cols[:, lo:hi, k] = xt[:, lo + k - pad:hi + k - pad]
-    cols = cols.reshape(B * T, K * c_in)
-    wm = w.data.transpose(0, 2, 1).reshape(c_out, K * c_in)
-    out = cols @ wm.T
-    out += b.data
-    if not w.requires_grad:
+    xp = np.zeros((B, T + K - 1, c_in), dtype=xd.dtype)    # (B, T + 2 pad, C_in)
+    xp[:, pad:pad + T] = xd.transpose(0, 2, 1)
+    # row (b, t) holds padded frames t .. t + K - 1: step and tap both advance one frame
+    strides = xp.strides[:2] + xp.strides[1:]
+    cols = np.ndarray((B, T, K, c_in), xp.dtype, xp, 0, strides).reshape(B * T, K * c_in)
+    wm = wd.transpose(0, 2, 1).reshape(c_out, K * c_in)
+    out = cols.dot(wm.T)
+    out += bias.data
+    if not kernels.requires_grad:
         cols = None           # read only for the kernel gradient
-    if not a.requires_grad:
+    if not x.requires_grad:
         wm = None             # read only for the input gradient
 
     def backward(g):
@@ -69,21 +62,20 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         gx = gw = None
         if wm is not None:
             # col2im: every tap adds its column block back onto the frames it
-            # read; the centre tap reads every frame, so it starts the sum
+            # read (output rows [lo, hi)); the centre tap reads every frame, so it starts the sum
             gcols = (g2 @ wm).reshape(B, T, K, c_in)
             gxt = gcols[:, :, pad].copy()
-            for k, lo, hi in taps:
+            for k in range(K):
                 if k != pad:
+                    lo = max(0, pad - k)
+                    hi = max(lo, min(T, T + pad - k))
                     gxt[:, lo + k - pad:hi + k - pad] += gcols[:, lo:hi, k]
             gx = gxt.transpose(0, 2, 1)
         if cols is not None:
             gw = np.ascontiguousarray((g2.T @ cols).reshape(c_out, K, c_in).transpose(0, 2, 1))
         return [gx, gw, np.einsum("ni->i", g2)]
 
-    res = Tensor._result(out.reshape(B, T, c_out).transpose(0, 2, 1), (a, w, b), backward)
-    if squeeze:
-        res = res.reshape(res.shape[1:])
-    return res
+    return Tensor._result(out.reshape(B, T, c_out).transpose(0, 2, 1), (x, kernels, bias), backward)
 
 
 def _mean_lastaxis(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -99,14 +91,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (..., n_in); w: (n_in, n_out); b: (n_out,). The leading axes are
     flattened into one GEMM, forward and backward.
     """
-    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
-    n_in, n_out = w.shape
-    shape = x.shape
-    x2 = x.data.reshape(-1, n_in)
-    wd = w.data
-    out = x2 @ wd
-    out += b.data
+    xd, wd, bd = x.data, w.data, b.data
+    shape = xd.shape
+    if wd.ndim != 2 or shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear shapes disagree: x {shape}, w {wd.shape}, b {bd.shape}")
+    n_in, n_out = wd.shape
+    x2 = xd.reshape(-1, n_in)
+    out = x2.dot(wd)
+    out += bd
     if not w.requires_grad:
         x2 = None             # read only for the weight gradient
     if not x.requires_grad:
@@ -123,8 +115,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    xd = x.data
+    e = np.exp(xd - xd.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
@@ -135,9 +127,9 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
 
 
 def log_softmax_lastaxis(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
+    xd = x.data
+    shifted = xd - xd.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     sm = np.exp(out)
     return Tensor._result(out, (x,), lambda g: [g - sm * g.sum(axis=-1, keepdims=True)])
 
@@ -147,18 +139,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     gamma and beta have the shape (d,) of that axis.
     """
-    d = x.shape[-1]
+    xd, gd, bd = x.data, gamma.data, beta.data
+    d = xd.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm needs a non-empty last axis")
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm affine shapes {gamma.shape}, {beta.shape} "
-                         f"do not match the last axis of {x.shape}")
-    xhat = x.data - _mean_lastaxis(x.data)
+    if gd.shape != (d,) or bd.shape != (d,):
+        raise ShapeError(f"layer_norm affine shapes {gd.shape}, {bd.shape} "
+                         f"do not match the last axis of {xd.shape}")
+    xhat = xd - _mean_lastaxis(xd)
     inv = 1.0 / np.sqrt(_mean_lastaxis(xhat, xhat) + eps)
     xhat *= inv
-    gd = gamma.data
     out = xhat * gd
-    out += beta.data
+    out += bd
     if not x.requires_grad:
         inv = gd = None       # read only for the input gradient
 
@@ -182,35 +174,50 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     One tape node; the model passes contiguous (B, H, T, dh) heads. The
     attention weights are the only intermediate kept for backward.
     """
-    d = q.shape[-1]
+    qd, kd, vd = q.data, k.data, v.data
+    sq, sk, sv = qd.shape, kd.shape, vd.shape
+    d = sq[-1]
     if d == 0:
         raise ShapeError("attention feature dimension must be positive")
-    if k.shape[-1] != d:
-        raise ShapeError(f"Q/K feature dims disagree: {q.shape} vs {k.shape}")
-    if v.shape[-2] != k.shape[-2]:
-        raise ShapeError(f"K/V lengths disagree: {k.shape} vs {v.shape}")
+    if sk[-1] != d:
+        raise ShapeError(f"Q/K feature dims disagree: {sq} vs {sk}")
+    if sv[-2] != sk[-2]:
+        raise ShapeError(f"K/V lengths disagree: {sk} vs {sv}")
     scale = 1.0 / math.sqrt(d)
-    qd, kd, vd = q.data, k.data, v.data
-    sq, sk, sv = q.shape, k.shape, v.shape
-    p = qd @ np.swapaxes(kd, -1, -2)
+    p = qd @ kd.swapaxes(-1, -2)
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)
+    # row maxima over a transposed copy: numpy reduces short rows one at a time, far slower
+    p -= np.maximum.reduce(p.reshape(-1, sk[-2]).T.copy(), axis=0).reshape(p.shape[:-1] + (1,))
     np.exp(p, out=p)
     p /= np.einsum("...i->...", p)[..., None]
     out = p @ vd
 
     def backward(g):
         g = np.ascontiguousarray(g)
-        gv = np.swapaxes(p, -1, -2) @ g
-        gs = g @ np.swapaxes(vd, -1, -2)
+        gv = p.swapaxes(-1, -2) @ g
+        gs = g @ vd.swapaxes(-1, -2)
         gs -= np.einsum("...i,...i->...", gs, p)[..., None]
         gs *= p
         gs *= scale
         gq = gs @ kd
-        gk = np.swapaxes(gs, -1, -2) @ qd
+        gk = gs.swapaxes(-1, -2) @ qd
         return [_unbroadcast(gq, sq), _unbroadcast(gk, sk), _unbroadcast(gv, sv)]
 
     return Tensor._result(out, (q, k, v), backward)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(B, T, d) -> contiguous (B, n_heads, T, d / n_heads), one copy each way."""
+    B, T, d = x.data.shape
+    heads = np.ascontiguousarray(x.data.reshape(B, T, n_heads, d // n_heads).swapaxes(1, 2))
+    return Tensor._result(heads, (x,), lambda g: [g.swapaxes(1, 2).reshape(B, T, d)])
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(B, H, T, dh) -> (B, T, H * dh), the inverse of `split_heads`."""
+    B, H, T, dh = x.data.shape
+    merged = np.ascontiguousarray(x.data.swapaxes(1, 2)).reshape(B, T, H * dh)
+    return Tensor._result(merged, (x,), lambda g: [g.reshape(B, T, H, dh).swapaxes(1, 2)])
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

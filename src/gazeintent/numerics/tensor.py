@@ -193,8 +193,7 @@ class Tensor:
         never a parent Tensor."""
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.grad = None
-        out._node = None
+        out.grad = out._node = None
         out.requires_grad = False
         if _ACTIVE_TAPE is not None and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -208,25 +207,30 @@ class Tensor:
     def _coerce(other, like: "Tensor") -> "Tensor":
         if isinstance(other, Tensor):
             return other
-        return Tensor(np.asarray(other, dtype=like.dtype))
+        return Tensor(np.asarray(other, dtype=like.data.dtype))
 
     # ---- arithmetic ----------------------------------------------------
 
+    # a parent that requires no grad gets none: the frozen positional table
+    # of `h + pos` is not summed over the batch, a constant target not negated
+
     def __add__(self, other):
-        other = Tensor._coerce(other, self)
-        a, b = self, other
-        sa, sb = a.shape, b.shape
-        return Tensor._result(a.data + b.data, (a, b),
-                              lambda g: [_unbroadcast(g, sa), _unbroadcast(g, sb)])
+        b = Tensor._coerce(other, self)
+        sa = self.data.shape if self.requires_grad else None
+        sb = b.data.shape if b.requires_grad else None
+        return Tensor._result(self.data + b.data, (self, b), lambda g: [
+            None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(g, sb)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Tensor._coerce(other, self)
-        a, b = self, other
-        sa, sb = a.shape, b.shape
-        return Tensor._result(a.data - b.data, (a, b),
-                              lambda g: [_unbroadcast(g, sa), _unbroadcast(-g, sb)])
+        b = Tensor._coerce(other, self)
+        sa = self.data.shape if self.requires_grad else None
+        sb = b.data.shape if b.requires_grad else None
+        return Tensor._result(self.data - b.data, (self, b), lambda g: [
+            None if sa is None else _unbroadcast(g, sa),
+            None if sb is None else _unbroadcast(-g, sb)])
 
     def __neg__(self):
         return Tensor._result(-self.data, (self,), lambda g: [-g])
@@ -234,7 +238,7 @@ class Tensor:
     def __mul__(self, other):
         other = Tensor._coerce(other, self)
         a, b = self, other
-        sa, sb = a.shape, b.shape
+        sa, sb = a.data.shape, b.data.shape
         data = a.data * b.data
         # each factor is read only for the other one's gradient
         ad = a.data if b.requires_grad else None
@@ -281,26 +285,25 @@ class Tensor:
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
         """Swap two axes into a C-contiguous array (no copy if already one).
         The gradient is passed back as a view."""
-        data = np.ascontiguousarray(np.swapaxes(self.data, ax1, ax2))
-        return Tensor._result(data, (self,), lambda g: [np.swapaxes(g, ax1, ax2)])
+        data = np.ascontiguousarray(self.data.swapaxes(ax1, ax2))
+        return Tensor._result(data, (self,), lambda g: [g.swapaxes(ax1, ax2)])
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        old = self.shape
+        old = self.data.shape
         return Tensor._result(self.data.reshape(shape), (self,), lambda g: [g.reshape(old)])
 
     def __getitem__(self, idx) -> "Tensor":
-        shape, dtype = self.shape, self.dtype
-        # ints and slices select each element at most once, so the gradient
-        # can be assigned; array indices may repeat and must accumulate
-        parts = idx if isinstance(idx, tuple) else (idx,)
-        basic = all(isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
-                    for i in parts)
+        shape, dtype = self.data.shape, self.data.dtype
 
         def backward(g):
+            # ints and slices select each element at most once, so the gradient
+            # can be assigned; array indices may repeat and must accumulate
+            parts = idx if isinstance(idx, tuple) else (idx,)
             ga = np.zeros(shape, dtype=dtype)
-            if basic:
+            if all(isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
+                   for i in parts):
                 ga[idx] = g
             else:
                 np.add.at(ga, idx, g)
@@ -333,10 +336,10 @@ class Tensor:
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    sizes = [t.data.shape[axis] for t in tensors]
 
     def backward(g):
-        return [np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis)]
+        return [np.ascontiguousarray(p) for p in np.split(g, np.cumsum(sizes)[:-1], axis=axis)]
 
     return Tensor._result(data, tuple(tensors), backward)
 

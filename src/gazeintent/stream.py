@@ -8,6 +8,11 @@ emission point is filled linearly, so that window is byte-identical to
 the batch window ending at the same sample. A gap still open at the
 emission point is nearest-filled with the last valid value, which can
 differ from offline interpolation if the gap later closes.
+
+A push that gives no decision is silent for one of three reasons, which
+`StreamingEngine.silent_counts` tallies: warm-up (fewer samples than a
+window so far), stride (between emission points) and missing (an emission
+point whose window misses more than half its samples).
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ class Decision:
     t_end: float
     label: str
     p_reading: float
+    n_missing: int        # gaze samples of the window that were gap-filled
+    open_gap: bool        # the window ends in a gap that has not closed yet
 
 
 class StreamingEngine:
@@ -64,6 +71,7 @@ class StreamingEngine:
     def reset(self) -> None:
         """Clear buffers and counters; the model and stats are retained."""
         self.count = 0
+        self._silent_missing = 0
         # one ring of raw samples, rows x, y (NaN where the eye is
         # missing), vx, vy, t; slot = global index % W
         self._ring = np.full((5, W), np.nan)
@@ -90,29 +98,45 @@ class StreamingEngine:
             return None
         if (self.count - W) % self.stride != 0:
             return None
-        if np.count_nonzero(np.isnan(self._ring[0])) > dataio.MAX_MISSING:
+        n_missing = np.count_nonzero(np.isnan(self._ring[0]))
+        if n_missing > dataio.MAX_MISSING:
+            self._silent_missing += 1
             return None
-        return self._emit()
+        return self._emit(n_missing)
+
+    def silent_counts(self) -> dict:
+        """Pushes since the last reset that gave no decision, by reason.
+        Warm-up and stride counts follow from the push count, so only the
+        rare missing case costs a push anything."""
+        warmup = min(self.count, W - 1)
+        points = max(0, (self.count - W) // self.stride + 1)
+        return {"warmup": warmup, "stride": self.count - warmup - points,
+                "missing": self._silent_missing}
 
     def has_open_gap(self) -> bool:
         """True when the current window ends in a not-yet-closed gap (the
         case where streaming and offline interpolation may disagree)."""
         return bool(np.isnan(self._ring[0, (self.count - 1) % W]))
 
-    def _window(self) -> dataio.Window:
-        """The window ending at the newest sample, gap-filled over global
-        sample indices and compensated as `dataio.windowize` does it."""
+    def _window(self) -> dataio.Windows:
+        """The window ending at the newest sample as a 1-row block, gap-filled
+        over global sample indices and compensated as `dataio.windowize` does it."""
         pos = np.arange(self.count - W - 1, self.count)
         win = self._ring[:, pos[1:] % W]
-        pos[0] = self._evicted[0]
-        g, _ = dataio.interpolate_missing(np.column_stack((self._evicted[1], win[:2])), pos)
-        g = g[:, 1:]
+        g = win[:2]
+        if np.isnan(g[0]).any():       # a window without a gap needs no fill
+            pos[0] = self._evicted[0]
+            g, _ = dataio.interpolate_missing(np.column_stack((self._evicted[1], g)), pos)
+            g = g[:, 1:]
         c = dataio.compensate(g, win[2:4], self.magnification,
                               self.stats.screen_w, self.stats.screen_h)
-        return dataio.Window(g=g, c=c, t_end=float(win[4, -1]), subject_id="stream")
+        return dataio.Windows(g=g[None], c=c[None], t_end=win[4, -1:], label=np.array([-1]),
+                              vel_target=np.full((1, 2), np.nan),
+                              subject_id=np.array(["stream"], dtype=object))
 
-    def _emit(self) -> Decision:
-        w = dataio.normalize([self._window()], self.stats)
+    def _emit(self, n_missing: int) -> Decision:
+        w = dataio.normalize(self._window(), self.stats)
         probs = model.predict_proba(self.params, w.batch(self.params.config.streams))[0]
-        label = dataio.LABELS[int(probs.argmax())]
-        return Decision(t_end=float(w.t_end[0]), label=label, p_reading=float(probs[0]))
+        return Decision(t_end=float(w.t_end[0]), label=dataio.LABELS[int(probs.argmax())],
+                        p_reading=float(probs[0]), n_missing=n_missing,
+                        open_gap=self.has_open_gap())

@@ -407,6 +407,24 @@ class TestInfer:
         assert set(first) == {"t", "label", "p_reading"}
         assert first["label"] in dataio.LABELS
 
+    def test_silent_push_counts_on_stderr(self, workspace, capsys):
+        _, data, ckpt = workspace
+        session_path = data / "S00_text.session"
+        stride = 6
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(session_path),
+                         "--stride", str(stride), "--eye", "left"]) == 0
+        captured = capsys.readouterr()
+        n = sum(1 for l in captured.out.splitlines() if l.startswith("{"))
+        err = captured.err.splitlines()
+        assert f"emitted {n} decisions" in err
+        counts = json.loads(err[-1])
+        pushes = len(dataio.parse_session(session_path).gaze)
+        points = (pushes - dataio.WINDOW_LEN) // stride + 1
+        assert counts == {"pushes": pushes, "decisions": n,
+                          "silent": {"warmup": dataio.WINDOW_LEN - 1,
+                                     "stride": pushes - dataio.WINDOW_LEN + 1 - points,
+                                     "missing": points - n}}
+
     def test_session_on_another_screen_exits_3(self, workspace, tmp_path, capsys):
         # the checkpoint's stats were made on 1920 x 1080 sessions
         _, data, ckpt = workspace

@@ -199,6 +199,45 @@ class TestLastRowForward:
         np.testing.assert_allclose(model.forward(p, batch).data, want, atol=1e-10, rtol=0)
 
 
+class TestTapeSize:
+    """Tape nodes of a default classifier step, pinned so that the tape
+    cannot silently grow back: 7 per stream encoder (3 conv1d, 3 relu, one
+    swapaxes), 9 per attention block (4 linear, 3 head splits, attention,
+    one head merge), 27 for cross_fuse, 51 for the transformer (16 per
+    layer, the positions and the last layer's two row selections), 2 for
+    the head and 7 for the weighted cross entropy."""
+
+    STEP_NODES = 101
+
+    def test_taped_step_records_pinned_node_count(self):
+        from gazeintent.numerics import Tape, weighted_cross_entropy
+
+        recorded = []
+
+        class CountingTape(Tape):
+            def record(self, node):
+                recorded.append(node)
+                super().record(node)
+
+        p = model.init_params(model.ModelConfig(), 0)
+        batch = rand_batch(p.config, n=3)
+        with CountingTape():
+            weighted_cross_entropy(model.forward(p, batch), np.array([0, 1, 1]),
+                                   Tensor(np.ones(2)))
+        assert len(recorded) == self.STEP_NODES
+
+    def test_untaped_b1_forward_records_nothing(self, monkeypatch):
+        from gazeintent.numerics import Tape
+
+        def record(self, node):
+            raise AssertionError("an untaped forward recorded an op")
+
+        monkeypatch.setattr(Tape, "record", record)
+        p = model.init_params(model.ModelConfig(), 0)
+        out = model.forward(p, rand_batch(p.config, n=1))
+        assert out.shape == (1, 2) and out._node is None and not out.requires_grad
+
+
 class TestGradients:
     def test_classifier_loss_gradcheck(self):
         from gazeintent.numerics import weighted_cross_entropy

@@ -23,9 +23,11 @@ from gazeintent.numerics import (
     finite_difference_check,
     layer_norm,
     linear,
+    merge_heads,
     mse_loss,
     scaled_dot_attention,
     softmax_lastaxis,
+    split_heads,
     weighted_cross_entropy,
     zero_grads,
 )
@@ -84,6 +86,59 @@ def conv1d_reference(x, w, b):
     for k in range(K):
         out = out + w[:, :, k] @ xp[:, :, k:k + T]
     return out
+
+
+def conv1d_per_tap(x, w, b):
+    """conv1d as one tape op whose im2col matrix is filled one tap at a
+    time, zeroing each tap's out-of-range rows: the same matrix, GEMMs and
+    col2im order as the strided gather, so every bit must agree."""
+    B, c_in, T = x.shape
+    c_out, _, K = w.shape
+    pad = (K - 1) // 2
+    taps = []
+    for k in range(K):
+        lo = min(T, max(0, pad - k))
+        taps.append((k, lo, max(lo, min(T, T + pad - k))))
+    xt = x.data.transpose(0, 2, 1)
+    cols = np.empty((B, T, K, c_in), dtype=x.dtype)
+    for k, lo, hi in taps:
+        cols[:, :lo, k] = 0.0
+        cols[:, hi:, k] = 0.0
+        cols[:, lo:hi, k] = xt[:, lo + k - pad:hi + k - pad]
+    cols = cols.reshape(B * T, K * c_in)
+    wm = w.data.transpose(0, 2, 1).reshape(c_out, K * c_in)
+    out = cols @ wm.T
+    out += b.data
+
+    def backward(g):
+        g2 = g.transpose(0, 2, 1).reshape(B * T, c_out)
+        gcols = (g2 @ wm).reshape(B, T, K, c_in)
+        gxt = gcols[:, :, pad].copy()
+        for k, lo, hi in taps:
+            if k != pad:
+                gxt[:, lo + k - pad:hi + k - pad] += gcols[:, lo:hi, k]
+        gw = np.ascontiguousarray((g2.T @ cols).reshape(c_out, K, c_in).transpose(0, 2, 1))
+        return [gxt.transpose(0, 2, 1), gw, np.einsum("ni->i", g2)]
+
+    return Tensor._result(out.reshape(B, T, c_out).transpose(0, 2, 1), (x, w, b), backward)
+
+
+def assert_same_bits(op, reference, inputs):
+    """op and reference give bit-identical outputs and input gradients
+    (under a probe of the inputs' own dtype)."""
+    probe = np.random.default_rng(3).normal(size=op(*inputs).shape).astype(inputs[0].dtype)
+    results = []
+    for fn in (op, reference):
+        for t in inputs:
+            t.grad = None
+        with Tape() as tape:
+            out = fn(*inputs)
+            loss = (out * Tensor(probe)).sum()
+        backward(loss, tape, params=inputs)
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def layer_norm_reference(x, gamma, beta, eps=1e-5):
@@ -179,6 +234,15 @@ class TestConv1d:
     def test_matches_composite_reference(self, K, T):
         x, w, b = leaves(K + T, np.float64, (3, 2, T), (4, 2, K), (4,))
         assert_matches_reference(conv1d, conv1d_reference, [x, w, b])
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("K,T", [(K, T) for K in (1, 3, 5)
+                                     for T in sorted({1, 2, K - 1, 24}) if T >= 1])
+    def test_strided_gather_matches_per_tap_loop_bitwise(self, K, T, B, dtype):
+        x, w, b = leaves(K * 100 + T * 10 + B, dtype, (B, 3, T), (4, 3, K), (4,))
+        assert_same_bits(conv1d, conv1d_per_tap, [x, w, b])
 
 
 class TestLinear:
@@ -340,6 +404,71 @@ class TestAttention:
         (x,) = leaves(3, np.float64, kv_shape)
         assert_matches_reference(lambda x: scaled_dot_attention(x, x, x),
                                  lambda x: attention_reference(x, x, x), [x])
+
+
+class TestHeads:
+    """Attention heads split and merged as one tape op each."""
+
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    def test_split_gradient(self, dtype, tol):
+        x, = leaves(11, dtype, (2, 5, 12))
+        assert probe_gradcheck(lambda x: split_heads(x, 3), [x], dtype) <= tol
+
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    def test_merge_gradient(self, dtype, tol):
+        h, = leaves(12, dtype, (2, 3, 5, 4))
+        assert probe_gradcheck(merge_heads, [h], dtype) <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_matches_reshape_swapaxes_bitwise(self, dtype):
+        x, = leaves(13, dtype, (2, 5, 12))
+        assert split_heads(x, 3).shape == (2, 3, 5, 4)
+        assert split_heads(x, 3).data.flags.c_contiguous
+        assert_same_bits(lambda x: split_heads(x, 3),
+                         lambda x: x.reshape(2, 5, 3, 4).swapaxes(1, 2), [x])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_merge_matches_swapaxes_reshape_bitwise(self, dtype):
+        h, = leaves(14, dtype, (2, 3, 5, 4))
+        assert merge_heads(h).shape == (2, 5, 12)
+        assert_same_bits(merge_heads, lambda h: h.swapaxes(1, 2).reshape(2, 5, 12), [h])
+
+    def test_merge_inverts_split(self):
+        x, = leaves(15, np.float32, (1, 24, 64))
+        np.testing.assert_array_equal(merge_heads(split_heads(x, 4)).data, x.data)
+
+
+class TestSumGradients:
+    """`+` and `-` compute no gradient for a parent that requires none."""
+
+    def _grads(self, op, a, b):
+        with Tape():
+            out = op(a, b)
+        return out._node.backward(np.ones(out.shape, dtype=out.dtype))
+
+    def test_add_skips_constant_parent(self):
+        h, = leaves(16, np.float32, (3, 24, 8))
+        pos = Tensor(np.ones((24, 8), np.float32))
+        gh, gpos = self._grads(lambda a, b: a + b, h, pos)
+        assert gh.shape == (3, 24, 8) and gpos is None
+        gpos, gh = self._grads(lambda a, b: a + b, pos, h)
+        assert gpos is None and gh.shape == (3, 24, 8)
+
+    def test_sub_skips_constant_parent(self):
+        pred, = leaves(17, np.float32, (4, 2))
+        target = Tensor(np.zeros((4, 2), np.float32))
+        gp, gt = self._grads(lambda a, b: a - b, pred, target)
+        np.testing.assert_array_equal(gp, np.ones((4, 2)))
+        assert gt is None
+        gt, gp = self._grads(lambda a, b: a - b, target, pred)
+        assert gt is None
+        np.testing.assert_array_equal(gp, -np.ones((4, 2)))
+
+    def test_both_parents_still_get_gradients(self):
+        a, b = leaves(18, np.float64, (3, 4), (4,))
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            assert finite_difference_check(lambda: (op(a, b) * op(a, b)).sum(), [a, b],
+                                            n_coords=16) <= 1e-5
 
 
 class TestLosses:

@@ -51,6 +51,37 @@ class TestWarmup:
         assert d.t_end == pytest.approx(23 / 120)
 
 
+class TestDiagnostics:
+    def test_decision_reports_missing_and_open_gap(self, trained):
+        params, stats, _, _ = trained
+        engine = stream.StreamingEngine(params, stats, 2.0, stride=1)
+        for i in range(21):
+            d = engine.push(clean_sample(i))
+        for i in range(21, 24):
+            d = engine.push(missing_sample(i))
+        assert (d.n_missing, d.open_gap) == (3, True)
+        d = engine.push(clean_sample(24))
+        assert (d.n_missing, d.open_gap) == (3, False)
+        for i in range(25, 49):
+            d = engine.push(clean_sample(i))
+        assert (d.n_missing, d.open_gap) == (0, False)
+
+    def test_silent_pushes_counted_by_reason(self, trained):
+        params, stats, _, _ = trained
+        engine = stream.StreamingEngine(params, stats, 2.0, stride=6)
+        assert engine.silent_counts() == {"warmup": 0, "stride": 0, "missing": 0}
+        decided = 0
+        for i in range(60):
+            # the windows ending at samples 47 and 53 miss more than half
+            s = missing_sample(i) if 30 <= i < 43 else clean_sample(i)
+            decided += engine.push(s) is not None
+        # emission points at 23, 29, ..., 59: seven, two of them silent
+        assert decided == 5
+        assert engine.silent_counts() == {"warmup": 23, "stride": 30, "missing": 2}
+        engine.reset()
+        assert engine.silent_counts() == {"warmup": 0, "stride": 0, "missing": 0}
+
+
 class TestMissingness:
     def test_half_missing_emits_more_suppresses(self, trained):
         params, stats, _, _ = trained
@@ -81,7 +112,7 @@ class TestMissingness:
             engine.push(missing_sample(i))
         engine.push(clean_sample(14, x=200.0))
         # samples 10-13 sit at positions 19-22 of the window ending at sample 14
-        np.testing.assert_allclose(engine._window().g[0, 19:23],
+        np.testing.assert_allclose(engine._window()[0].g[0, 19:23],
                                    [120.0, 140.0, 160.0, 180.0])
 
 
@@ -120,7 +151,7 @@ class TestBatchEquivalence:
             engine.push(clean_sample(i, x=100.0 + i))
         engine.push(missing_sample(23))
         assert engine.has_open_gap()
-        assert engine._window().g[0, 23] == 122.0  # last valid x
+        assert engine._window()[0].g[0, 23] == 122.0  # last valid x
 
 
 @st.composite
@@ -182,7 +213,7 @@ class TestOnePath:
                 last_valid, last_idx = xy, i
             if engine.push(s) is None:
                 continue
-            w = engine._window()
+            w = engine._window()[0]
             emitted.append(w.t_end)
             if engine.has_open_gap():
                 gap = i - last_idx
