@@ -660,8 +660,13 @@ def interpolate_missing(values: np.ndarray, pos: np.ndarray | None = None):
 def compensate(g: np.ndarray, view: np.ndarray, magnification: float,
                screen_w: float, screen_h: float) -> np.ndarray:
     """Vectorized `remap_to_screen`: gaze rows (x, y) with viewport rows
-    (vx, vy) back into content coordinates, clamped to the screen."""
-    return np.clip(view + g / magnification, 0.0, [[screen_w], [screen_h]])
+    (vx, vy) back into content coordinates, clamped to the screen. The
+    clamp gives `np.clip`'s bytes without its Python wrapper, NaN and
+    infinities included; a clamped -0.0 becomes +0.0 at every size, where
+    `np.clip` keeps it beyond 8,192 elements."""
+    bounds = np.empty((2, 1))
+    bounds[0], bounds[1] = screen_w, screen_h
+    return np.minimum(np.maximum(view + g / magnification, 0.0), bounds)
 
 
 def remap_to_screen(px: float, py: float, vx: float, vy: float, meta: SessionMeta):

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gazeintent import dataio, model, train
+from gazeintent import dataio, model, shards, train
 from gazeintent.errors import ConfigError, DataError
-from gazeintent.numerics import softmax_lastaxis
+from gazeintent.numerics import Tensor, softmax_lastaxis
 
 PIPELINES = ("supervised", "semi_partial", "semi_full", "random")
 
@@ -116,10 +116,8 @@ def predict_labels(params: model.ModelParams, stats, windows):
     if params.head_kind != model.CLASSIFIER_HEAD:
         raise ConfigError("predict_labels requires the classifier head")
     windows = dataio.normalize(windows, stats)
-    x = windows.batch(params.config.streams)
-    preds = [softmax_lastaxis(train.forward_rows(params, x, slice(i, i + train.EVAL_BATCH)))
-             .data.argmax(axis=1) for i in range(0, len(windows), train.EVAL_BATCH)]
-    return np.concatenate(preds), windows.label
+    logits = Tensor(shards.forward(params, windows.batch(params.config.streams)))
+    return softmax_lastaxis(logits).data.argmax(axis=1), windows.label
 
 
 def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
@@ -127,17 +125,21 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
 
     Semi pipelines pretrain on the training subjects' unlabeled windows
     inside every fold, so the test subject never leaks into pretraining
-    or normalization statistics. A subject without labeled windows is
-    listed in `skipped` and left out of every fold. All sessions must share
-    one screen size.
+    or normalization statistics. Each subject is tested on the windows
+    that `train.collect_windows` gives a classifier of cfg.input_mode; a
+    subject without any is listed in `skipped` and left out of every fold.
+    All sessions must share one screen size.
     """
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     by_subject = train.split_by_subject(sessions)
     report = F1Report(pipeline=pipeline)
+    # every fold's model is a classifier on cfg.input_mode's streams
+    classifier = model.ModelParams(model.ModelConfig(input_mode=cfg.input_mode),
+                                   model.CLASSIFIER_HEAD)
     folds = {}
     for subject in sorted(by_subject):
-        windows = train.collect_windows(by_subject[subject], cfg, "labeled")
+        windows = train.collect_windows(by_subject[subject], cfg, classifier)
         if windows:
             folds[subject] = windows
         else:

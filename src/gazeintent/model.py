@@ -331,8 +331,11 @@ def save_checkpoint(params: ModelParams, stats, path) -> None:
 def load_checkpoint(path):
     """Returns (ModelParams, NormStats | None); bit-exact inverse of save.
 
-    A checkpoint that cannot be read or interpreted raises DataError; a
-    stored config that `ModelConfig` rejects raises ConfigError.
+    A checkpoint that cannot be read or interpreted raises DataError, and
+    so does one whose head kind is unknown, whose tensor names and shapes
+    differ from the layout `init_params` builds for its stored config and
+    head, or whose weights hold a non-finite value. A stored config that
+    `ModelConfig` rejects raises ConfigError.
     """
     path = Path(path)
     try:
@@ -346,6 +349,8 @@ def load_checkpoint(path):
         raise DataError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     try:
         params = ModelParams(ModelConfig(**manifest["config"]), manifest["head_kind"])
+        if params.head_kind not in (VELOCITY_HEAD, CLASSIFIER_HEAD):
+            raise DataError(f"{path}: unknown head kind {params.head_kind!r}")
         total = sum(e["nbytes"] for e in manifest["tensors"])
         if total != len(blob):
             raise DataError(f"{path}: weights.bin length {len(blob)} != manifest total {total}")
@@ -356,6 +361,7 @@ def load_checkpoint(path):
             data = np.frombuffer(blob, dtype="<f4", count=count,
                                  offset=e["offset"]).reshape(e["shape"]).copy()
             params.tensors[e["name"]] = Tensor(data, requires_grad=e["name"] != "pos")
+        _check_layout(params, len(blob) // 4, path)
         stats = None
         if manifest["stats"] is not None:
             stats = dataio.NormStats.from_json(manifest["stats"])
@@ -364,13 +370,30 @@ def load_checkpoint(path):
     return params, stats
 
 
+def _check_layout(params: ModelParams, n_values: int, path) -> None:
+    """DataError unless the loaded tensors have exactly the names and
+    shapes that `init_params` gives params' config and head, and only
+    finite values. The stored values are counted first, so a config that
+    asks for more than the file holds is rejected before anything that
+    size is built."""
+    cfg = params.config
+    need = param_count(cfg) + cfg.window * cfg.d_model   # learnable + positional table
+    if need != n_values:
+        raise DataError(f"{path}: weights.bin holds {n_values} values, its config needs {need}")
+    want = {k: t.data.shape for k, t in init_params(cfg, 0, params.head_kind).tensors.items()}
+    got = {k: t.data.shape for k, t in params.tensors.items()}
+    if got != want:
+        bad = sorted((k for k in want.keys() | got.keys() if got.get(k) != want.get(k)), key=str)
+        raise DataError(f"{path}: tensors {bad} do not match the layout of the stored config")
+    bad = [k for k, t in params.tensors.items() if not np.isfinite(t.data).all()]
+    if bad:
+        raise DataError(f"{path}: tensors {sorted(bad)} hold non-finite values")
+
+
 def reinit_head(params: ModelParams, head_seed: int) -> ModelParams:
     """Copy of `params` keeping the backbone, with a freshly initialized
-    classifier head. Backbone shapes must match the stored config."""
+    classifier head."""
     fresh = init_params(params.config, head_seed, head_kind=CLASSIFIER_HEAD)
-    for name in params.backbone_names():
-        if name not in fresh.tensors or fresh.tensors[name].shape != params.tensors[name].shape:
-            raise DataError(f"checkpoint backbone tensor {name} does not match config")
     out = params.copy()
     for name in ("head.w", "head.b"):
         out.tensors[name] = fresh.tensors[name]

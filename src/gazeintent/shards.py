@@ -44,7 +44,7 @@ from gazeintent import model
 from gazeintent.errors import GazeIntentError
 from gazeintent.numerics import Tape, Tensor, backward as tape_backward
 
-SHARD_ROWS = 128  # rows per shard; fixes the bytes like train.EVAL_BATCH does
+SHARD_ROWS = 128  # rows per shard: the only cut of a batch's rows, so it fixes the bytes
 POLL_S = 0.5      # how often a waiting caller checks that its helper is alive
 
 _HELPERS: list = []

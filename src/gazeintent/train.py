@@ -2,9 +2,10 @@
 partial or full fine-tuning for intent classification, plus the purely
 supervised baseline and the input-ablation configurations.
 
-`stage_windows` alone maps a stage to its windows, and every stage runs
-the one `_train_loop`: a stage hands it model inputs, targets and a
-loss, and the loop gathers batches, validates and stops early.
+`collect_windows` alone picks the windows a model reads, for training,
+validation and LOSO testing alike, and every stage runs the one
+`_train_loop`: a stage hands it model inputs, targets and a loss, and the
+loop gathers batches, validates and stops early.
 """
 
 from __future__ import annotations
@@ -97,10 +98,19 @@ def split_train_val(sessions, cfg: TrainConfig):
     return [s for s in sessions if s.meta.subject_id != val_subject], by_subject[val_subject]
 
 
-def collect_windows(sessions, cfg: TrainConfig, mode: str,
-                    with_mouse: bool = False) -> dataio.Windows:
-    return dataio.Windows.concat([dataio.windowize(s, cfg.stride, mode, with_mouse=with_mouse)
-                                  for s in sessions])
+HEAD_WINDOWS = {model.VELOCITY_HEAD: "pretext", model.CLASSIFIER_HEAD: "labeled"}
+
+
+def collect_windows(sessions, cfg: TrainConfig, params: model.ModelParams) -> dataio.Windows:
+    """The windows of `sessions` that `params` reads, unnormalized:
+    pretext windows for a velocity head, labeled windows for a classifier
+    head, with mouse positions when the model's streams hold "m". Only
+    `params`' config and head kind are read, so a model may be described
+    without tensors."""
+    with_mouse = "m" in params.config.streams
+    return dataio.Windows.concat([
+        dataio.windowize(s, cfg.stride, HEAD_WINDOWS[params.head_kind], with_mouse=with_mouse)
+        for s in sessions])
 
 
 def _subsample_labels(windows: dataio.Windows, fraction: float, seed: int) -> dataio.Windows:
@@ -113,17 +123,12 @@ def _subsample_labels(windows: dataio.Windows, fraction: float, seed: int) -> da
 
 def stage_windows(sessions, cfg: TrainConfig, params: model.ModelParams):
     """(training windows, validation windows) of the stage that trains
-    `params`, unnormalized and before label subsampling: pretext windows
-    for a velocity head, labeled windows for a classifier head, with mouse
-    positions when the model's streams hold "m". An empty split raises
-    DataError."""
-    mode = "pretext" if params.head_kind == model.VELOCITY_HEAD else "labeled"
-    with_mouse = "m" in params.config.streams
-    splits = [collect_windows(split, cfg, mode, with_mouse)
-              for split in split_train_val(sessions, cfg)]
+    `params` (`collect_windows` of each split), before label subsampling.
+    An empty split raises DataError."""
+    splits = [collect_windows(split, cfg, params) for split in split_train_val(sessions, cfg)]
     for name, windows in zip(("training", "validation"), splits):
         if not windows:
-            raise DataError(f"no {mode} windows in the {name} split")
+            raise DataError(f"no {HEAD_WINDOWS[params.head_kind]} windows in the {name} split")
     return splits
 
 
@@ -155,14 +160,6 @@ class History(list):
 # ---------------------------------------------------------------------------
 # generic loop
 
-EVAL_BATCH = 512  # rows per untaped forward in validation and `evaluate.predict_labels`
-
-
-def forward_rows(params: model.ModelParams, x: dict, sl: slice) -> Tensor:
-    """Untaped forward output of rows `sl` of `x`, run in `shards`."""
-    return Tensor(shards.forward(params, {k: v[sl] for k, v in x.items()}))
-
-
 def _epoch_batches(n: int, batch_size: int, rng) -> list:
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
@@ -177,12 +174,13 @@ def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_tra
     forward output. Each step gathers a shuffled batch of rows and runs it
     through `shards.step` (forward and backward on every core, one loss on
     the whole batch's output) before the Adam update; each epoch ends with
-    an untaped validation pass in EVAL_BATCH slices, also sharded, which
-    records `val_acc` when the targets are class ids. Only the tensors in
-    `trainable_names` require gradients while the loop runs, so the tape
-    records no backward work for frozen ones. Steps and validation run
-    with numpy's overflow, invalid and divide warnings off; an epoch whose
-    train or validation loss is not finite raises ConfigError instead.
+    one untaped, sharded forward of the whole validation split and one
+    loss on its output, plus `val_acc` when the targets are class ids.
+    Only the tensors in `trainable_names` require gradients while the loop
+    runs, so the tape records no backward work for frozen ones. Steps and
+    validation run with numpy's overflow, invalid and divide warnings off;
+    an epoch whose train or validation loss is not finite raises
+    ConfigError instead.
     Returns (best_params, history)."""
     trainable = {k: params.tensors[k] for k in trainable_names}
     frozen = [k for k, t in params.tensors.items() if k not in trainable and t.requires_grad]
@@ -205,17 +203,12 @@ def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_tra
                     adam_step(trainable, collect_grads(trainable), state,
                               lr=cfg.lr, weight_decay=cfg.weight_decay)
                     losses.append(loss.item())
-                total, hits = 0.0, 0
-                for i in range(0, len(y_val), EVAL_BATCH):
-                    sl = slice(i, i + EVAL_BATCH)
-                    out = forward_rows(params, x_val, sl)
-                    total += loss_fn(out, y_val[sl]).item() * len(y_val[sl])
-                    if classify:
-                        hits += int((softmax_lastaxis(out).data.argmax(axis=1) == y_val[sl]).sum())
+                out = Tensor(shards.forward(params, x_val))
                 entry = {"stage": stage, "epoch": epoch, "train_loss": float(np.mean(losses)),
-                         "val_loss": total / len(y_val)}
+                         "val_loss": loss_fn(out, y_val).item()}
                 if classify:
-                    entry["val_acc"] = hits / len(y_val)
+                    hits = softmax_lastaxis(out).data.argmax(axis=1) == y_val
+                    entry["val_acc"] = int(hits.sum()) / len(y_val)
                 if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
                     raise ConfigError(f"{stage} stage diverged in epoch {epoch} at lr {cfg.lr}: "
                                       f"train_loss {entry['train_loss']}, "

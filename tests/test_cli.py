@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gazeintent import cli, dataio, model, shards, synth, train
 from gazeintent.errors import ConfigError
+from test_model import edit_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +114,8 @@ class TestTrain:
         _, data, _ = workspace
         calls = []
         collect = train.collect_windows
-        monkeypatch.setattr(train, "collect_windows",
-                            lambda *a, **k: calls.append(a[2]) or collect(*a, **k))
+        monkeypatch.setattr(train, "collect_windows", lambda sessions, cfg, params: calls.append(
+            train.HEAD_WINDOWS[params.head_kind]) or collect(sessions, cfg, params))
         assert cli.main(["train", "--mode", mode, "--data", str(data),
                          "--out", str(tmp_path / "run"), "--stride", "12",
                          "--max-epochs", "1", "--task", "text"]) == 0
@@ -159,6 +160,21 @@ class TestEval:
         assert [f["subject"] for f in doc["folds"]] == ["S00", "S01", "S02"]
         assert "config_hash" in doc and "input_checksums" in doc
         assert set(doc["mean"]) == {"f1_reading", "f1_scanning", "f1_overall"}
+
+    @pytest.mark.parametrize("pipeline,code", [("supervised", 0), ("random", 0),
+                                               ("semi_full", 2)])
+    def test_mouse_only_eval(self, workspace, tmp_path, capsys, pipeline, code):
+        # a mouse input mode trains and tests on mouse windows; pretraining
+        # predicts mouse velocity, so a semi pipeline refuses it
+        _, data, _ = workspace
+        out = tmp_path / "report.json"
+        assert cli.main(["eval", "--pipeline", pipeline, "--input-mode", "mouse_only",
+                         "--data", str(data), "--out", str(out), "--task", "text",
+                         "--stride", "24", "--max-epochs", "1"]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 0:
+            assert [f["subject"] for f in json.loads(out.read_text())["folds"]] == \
+                ["S00", "S01", "S02"]
 
 
 def option_strings(command):
@@ -556,6 +572,20 @@ class TestInfer:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xc3\x28,1\n")))
         assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-"]) == 3
         assert "cannot read feed -" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["drop", "transpose", "nan"])
+    def test_unusable_checkpoint_exits_3(self, workspace, tmp_path, capsys, edit):
+        _, data, ckpt = workspace
+        bad = tmp_path / "ckpt"
+        shutil.copytree(ckpt, bad)
+        edit_checkpoint(bad, edit)
+        assert cli.main(["infer", "--ckpt", str(bad), "--input",
+                         str(data / "S00_text.session"), "--eye", "left"]) == 3
+        assert cli.main(["train", "--mode", "finetune", "--from", str(bad), "--data", str(data),
+                         "--out", str(tmp_path / "run"), "--stride", "24",
+                         "--max-epochs", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and "p_reading" not in out
 
     def test_malformed_checkpoint_manifest(self, workspace, tmp_path, monkeypatch):
         _, _, ckpt = workspace

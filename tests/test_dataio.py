@@ -267,6 +267,35 @@ class TestRemap:
         cx, cy = dataio.remap_to_screen(p[0], p[1], view[0], view[1], meta)
         assert (cx, cy) == pytest.approx(content)
 
+    def test_compensate_bytes_equal_np_clip(self):
+        # 5,000 columns: every pair of special gaze and viewport values
+        # (NaN, +-inf, -0.0, 0.0, the screen edge), then random values
+        # with specials sprinkled in; the same bytes as np.clip, but for
+        # the sign of a clamped -0.0
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1080.0])
+        rng = np.random.default_rng(11)
+        g = rng.normal(900.0, 1500.0, size=(2, 5000))
+        view = rng.normal(0.0, 600.0, size=(2, 5000))
+        pairs = special.size ** 2
+        g[:, :pairs] = np.repeat(special, special.size)
+        view[:, :pairs] = np.tile(special, special.size)
+        for a in (g, view):
+            hit = rng.random(a.shape) < 0.05
+            a[hit] = rng.choice(special, size=int(hit.sum()))
+        with np.errstate(invalid="ignore"):   # inf - inf
+            clamped = view + g / 1.0
+            got = dataio.compensate(g, view, 1.0, 1920.0, 1080.0)
+        assert np.isnan(clamped).any() and (np.signbit(clamped) & (clamped == 0)).any()
+        want = np.clip(clamped, 0.0, [[1920.0], [1080.0]])
+        # np.clip clamps -0.0 to +0.0 up to 8,192 elements and keeps -0.0
+        # beyond; compensate gives +0.0 at every size
+        assert (np.signbit(want) & (want == 0)).any()
+        want[want == 0] = 0.0
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for n in (dataio.WINDOW_LEN, 5000):
+            zeros = np.full((2, n), -0.0)
+            assert not np.signbit(dataio.compensate(zeros, zeros, 2.0, 1920.0, 1080.0)).any()
+
 
 class TestMouseVelocity:
     def test_linear_motion_exact(self):

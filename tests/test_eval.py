@@ -162,6 +162,20 @@ class TestLoso:
         with pytest.raises(DataError, match="screen size"):
             evaluate.loso_evaluate(mixed, "supervised", train.TrainConfig())
 
+    @pytest.mark.parametrize("pipeline", ["supervised", "random"])
+    @pytest.mark.parametrize("input_mode", ["mouse_gaze_comp", "mouse_only"])
+    def test_mouse_modes_test_on_mouse_windows(self, sessions, monkeypatch, pipeline,
+                                               input_mode):
+        tested = []
+        predict = evaluate.predict_labels
+        monkeypatch.setattr(evaluate, "predict_labels", lambda params, stats, windows: (
+            tested.append(windows) or predict(params, stats, windows)))
+        cfg = train.TrainConfig(stride=24, batch_size=128, max_epochs=1, input_mode=input_mode)
+        rep = evaluate.loso_evaluate(sessions, pipeline, cfg)
+        assert [f.subject for f in rep.folds] == ["S00", "S01", "S02"]
+        assert [f.n_windows for f in rep.folds] == [len(w) for w in tested]
+        assert all(w.m is not None and w.m.shape == w.g.shape for w in tested)
+
     def test_random_pipeline_differs_from_supervised(self, sessions, report):
         cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)
         rnd = evaluate.loso_evaluate(sessions, "random", cfg)
@@ -175,7 +189,7 @@ class TestPredictLabels:
     def test_gold_labels_passed_through(self, sessions):
         cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)
         params, stats, _ = train.supervised_train(sessions, cfg)
-        wins = train.collect_windows(sessions[:1], cfg, "labeled")
+        wins = train.collect_windows(sessions[:1], cfg, params)
         pred, gold = evaluate.predict_labels(params, stats, wins)
         assert pred.shape == gold.shape == (len(wins),)
         np.testing.assert_array_equal(gold, [w.label for w in wins])

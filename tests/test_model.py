@@ -23,6 +23,27 @@ def rand_batch(cfg, n=2, seed=0, dtype=np.float32):
             for s in cfg.streams}
 
 
+def edit_checkpoint(path, edit: str) -> None:
+    """Leave checkpoint `path` readable but unusable: "drop" removes
+    tf0.attn.wq and its bytes, "transpose" reverses the stored shape of
+    fusion.w, "nan" makes the first stored value NaN."""
+    doc = json.loads((path / "manifest.json").read_text())
+    blob = bytearray((path / "weights.bin").read_bytes())
+    if edit == "drop":
+        gone = next(e for e in doc["tensors"] if e["name"] == "tf0.attn.wq")
+        del blob[gone["offset"]:gone["offset"] + gone["nbytes"]]
+        doc["tensors"].remove(gone)
+        for e in doc["tensors"]:
+            e["offset"] -= gone["nbytes"] if e["offset"] > gone["offset"] else 0
+    elif edit == "transpose":
+        e = next(e for e in doc["tensors"] if e["name"] == "fusion.w")
+        e["shape"] = e["shape"][::-1]
+    else:
+        blob[:4] = np.float32(np.nan).tobytes()
+    (path / "manifest.json").write_text(json.dumps(doc))
+    (path / "weights.bin").write_bytes(bytes(blob))
+
+
 class TestInit:
     def test_deterministic(self):
         a = model.init_params(model.ModelConfig(), seed=3)
@@ -335,6 +356,28 @@ class TestCheckpoints:
         with pytest.raises(DataError):
             model.load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("edit,match", [("drop", "holds"), ("transpose", "fusion.w"),
+                                            ("nan", "non-finite")])
+    def test_unusable_checkpoint_rejected(self, tmp_path, edit, match):
+        model.save_checkpoint(model.init_params(model.ModelConfig(), seed=0), None,
+                              tmp_path / "ckpt")
+        edit_checkpoint(tmp_path / "ckpt", edit)
+        with pytest.raises(DataError, match=match):
+            model.load_checkpoint(tmp_path / "ckpt")
+
+    def test_unknown_head_kind_rejected(self, tmp_path):
+        ckpt = self._edit_manifest(tmp_path, lambda d: json.dumps({**d, "head_kind": "ranker"}))
+        with pytest.raises(DataError, match="unknown head kind"):
+            model.load_checkpoint(ckpt)
+
+    def test_config_larger_than_weights_rejected(self, tmp_path):
+        # about 10^13 values asked for: rejected before a layout that size is built
+        big = {"d_model": 10 ** 6, "ffn_hidden": 10 ** 6}
+        ckpt = self._edit_manifest(
+            tmp_path, lambda d: json.dumps({**d, "config": {**d["config"], **big}}))
+        with pytest.raises(DataError, match="weights.bin holds"):
+            model.load_checkpoint(ckpt)
+
     def test_invalid_config_rejected(self, tmp_path):
         ckpt = self._edit_manifest(
             tmp_path, lambda d: json.dumps({**d, "config": {**d["config"], "n_heads": 3}}))
@@ -400,9 +443,13 @@ class TestCheckpointFuzz:
         (path / "manifest.json").write_bytes(manifest)
         (path / "weights.bin").write_bytes(blob)
         try:
-            _, stats = model.load_checkpoint(path)
+            params, stats = model.load_checkpoint(path)
         except (DataError, ConfigError):
             return
+        layout = model.init_params(params.config, 0, params.head_kind).tensors
+        assert {k: t.shape for k, t in params.tensors.items()} == \
+            {k: t.shape for k, t in layout.items()}
+        assert all(np.isfinite(t.data).all() for t in params.tensors.values())
         if stats is None:
             return
         assert stats.screen_w > 0 and stats.screen_h > 0

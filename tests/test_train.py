@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from gazeintent import dataio, model, synth, train
+from gazeintent import dataio, model, shards, synth, train
 from gazeintent.errors import ConfigError, DataError
 from gazeintent.numerics import (AdamState, Tape, Tensor, adam_step, backward,
                                  collect_grads, mse_loss, weighted_cross_entropy)
@@ -124,8 +124,9 @@ def test_step_functions_called_through_train_module(sessions, monkeypatch, stage
             return _fn(*args, **kwargs)
         monkeypatch.setattr(train, name, counted)
     cfg = quick_cfg(max_epochs=1, batch_size=64)
-    getattr(train, stage)(sessions, cfg)
-    n = len(train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, mode))
+    params, _, _ = getattr(train, stage)(sessions, cfg)
+    assert train.HEAD_WINDOWS[params.head_kind] == mode
+    n = len(train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, params))
     assert calls == dict.fromkeys(("zero_grads", "backward", "adam_step"), -(-n // 64))
     assert -(-n // 64) > 1
 
@@ -143,7 +144,9 @@ class TestStageWindows:
         with_mouse = "m" in mcfg.streams
         got = train.stage_windows(sessions, cfg, params)
         for windows, split in zip(got, train.split_train_val(sessions, cfg)):
-            want = train.collect_windows(split, cfg, mode, with_mouse)
+            want = dataio.Windows.concat([dataio.windowize(s, cfg.stride, mode,
+                                                           with_mouse=with_mouse)
+                                          for s in split])
             assert windows.counts == want.counts and len(windows) == len(want) > 0
             assert (windows.m is not None) == with_mouse
             assert (windows.label >= 0).all() == (mode == "labeled")
@@ -204,6 +207,30 @@ def test_early_stopping_returns_best_epoch():
     assert best.checksum() == after_epoch[0] != params.checksum()
 
 
+@pytest.mark.parametrize("head", [model.CLASSIFIER_HEAD, model.VELOCITY_HEAD])
+def test_val_loss_is_the_loss_of_the_whole_split(head):
+    # 1,200 validation rows, the first 512 mostly reading and the rest mostly
+    # scanning, scored by class weights of a 3:1 training split: a loss
+    # averaged over row slices would weight the classes differently
+    cfg = quick_cfg(max_epochs=1, batch_size=64)
+    params = model.init_params(model.ModelConfig(input_mode="gaze_only"), 0, head_kind=head)
+    rng = np.random.default_rng(7)
+    x_train = {"g": rng.normal(size=(64, 2, dataio.WINDOW_LEN))}
+    x_val = {"g": rng.normal(size=(1200, 2, dataio.WINDOW_LEN))}
+    if head == model.CLASSIFIER_HEAD:
+        y_train = (np.arange(64) % 4 == 0).astype(np.int64)
+        y_val = np.r_[np.arange(512) % 8 == 0, np.arange(688) % 8 != 0].astype(np.int64)
+        weights = Tensor(train.compute_class_weights(y_train))
+        stage, loss_fn = "supervised", lambda out, y: weighted_cross_entropy(out, y, weights)
+    else:
+        y_train, y_val = (rng.normal(size=(n, 2)).astype(np.float32) for n in (64, 1200))
+        stage, loss_fn = "pretext", lambda out, v: mse_loss(out, Tensor(v))
+    best, history = train._train_loop(params, params.learnable_names(), x_train, y_train,
+                                      x_val, y_val, loss_fn, cfg, stage)
+    whole = Tensor(shards.forward(best, x_val))
+    assert history[0]["val_loss"] == loss_fn(whole, y_val).item()
+
+
 class TestSupervised:
     def test_loss_decreases(self, sessions):
         _, _, history = train.supervised_train(sessions, quick_cfg(max_epochs=4))
@@ -225,12 +252,11 @@ class TestSupervised:
 
     def test_stats_come_from_training_split_only(self, sessions):
         cfg = quick_cfg(max_epochs=1)
-        _, stats, _ = train.supervised_train(sessions, cfg)
+        params, stats, _ = train.supervised_train(sessions, cfg)
         val_subject = train._pick_val_subject(train.split_by_subject(sessions),
                                               cfg.val_subject_index)
         train_w = train.collect_windows(
-            [s for s in sessions if s.meta.subject_id != val_subject],
-            cfg, "labeled")
+            [s for s in sessions if s.meta.subject_id != val_subject], cfg, params)
         expected = dataio.compute_stats(train_w, sessions[0].meta)
         for key in expected.channels:
             np.testing.assert_array_equal(stats.channels[key][0],
