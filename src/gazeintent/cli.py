@@ -3,7 +3,7 @@
 inference.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
-4 internal invariant violation.
+4 internal fault: a broken invariant or any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
         return 3
     except GazeIntentError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:  # a fault of the program, not of its input or config
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
 
 

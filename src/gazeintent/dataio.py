@@ -8,8 +8,10 @@ fields. Floats are serialized with 9 significant digits.
 A parsed `Session` stores its gaze and mouse records as float64 columns
 (`GazeColumns`: t, lx, ly, rx, ry, vx, vy with NaN for a missing eye
 coordinate; `MouseColumns`: t, mx, my) and its label intervals as a short
-list. `parse_session` builds each section's columns in one pass and checks
-every row at once on them; when a check fails, the row parser
+list. `parse_session` builds each section's columns in fixed PARSE_ROWS
+chunks, one `float` per field, so a long session never holds all of its
+fields as Python objects at once. It checks every row at once on the
+columns; when a check fails, the row parser
 (`parse_gaze_row`, `check_row`) is run on the first failing row, so the
 error is the `path:line: message` that row alone would give.
 
@@ -41,6 +43,7 @@ MOUSE_RATE = 10
 WINDOW_LEN = 24
 WINDOW_SPAN_S = 0.2
 MAX_MISSING = WINDOW_LEN // 2  # strictly more than this -> window excluded
+PARSE_ROWS = 2048  # rows per `float` conversion pass of a section: bounds the parse's working set
 
 GAZE_HEADER = "t,lx,ly,rx,ry,vx,vy"
 MOUSE_HEADER = "t,mx,my"
@@ -498,26 +501,34 @@ def _numbers(rows: list, width: int):
     """The rows' fields through `float`, as an (n, width) array with NaN for
     an empty field, and the mask of empty fields. Parsing stops before the
     first row whose field count is not `width` or that has a field `float`
-    rejects, so n is that row's index (len(rows) when there is none)."""
+    rejects, so n is that row's index (len(rows) when there is none).
+    Rows are converted PARSE_ROWS at a time, so only one chunk's `str` and
+    `float` objects are alive at once. The array is the transpose of a
+    C-contiguous (width, n) block: its `.T` is the columns, uncopied."""
     wrong = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) != width - 1
     n = int(wrong.argmax()) if wrong.any() else len(rows)
-    texts = ",".join(rows[:n]).split(",") if n else []
-    try:
-        values = [float(f) if f else math.nan for f in texts]
-    except ValueError:
-        values = []
-        for f in texts:
-            try:
-                values.append(float(f) if f else math.nan)
-            except ValueError:
-                break
-        n = len(values) // width
-        del values[n * width:]
-    values = np.array(values, dtype=np.float64).reshape(n, width)
-    empty = np.zeros(values.shape, dtype=bool)
-    nan_at = np.flatnonzero(np.isnan(values))
-    empty.flat[nan_at] = [not texts[k] for k in nan_at.tolist()]
-    return values, empty
+    values = np.empty((width, n), dtype=np.float64)
+    empty = np.zeros((n, width), dtype=bool)
+    a = 0
+    while a < n:   # a row `float` rejects lowers n, which ends the loop
+        texts = ",".join(rows[a:min(a + PARSE_ROWS, n)]).split(",")
+        try:
+            chunk = [float(f) if f else math.nan for f in texts]
+        except ValueError:
+            chunk = []
+            for f in texts:
+                try:
+                    chunk.append(float(f) if f else math.nan)
+                except ValueError:
+                    break
+            n = a + len(chunk) // width
+            del chunk[(n - a) * width:]
+        block = np.array(chunk, dtype=np.float64).reshape(-1, width)
+        values[:, a:a + len(block)] = block.T
+        nan_at = np.flatnonzero(np.isnan(block))
+        empty[a:].reshape(-1)[nan_at] = [not texts[k] for k in nan_at.tolist()]
+        a += PARSE_ROWS
+    return values[:, :n].T, empty[:n]
 
 
 def _first_bad(bad: np.ndarray, n_rows: int):
@@ -604,7 +615,7 @@ def parse_session(path) -> Session:
     if faults:
         lineno, message = min(faults)
         raise DataError(f"{path}:{lineno}: {message}")
-    return Session(meta, GazeColumns(gaze.T.copy()), MouseColumns(mouse.T.copy()), labels)
+    return Session(meta, GazeColumns(gaze.T), MouseColumns(mouse.T), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,24 @@ def test_killed_helper_exits_4(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_unexpected_exception_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("no such state")
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    assert cli.main(["gen", "--out", str(tmp_path / "data")]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: no such state\n"
+
+
+def test_interrupt_is_not_an_internal_error(tmp_path, monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_gen", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["gen", "--out", str(tmp_path / "data")])
+
+
 CONFIG_VALUES = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.integers(-2, 4)
                  | st.floats(allow_nan=True, allow_infinity=True) | st.floats(0, 4)
                  | st.text(max_size=4) | st.lists(st.integers(), max_size=2))

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazeintent import dataio
+from gazeintent import dataio, synth
 from gazeintent.errors import ConfigError, DataError
 
 
@@ -912,28 +914,87 @@ def _outcome(parse, path):
         return type(e).__name__, str(e)
 
 
+def _equals_row_reference(tmp_path_factory, session, data):
+    path = tmp_path_factory.mktemp("edit") / "s.session"
+    dataio.write_session(session, path)
+    lines = path.read_text().splitlines()
+    if data.draw(st.integers(0, 9)):
+        lines = data.draw(line_edits(lines))
+    path.write_text("\n".join(lines) + "\n")
+    got = _outcome(dataio.parse_session, path)
+    want = _outcome(reference_parse, path)
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok", got
+    meta, gaze, mouse, labels = want[1]
+    back = got[1]
+    assert back.meta == meta and back.labels == labels
+    assert back.gaze == dataio.GazeColumns.from_rows(gaze)
+    assert back.mouse == dataio.MouseColumns.from_rows(mouse)
+    assert list(back.gaze) == gaze and list(back.mouse) == mouse
+
+
+@pytest.fixture(scope="module")
+def long_session_lines(tmp_path_factory):
+    """A 60 s session file (7,200 gaze rows: several PARSE_ROWS chunks)."""
+    session = synth.generate_session(synth.SynthConfig(seed=0, session_len=60.0), 0, "text")
+    path = tmp_path_factory.mktemp("long") / "s.session"
+    dataio.write_session(session, path)
+    return path.read_text().splitlines()
+
+
 class TestBulkParser:
     @given(session=small_sessions(), data=st.data())
     @settings(max_examples=600, deadline=None)
     def test_equals_row_reference(self, tmp_path_factory, session, data):
-        path = tmp_path_factory.mktemp("edit") / "s.session"
-        dataio.write_session(session, path)
-        lines = path.read_text().splitlines()
-        if data.draw(st.integers(0, 9)):
-            lines = data.draw(line_edits(lines))
+        _equals_row_reference(tmp_path_factory, session, data)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @given(session=small_sessions(), data=st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_equals_row_reference_in_small_chunks(self, tmp_path_factory, chunk, session, data):
+        # edits fall on, before and after the chunk boundaries
+        with mock.patch.object(dataio, "PARSE_ROWS", chunk):
+            _equals_row_reference(tmp_path_factory, session, data)
+
+    @pytest.mark.parametrize("row", ["last_of_chunk", "first_of_next", "mid_chunk"])
+    @pytest.mark.parametrize("fault", ["bad_field", "field_count", "falling_t"])
+    def test_fault_at_chunk_boundary_matches_reference(self, tmp_path, long_session_lines,
+                                                       row, fault):
+        lines = list(long_session_lines)
+        c = dataio.PARSE_ROWS
+        assert lines.count("#gaze") == 1 and len(lines) > lines.index("#gaze") + 2 + 2 * c
+        k = {"last_of_chunk": c - 1, "first_of_next": c, "mid_chunk": c + c // 2}[row]
+        i = lines.index("#gaze") + 2 + k
+        fields = lines[i].split(",")
+        if fault == "bad_field":
+            fields[1] = "1.2.3"
+        elif fault == "field_count":
+            del fields[3]
+        else:
+            fields[0] = dataio.fmt9(float(lines[i - 1].split(",")[0]) - 1e-3)
+        lines[i] = ",".join(fields)
+        path = tmp_path / "s.session"
         path.write_text("\n".join(lines) + "\n")
         got = _outcome(dataio.parse_session, path)
-        want = _outcome(reference_parse, path)
-        if want[0] != "ok":
-            assert got == want
-            return
-        assert got[0] == "ok", got
-        meta, gaze, mouse, labels = want[1]
-        back = got[1]
-        assert back.meta == meta and back.labels == labels
-        assert back.gaze == dataio.GazeColumns.from_rows(gaze)
-        assert back.mouse == dataio.MouseColumns.from_rows(mouse)
-        assert list(back.gaze) == gaze and list(back.mouse) == mouse
+        assert got[0] == "DataError" and f"s.session:{i + 1}: " in got[1]
+        assert got == _outcome(reference_parse, path)
+
+    def test_parse_memory_bounded_by_file_size(self, tmp_path):
+        # a 300 s session: the parse holds one chunk's fields as Python
+        # objects, not the whole section's (12.7x the file when it did)
+        session = synth.generate_session(synth.SynthConfig(seed=0, session_len=300.0), 0, "text")
+        path = tmp_path / "s.session"
+        dataio.write_session(session, path)
+        tracemalloc.start()
+        try:
+            parsed = dataio.parse_session(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.gaze) == 36_000
+        assert peak < 6 * path.stat().st_size
 
     def test_first_fault_in_file_order_wins(self, tmp_path):
         # faults in a later gaze run, an earlier mouse run and a section

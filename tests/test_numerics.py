@@ -1,9 +1,13 @@
 import gc
 import math
+import os
 import platform
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +650,46 @@ class TestReproducibility:
         np.testing.assert_array_equal(g1, g2)
 
 
+def classifier_step(b: int):
+    """A taped default-model classifier step on a B=b batch: (trainable
+    params, forward returning (loss, tape), one full training step)."""
+    params = model.init_params(model.ModelConfig(), 0, head_kind=model.CLASSIFIER_HEAD)
+    rng = np.random.default_rng(5)
+    batch = {k: rng.normal(size=(b, 2, 24)).astype(np.float32)
+             for k in params.config.streams}
+    labels = rng.integers(0, 2, size=b)
+    weights = Tensor(np.array([1.0, 1.5]))
+    trainable = {k: params.tensors[k] for k in params.learnable_names()}
+    state = AdamState.for_params(trainable)
+
+    def forward():
+        with Tape() as tape:
+            loss = weighted_cross_entropy(model.forward(params, batch), labels, weights)
+        return loss, tape
+
+    def full_step():
+        zero_grads(trainable)
+        loss, tape = forward()
+        backward(loss, tape, params=trainable.values())
+        adam_step(trainable, collect_grads(trainable), state)
+
+    return trainable, forward, full_step
+
+
+# minor faults of 5 warm steps after 3 warm-up steps, in a fresh interpreter
+WARM_FAULTS_RUN = textwrap.dedent("""
+    import resource, sys
+    from test_numerics import classifier_step
+    full_step = classifier_step(int(sys.argv[1]))[2]
+    for _ in range(3):
+        full_step()
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        full_step()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
 class TestTapeMemory:
     """What a taped default-model classifier step holds (numpy allocations
     traced with tracemalloc), and the pages it faults in once warm."""
@@ -654,27 +698,7 @@ class TestTapeMemory:
 
     @pytest.fixture(scope="class")
     def step(self):
-        params = model.init_params(model.ModelConfig(), 0, head_kind=model.CLASSIFIER_HEAD)
-        rng = np.random.default_rng(5)
-        batch = {k: rng.normal(size=(self.B, 2, 24)).astype(np.float32)
-                 for k in params.config.streams}
-        labels = rng.integers(0, 2, size=self.B)
-        weights = Tensor(np.array([1.0, 1.5]))
-        trainable = {k: params.tensors[k] for k in params.learnable_names()}
-        state = AdamState.for_params(trainable)
-
-        def forward():
-            with Tape() as tape:
-                loss = weighted_cross_entropy(model.forward(params, batch), labels, weights)
-            return loss, tape
-
-        def full_step():
-            zero_grads(trainable)
-            loss, tape = forward()
-            backward(loss, tape, params=trainable.values())
-            adam_step(trainable, collect_grads(trainable), state)
-
-        return trainable, forward, full_step
+        return classifier_step(self.B)
 
     def test_step_keeps_only_what_backward_reads(self, step):
         trainable, forward, full_step = step
@@ -700,16 +724,17 @@ class TestTapeMemory:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                         reason="the kept heap is a glibc mallopt setting")
-    def test_warm_steps_fault_in_no_pages(self, step):
-        import resource
-
-        full_step = step[2]
-        for _ in range(3):
-            full_step()
-        for _ in range(5):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            full_step()
-            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    def test_warm_steps_fault_in_no_pages(self):
+        # a fresh interpreter, so that the faults do not depend on which
+        # tests ran before and how they left the heap's free lists
+        tests = Path(__file__).resolve().parent
+        path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run([sys.executable, "-c", WARM_FAULTS_RUN, str(self.B)],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(f) for f in proc.stdout.split()]
+        assert len(faults) == 5 and max(faults) < 100, faults
 
     def test_output_read_by_no_backward_is_freed_in_forward(self):
         x, y, w, b = leaves(3, np.float32, (8, 5, 16), (8, 5, 16), (16, 4), (4,))
