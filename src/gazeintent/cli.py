@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -200,21 +201,26 @@ def _iter_feed_lines(source):
         raise DataError(f"cannot read feed {source}: {e}") from e
 
 
-def _read_feed(source):
+def _read_feed(source, screen: tuple, magnification: float):
     """Samples of a CSV feed, skipping blank lines and the column header.
-    Rows are parsed and checked like a session file's gaze rows; a bad row
-    raises DataError with its line number."""
+    Rows pass the gaze row rules of a session file, on the screen (w, h)
+    at `magnification`; a bad row raises DataError with its line number,
+    after every sample before it. A file is checked PARSE_ROWS lines at a
+    time, stdin a line at a time so that a live feed is never held back."""
+    lines = enumerate(_iter_feed_lines(source), start=1)
+    size = 1 if source == "-" else dataio.PARSE_ROWS
     prev_t = None
-    for lineno, line in enumerate(_iter_feed_lines(source), start=1):
-        line = line.strip()
-        if not line or line == dataio.GAZE_HEADER:
+    while chunk := list(islice(lines, size)):
+        kept = [(lineno, row) for lineno, line in chunk
+                if (row := line.strip()) and row != dataio.GAZE_HEADER]
+        if not kept:
             continue
-        try:
-            sample = dataio.parse_gaze_row(line.split(","), prev_t)
-        except ValueError as e:
-            raise DataError(f"feed line {lineno}: {e}") from e
-        prev_t = sample.t
-        yield sample
+        linenos, rows = zip(*kept)
+        values, fault = dataio.parse_gaze_rows(rows, prev_t, screen, magnification)
+        yield from dataio.GazeColumns(values[:len(rows) if fault is None else fault[0]].T)
+        if fault is not None:
+            raise DataError(f"feed line {linenos[fault[0]]}: {fault[1]}")
+        prev_t = float(values[-1, 0])
 
 
 def cmd_infer(args) -> int:
@@ -225,22 +231,26 @@ def cmd_infer(args) -> int:
         raise DataError(f"no such input file: {args.input}")
 
     session = None
+    magnification = args.magnification
     if args.input != "-" and args.input.endswith(".session"):
         session = dataio.parse_session(args.input)
         magnification = session.meta.magnification
-        samples = session.gaze
-    else:
-        magnification = args.magnification
-        samples = _read_feed(args.input)
-        if args.eye == "auto":
-            # the batch rule reads the first ceil(10%) of the whole feed
-            samples = dataio.GazeColumns.from_rows(samples)
-    eye = args.eye if args.eye != "auto" else dataio.select_eye(samples)
+    # the engine checks the magnification before a feed row is checked
+    # against it; an `auto` eye is set once the samples are known
     engine = stream.StreamingEngine.from_checkpoint(
-        ckpt, magnification, eye=eye, stride=args.stride)
+        ckpt, magnification, eye="left" if args.eye == "auto" else args.eye, stride=args.stride)
     if session is not None:
         # the checkpoint's stats normalize by the screen they were made on
         dataio.one_screen([session.meta, engine.stats])
+        samples = session.gaze
+    else:
+        screen = (engine.stats.screen_w, engine.stats.screen_h)
+        samples = _read_feed(args.input, screen, magnification)
+        if args.eye == "auto":
+            # the batch rule reads the first ceil(10%) of the whole feed
+            samples = dataio.GazeColumns.from_rows(samples)
+    if args.eye == "auto":
+        engine.eye = dataio.select_eye(samples)
     n = 0
     for sample in samples:
         decision = engine.push(sample)

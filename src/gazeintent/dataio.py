@@ -10,10 +10,10 @@ A parsed `Session` stores its gaze and mouse records as float64 columns
 coordinate; `MouseColumns`: t, mx, my) and its label intervals as a short
 list. `parse_session` builds each section's columns in fixed PARSE_ROWS
 chunks, one `float` per field, so a long session never holds all of its
-fields as Python objects at once. It checks every row at once on the
-columns; when a check fails, the row parser
-(`parse_gaze_row`, `check_row`) is run on the first failing row, so the
-error is the `path:line: message` that row alone would give.
+fields as Python objects at once. Each row rule is written once, as a
+predicate on a whole block of rows with its message; the first bad row
+gets the message of the first rule it breaks. A live feed's rows pass the
+same gaze rules (`parse_gaze_rows`) as a session file's.
 
 `windowize` cuts a session into 24-step windows and returns them as a
 `Windows` container: one contiguous float64 (N, 2, 24) block per stream
@@ -30,13 +30,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from gazeintent.errors import ConfigError, DataError, GazeIntentError
+from gazeintent.errors import ConfigError, DataError
 
 GAZE_RATE = 120
 MOUSE_RATE = 10
@@ -50,6 +49,7 @@ MOUSE_HEADER = "t,mx,my"
 LABEL_HEADER = "start,end,label"
 _SECTIONS = {"#gaze": GAZE_HEADER, "#mouse": MOUSE_HEADER, "#labels": LABEL_HEADER}
 _VIEW_SLACK = 1e-9  # viewport range tolerance for values written with 9 digits
+_GAZE_REQUIRED = np.array([True, False, False, False, False, True, True])  # t, vx, vy
 
 LABELS = ("reading", "scanning")
 READING, SCANNING = 0, 1
@@ -189,10 +189,6 @@ class _Columns:
         return f"{type(self).__name__}(n={len(self)})"
 
 
-def _eye(v: float) -> float | None:
-    return None if math.isnan(v) else v
-
-
 class GazeColumns(_Columns):
     """Gaze columns t, lx, ly, rx, ry, vx, vy; NaN marks a missing eye
     coordinate, which a `GazeSample` record gives as None."""
@@ -202,7 +198,9 @@ class GazeColumns(_Columns):
 
     def _record(self, values: list) -> GazeSample:
         t, lx, ly, rx, ry, vx, vy = values
-        return GazeSample(t, _eye(lx), _eye(ly), _eye(rx), _eye(ry), vx, vy)
+        # NaN, the one float unequal to itself, is a missing coordinate
+        return GazeSample(t, None if lx != lx else lx, None if ly != ly else ly,
+                          None if rx != rx else rx, None if ry != ry else ry, vx, vy)
 
 
 class MouseColumns(_Columns):
@@ -391,56 +389,7 @@ def write_session(session: Session, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# -- the row parser: one row at a time, the reference for every message
-
-
-def check_row(row: list, prev_t: float | None) -> None:
-    """Row check shared by session files and live feeds: every number in
-    `row` (None marks an empty field) must be finite, and its timestamp,
-    the first field, must rise strictly above `prev_t` (None: no earlier
-    row). Raises ValueError; callers add the line number."""
-    for v in row:
-        if v is not None and not math.isfinite(v):
-            raise ValueError(f"non-finite value {v}")
-    if prev_t is not None and not row[0] > prev_t:
-        raise ValueError(f"non-monotonic timestamp {row[0]}")
-
-
-def parse_gaze_row(fields: list, prev_t: float | None) -> GazeSample:
-    """One `t,lx,ly,rx,ry,vx,vy` row of a session file or a live feed,
-    split into fields; an empty eye coordinate marks it missing. Raises
-    ValueError on a malformed row or one that fails `check_row`."""
-    if len(fields) != 7:
-        raise ValueError(f"expected 7 fields, got {len(fields)}")
-    row = [None if f == "" else float(f) for f in fields]
-    if row[0] is None or row[5] is None or row[6] is None:
-        raise ValueError("missing t or viewport")
-    check_row(row, prev_t)
-    return GazeSample(*row)
-
-
-def _viewport_max(meta: SessionMeta) -> tuple:
-    m = meta.magnification
-    return meta.screen_w * (1 - 1 / m), meta.screen_h * (1 - 1 / m)
-
-
-def _check_session_gaze_row(fields: list, prev_t: float | None, meta: SessionMeta) -> None:
-    """`parse_gaze_row` plus the session file's range checks: coordinates
-    on the screen, the viewport within what the magnification allows."""
-    s = parse_gaze_row(fields, prev_t)
-    for c, dim in ((s.lx, meta.screen_w), (s.ly, meta.screen_h),
-                   (s.rx, meta.screen_w), (s.ry, meta.screen_h)):
-        if c is not None and not (0 <= c <= dim):
-            raise ValueError(f"coordinate {c} out of range [0, {dim}]")
-    for v, name, vmax in zip((s.vx, s.vy), "xy", _viewport_max(meta)):
-        if not (-_VIEW_SLACK <= v <= vmax + _VIEW_SLACK):
-            raise ValueError(f"viewport {name} {v} outside [0, {vmax}]")
-
-
-def _check_mouse_row(fields: list, prev_t: float | None) -> None:
-    if len(fields) != 3:
-        raise ValueError("expected 3 fields")
-    check_row([float(f) for f in fields], prev_t)
+# -- section parsing
 
 
 def _parse_label_row(fields: list, prev: LabelInterval | None) -> LabelInterval:
@@ -449,15 +398,14 @@ def _parse_label_row(fields: list, prev: LabelInterval | None) -> LabelInterval:
     if fields[2] not in LABELS:
         raise ValueError(f"unknown label {fields[2]!r}")
     row = [float(fields[0]), float(fields[1])]
-    check_row(row, None)
+    for v in row:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
     if row[0] >= row[1]:
         raise ValueError("empty label interval")
     if prev is not None and row[0] < prev.end:
         raise ValueError("overlapping label intervals")
     return LabelInterval(*row, fields[2])
-
-
-# -- the bulk parser: one pass per section, checks on whole columns
 
 
 def _sections(lines: list):
@@ -505,8 +453,9 @@ def _numbers(rows: list, width: int):
     Rows are converted PARSE_ROWS at a time, so only one chunk's `str` and
     `float` objects are alive at once. The array is the transpose of a
     C-contiguous (width, n) block: its `.T` is the columns, uncopied."""
-    wrong = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) != width - 1
-    n = int(wrong.argmax()) if wrong.any() else len(rows)
+    # the final -1 stands for a wrong row after the last, so argmax finds n
+    commas = np.fromiter(chain(map(str.count, rows, repeat(",")), [-1]), np.intp, len(rows) + 1)
+    n = int((commas != width - 1).argmax())
     values = np.empty((width, n), dtype=np.float64)
     empty = np.zeros((n, width), dtype=bool)
     a = 0
@@ -531,51 +480,88 @@ def _numbers(rows: list, width: int):
     return values[:, :n].T, empty[:n]
 
 
-def _first_bad(bad: np.ndarray, n_rows: int):
-    """Index of the first row the row parser rejects: the first flagged
-    row, else the row `_numbers` stopped at (None when all rows pass)."""
-    if bad.any():
-        return int(bad.argmax())
-    return bad.size if bad.size < n_rows else None
+# -- row rules, each written once as a predicate on a block of rows with
+# its message; session sections and live feeds share them
 
 
-def _bulk_gaze(rows: list, meta: SessionMeta):
-    """Gaze rows as an (n, 7) array and the index of the first row that
-    `_check_session_gaze_row` rejects (None when every row passes)."""
-    v, empty = _numbers(rows, 7)
-    bad = (~np.isfinite(v) & ~empty).any(axis=1)   # a non-finite number
-    bad |= empty[:, [0, 5, 6]].any(axis=1)          # missing t or viewport
-    t = v[:, 0]
-    bad[1:] |= ~(t[1:] > t[:-1])
-    coords = v[:, 1:5]
-    dims = np.array([meta.screen_w, meta.screen_h] * 2, dtype=np.float64)
-    bad |= ((coords < 0) | (coords > dims)).any(axis=1)
-    view = v[:, 5:7]
-    hi = np.array(_viewport_max(meta)) + _VIEW_SLACK
-    bad |= ((view < -_VIEW_SLACK) | (view > hi)).any(axis=1)
-    return v, _first_bad(bad, len(rows))
-
-
-def _bulk_mouse(rows: list):
-    """Mouse rows as an (n, 3) array and the index of the first row that
-    `_check_mouse_row` rejects; an empty field is one `float` rejects."""
-    v, _ = _numbers(rows, 3)
-    bad = ~np.isfinite(v).all(axis=1)
-    t = v[:, 0]
-    bad[1:] |= ~(t[1:] > t[:-1])
-    return v, _first_bad(bad, len(rows))
-
-
-def _fault(check, rows: list, runs: list, values: np.ndarray, k: int) -> tuple:
-    """(line number, message) of row k, which the bulk checks rejected,
-    from the row parser `check`."""
-    prev_t = float(values[k - 1, 0]) if k else None
+def _float_fault(fields) -> str:
+    """The message of `float` on the first of `fields` that it rejects."""
     try:
-        check(rows[k].split(","), prev_t)
+        list(map(float, fields))
     except ValueError as e:
-        return _line_number(runs, k), str(e)
-    raise GazeIntentError(f"bulk checks rejected line {_line_number(runs, k)}, "
-                          "which the row parser accepts")
+        return str(e)
+
+
+def _finite_rule(v: np.ndarray, empty: np.ndarray) -> tuple:
+    return ~(np.isfinite(v) | empty), lambda k, j: f"non-finite value {float(v[k, j])}"
+
+
+def _rising_rule(t: np.ndarray, prev_t: float | None) -> tuple:
+    """Timestamps t, shape (n, 1), rise strictly; `prev_t` is the one
+    before the first (None: there is none)."""
+    before = np.empty_like(t)
+    before[:1] = -math.inf if prev_t is None else prev_t
+    before[1:] = t[:-1]
+    return ~(t > before), lambda k, j: f"non-monotonic timestamp {float(t[k, 0])}"
+
+
+def _first_fault(rows: list, n: int, rules: list, stopped) -> tuple | None:
+    """(index, message) of the first row of `rows` that breaks a rule, or
+    None. Rows before n were parsed: the first of them that a rule flags
+    gets the message of the first rule that flags it, at its first flagged
+    field. Row n, where parsing stopped, is worded from its own fields by
+    `stopped`. `rules` holds, in rule order, pairs of an (n, k) mask of the
+    fields a rule rejects and a function of (row, field) giving its message."""
+    if n:
+        bad = np.concatenate([flagged for flagged, _ in rules], axis=1).any(axis=1)
+        k = int(bad.argmax())
+        if bad[k]:
+            for flagged, word in rules:
+                if flagged[k].any():
+                    return k, word(k, int(flagged[k].argmax()))
+    return (n, stopped(rows[n].split(","))) if n < len(rows) else None
+
+
+def parse_gaze_rows(rows: list, prev_t: float | None, screen: tuple, magnification: float):
+    """Gaze rows `t,lx,ly,rx,ry,vx,vy` of a session file or a live feed
+    (text; an empty eye coordinate marks it missing) through every gaze
+    row rule, in this order: 7 fields, each empty or a number `float`
+    accepts; t and the viewport present; every number finite; t rising
+    strictly above the row before (`prev_t` for the first row, None when
+    there is none); coordinates on the screen (w, h); the viewport within
+    what `magnification` allows.
+
+    Returns the (n, 7) block of `_numbers` and the (index, message) of the
+    first row that breaks a rule, or None when every row passes."""
+    v, empty = _numbers(rows, 7)
+    coords, view = v[:, 1:5], v[:, 5:7]
+    dims = screen * 2
+    vmax = tuple(d * (1 - 1 / magnification) for d in screen)
+    rules = [
+        (empty & _GAZE_REQUIRED, lambda k, j: "missing t or viewport"),
+        _finite_rule(v, empty),
+        _rising_rule(v[:, :1], prev_t),
+        ((coords < 0) | (coords > dims),
+         lambda k, j: f"coordinate {float(coords[k, j])} out of range [0, {dims[j]}]"),
+        ((view < -_VIEW_SLACK) | (view > np.add(vmax, _VIEW_SLACK)),
+         lambda k, j: f"viewport {'xy'[j]} {float(view[k, j])} outside [0, {vmax[j]}]"),
+    ]
+    return v, _first_fault(rows, len(v), rules, lambda fields: (
+        f"expected 7 fields, got {len(fields)}" if len(fields) != 7
+        else _float_fault(filter(None, fields))))
+
+
+def _parse_mouse_rows(rows: list):
+    """Mouse rows `t,mx,my` of a session file through every mouse row rule,
+    in this order: 3 fields, each a number `float` accepts (an empty field
+    is not one); every number finite; t rising strictly. Returns what
+    `parse_gaze_rows` returns, with an (n, 3) block."""
+    v, empty = _numbers(rows, 3)
+    if empty.any():   # `float` rejects an empty field: parsing stops there
+        v = v[:int(empty.any(axis=1).argmax())]
+    rules = [_finite_rule(v, empty[:len(v)]), _rising_rule(v[:, :1], None)]
+    return v, _first_fault(rows, len(v), rules, lambda fields: (
+        "expected 3 fields" if len(fields) != 3 else _float_fault(fields)))
 
 
 def parse_session(path) -> Session:
@@ -598,13 +584,12 @@ def parse_session(path) -> Session:
     faults = [fault] if fault else []
     rows = {name: list(chain.from_iterable(lines[a:b] for a, b in r))
             for name, r in runs.items()}
-    gaze, k = _bulk_gaze(rows["#gaze"], meta)
-    if k is not None:
-        faults.append(_fault(partial(_check_session_gaze_row, meta=meta),
-                             rows["#gaze"], runs["#gaze"], gaze, k))
-    mouse, k = _bulk_mouse(rows["#mouse"])
-    if k is not None:
-        faults.append(_fault(_check_mouse_row, rows["#mouse"], runs["#mouse"], mouse, k))
+    gaze, gaze_fault = parse_gaze_rows(rows["#gaze"], None, (meta.screen_w, meta.screen_h),
+                                       meta.magnification)
+    mouse, mouse_fault = _parse_mouse_rows(rows["#mouse"])
+    for name, fault in (("#gaze", gaze_fault), ("#mouse", mouse_fault)):
+        if fault is not None:
+            faults.append((_line_number(runs[name], fault[0]), fault[1]))
     labels = []
     for k, row in enumerate(rows["#labels"]):
         try:

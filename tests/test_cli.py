@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazeintent import cli, dataio, model, shards, synth, train
+from gazeintent import cli, dataio, model, shards, stream, synth, train
 from gazeintent.errors import ConfigError
+from test_dataio import line_edits, parse_gaze_row
 from test_model import edit_checkpoint
 
 
@@ -486,6 +487,12 @@ class TestInfer:
         from_stdin = capsys.readouterr().out
         assert from_file == from_stdin
 
+        feed = tmp_path / "feed.csv"   # a file feed is checked in blocks of rows
+        feed.write_text("\n".join(rows) + "\n")
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(feed), "--eye", "left",
+                         "--magnification", str(magnification)]) == 0
+        assert capsys.readouterr().out == from_file
+
     def test_malformed_feed_line(self, workspace, monkeypatch):
         _, _, ckpt = workspace
         monkeypatch.setattr("sys.stdin", io.StringIO("1.0,2.0\n"))
@@ -556,6 +563,21 @@ class TestInfer:
         for line in capsys.readouterr().out.splitlines():
             json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
 
+    def test_feed_coordinate_off_the_screen(self, workspace, capsys, monkeypatch):
+        # a feed row passes the session's range rules on the checkpoint's
+        # screen: an overflowing coordinate used to reach the model as NaN
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        fields = rows[1].split(",")
+        fields[1] = "1e300"
+        rows[1] = ",".join(fields)
+        assert self._infer_stdin(ckpt, rows, monkeypatch, mag) == 3
+        captured = capsys.readouterr()
+        screen_w = model.load_checkpoint(ckpt)[1].screen_w
+        assert f"feed line 2: coordinate 1e+300 out of range [0, {screen_w}]" in captured.err
+        for line in captured.out.splitlines():
+            json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+
     def test_out_of_order_feed_timestamps(self, workspace, capsys, monkeypatch):
         _, data, ckpt = workspace
         rows, mag = self._feed_rows(data / "S01_text.session")
@@ -569,6 +591,19 @@ class TestInfer:
         rows, _ = self._feed_rows(data / "S01_text.session")
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
         assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", "left",
+                         "--magnification", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "magnification" in captured.err
+
+    @pytest.mark.parametrize("eye", ["auto", "left"])
+    @pytest.mark.parametrize("value", ["0", "0.5", "nan", "inf"])
+    def test_bad_magnification_checked_before_the_feed(self, workspace, tmp_path, capsys,
+                                                       eye, value):
+        _, data, ckpt = workspace
+        rows, _ = self._feed_rows(data / "S01_text.session")
+        feed = tmp_path / "feed.csv"
+        feed.write_text("\n".join(rows) + "\n")
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(feed), "--eye", eye,
                          "--magnification", value]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "magnification" in captured.err
@@ -647,3 +682,59 @@ def test_infer_fuzz_random_bytes(workspace, feed_prefix, via, data, eye):
     for line in out.getvalue().splitlines():
         doc = json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
         assert math.isfinite(doc["p_reading"])
+
+
+def reference_feed(ckpt, lines, magnification):
+    """What `infer --eye left` prints for a feed, from the per-row reference
+    parser of the session tests and the range rules written out per row:
+    the decision lines before the first bad row, and that row's error."""
+    engine = stream.StreamingEngine.from_checkpoint(ckpt, magnification, eye="left")
+    w, h = engine.stats.screen_w, engine.stats.screen_h
+    vmax = (w * (1 - 1 / magnification), h * (1 - 1 / magnification))
+    out, prev_t = [], None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line == dataio.GAZE_HEADER:
+            continue
+        try:
+            s = parse_gaze_row(line.split(","), prev_t)
+            for c, dim in ((s.lx, w), (s.ly, h), (s.rx, w), (s.ry, h)):
+                if c is not None and not (0 <= c <= dim):
+                    raise ValueError(f"coordinate {c} out of range [0, {dim}]")
+            for v, name, hi in ((s.vx, "x", vmax[0]), (s.vy, "y", vmax[1])):
+                if not (-1e-9 <= v <= hi + 1e-9):
+                    raise ValueError(f"viewport {name} {v} outside [0, {hi}]")
+        except ValueError as e:
+            return out, f"error: feed line {lineno}: {e}"
+        prev_t = s.t
+        decision = engine.push(s)
+        if decision is not None:
+            out.append(json.dumps({"t": decision.t_end, "label": decision.label,
+                                   "p_reading": decision.p_reading}))
+    return out, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_feed_equals_row_reference(workspace, data):
+    # an edited real feed, from a file in blocks of 1, 3 and PARSE_ROWS
+    # rows and from stdin a line at a time
+    root, data_dir, ckpt = workspace
+    rows, mag = TestInfer._feed_rows(data_dir / "S01_text.session")
+    lines = data.draw(line_edits([dataio.GAZE_HEADER] + rows[:90]))
+    want_out, want_err = reference_feed(ckpt, lines, mag)
+    raw = "\n".join(lines) + "\n"
+    feed = root / "edited.csv"
+    feed.write_text(raw)
+    argv = ["infer", "--ckpt", str(ckpt), "--eye", "left", "--magnification", str(mag)]
+    for source, chunk in ((feed, 1), (feed, 3), (feed, dataio.PARSE_ROWS), ("-", None)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch("sys.stdin", io.StringIO(raw)), \
+                mock.patch.object(dataio, "PARSE_ROWS", chunk or dataio.PARSE_ROWS):
+            code = cli.main(argv + ["--input", str(source)])
+        assert out.getvalue().splitlines() == want_out, (source, chunk)
+        if want_err is None:
+            assert code == 0, err.getvalue()
+        else:
+            assert code == 3 and err.getvalue().splitlines() == [want_err], (source, chunk)

@@ -765,9 +765,34 @@ class TestWindowsContainer:
 # bulk parser against the row-by-row reference
 
 
+def check_row(row: list, prev_t: float | None) -> None:
+    """Row check of the reference parser: every number in `row` (None
+    marks an empty field) must be finite, and its timestamp, the first
+    field, must rise strictly above `prev_t` (None: no earlier row).
+    Raises ValueError; callers add the line number."""
+    for v in row:
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
+    if prev_t is not None and not row[0] > prev_t:
+        raise ValueError(f"non-monotonic timestamp {row[0]}")
+
+
+def parse_gaze_row(fields: list, prev_t: float | None) -> dataio.GazeSample:
+    """One `t,lx,ly,rx,ry,vx,vy` row, split into fields; an empty eye
+    coordinate marks it missing. Raises ValueError on a malformed row or
+    one that fails `check_row`."""
+    if len(fields) != 7:
+        raise ValueError(f"expected 7 fields, got {len(fields)}")
+    row = [None if f == "" else float(f) for f in fields]
+    if row[0] is None or row[5] is None or row[6] is None:
+        raise ValueError("missing t or viewport")
+    check_row(row, prev_t)
+    return dataio.GazeSample(*row)
+
+
 def reference_parse(path):
-    """Row-by-row session parser: the per-row loop over `parse_gaze_row`
-    and `check_row` that the bulk parser replaced. Returns (meta, gaze
+    """Row-by-row session parser, independent of `dataio`'s row rules: a
+    per-row loop over `parse_gaze_row` and `check_row`. Returns (meta, gaze
     records, mouse records, labels) or raises its DataError/ConfigError."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -799,12 +824,12 @@ def reference_parse(path):
         fields = line.split(",")
         try:
             if section == "#gaze":
-                gaze.append(dataio.parse_gaze_row(fields, gaze[-1].t if gaze else None))
+                gaze.append(parse_gaze_row(fields, gaze[-1].t if gaze else None))
             elif section == "#mouse":
                 if len(fields) != 3:
                     raise ValueError("expected 3 fields")
                 row = [float(f) for f in fields]
-                dataio.check_row(row, mouse[-1].t if mouse else None)
+                check_row(row, mouse[-1].t if mouse else None)
                 mouse.append(dataio.MouseSample(*row))
             elif section == "#labels":
                 if len(fields) != 3:
@@ -812,7 +837,7 @@ def reference_parse(path):
                 if fields[2] not in dataio.LABELS:
                     raise ValueError(f"unknown label {fields[2]!r}")
                 row = [float(fields[0]), float(fields[1])]
-                dataio.check_row(row, None)
+                check_row(row, None)
                 labels.append(dataio.LabelInterval(*row, fields[2]))
             else:
                 raise ValueError("data row outside any section")
