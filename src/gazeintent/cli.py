@@ -256,8 +256,9 @@ def cmd_infer(args) -> int:
         decision = engine.push(sample)
         if decision is not None:
             n += 1
+            # flushed, so a live feed's reader gets each decision when it is made
             print(json.dumps({"t": decision.t_end, "label": decision.label,
-                              "p_reading": decision.p_reading}))
+                              "p_reading": decision.p_reading}), flush=True)
     print(f"emitted {n} decisions", file=sys.stderr)
     print(json.dumps({"pushes": engine.count, "decisions": n, "silent": engine.silent_counts()}),
           file=sys.stderr)

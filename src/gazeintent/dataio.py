@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gazeintent.errors import ConfigError, DataError
+from gazeintent.errors import ConfigError, DataError, GazeIntentError
 
 GAZE_RATE = 120
 MOUSE_RATE = 10
@@ -577,7 +577,8 @@ def parse_session(path) -> Session:
         raise DataError(f"{path}:1: expected '#meta {{json}}' header")
     try:
         meta = SessionMeta(**json.loads(lines[0][len("#meta "):]))
-    except (TypeError, ValueError, RecursionError) as e:  # ValueError: JSONDecodeError
+    except (GazeIntentError, TypeError, ValueError, RecursionError) as e:
+        # ValueError: JSONDecodeError; GazeIntentError: a SessionMeta field rule
         raise DataError(f"{path}:1: malformed meta: {e}") from e
 
     runs, fault = _sections(lines)

@@ -2,6 +2,10 @@
 cross-attention fusion, a pre-norm transformer encoder, and a swappable
 velocity-regression / intent-classification head. Includes bit-exact
 checkpoint serialization.
+
+`layout` is the one description of a model's tensors: `init_params` draws
+along it, `param_count` sums it, and a checkpoint's manifest entries are
+derived from it on save and on load.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -116,79 +121,71 @@ def sinusoidal_table(T: int, d: int) -> np.ndarray:
     return table
 
 
-def _encoder_channels(cfg: ModelConfig):
-    chans = [cfg.in_channels] + [cfg.d_model] * cfg.cnn_layers
-    return list(zip(chans[:-1], chans[1:]))
+def layout(cfg: ModelConfig):
+    """The one description of a model's tensors: (name, shape, init) in the
+    order `init_params` draws them, the same for both heads. `init` is the
+    fan-in of a uniform draw, "zeros", "ones" or "sinusoid" (the fixed
+    positional table). A generator, so a caller can stop early on a config
+    whose layout is huge."""
+    d = cfg.d_model
+
+    def linear(prefix, d_in, d_out):
+        yield f"{prefix}.w", (d_in, d_out), d_in
+        yield f"{prefix}.b", (d_out,), "zeros"
+
+    def layernorm(prefix):
+        yield f"{prefix}.g", (d,), "ones"
+        yield f"{prefix}.b", (d,), "zeros"
+
+    def attention(prefix):
+        for name in ("wq", "wk", "wv", "wo"):
+            yield f"{prefix}.{name}", (d, d), d
+            yield f"{prefix}.{name[1]}b", (d,), "zeros"
+
+    for stream in cfg.streams:
+        for li in range(cfg.cnn_layers):
+            ci = cfg.in_channels if li == 0 else d
+            yield f"enc_{stream}.conv{li}.w", (d, ci, cfg.kernel), ci * cfg.kernel
+            yield f"enc_{stream}.conv{li}.b", (d,), "zeros"
+    if cfg.input_mode not in SINGLE_STREAM_MODES:
+        for block in ("cross_gc", "cross_cg"):
+            yield from attention(block)
+            yield from layernorm(f"{block}.ln")
+        yield from linear("fusion", cfg.fusion_in, d)
+    for li in range(cfg.transformer_layers):
+        yield from attention(f"tf{li}.attn")
+        yield from layernorm(f"tf{li}.ln1")
+        yield from layernorm(f"tf{li}.ln2")
+        yield from linear(f"tf{li}.ffn1", d, cfg.ffn_hidden)
+        yield from linear(f"tf{li}.ffn2", cfg.ffn_hidden, d)
+    yield from linear("head", d, 2)
+    yield "pos", (cfg.window, d), "sinusoid"
 
 
 def param_count(cfg: ModelConfig) -> int:
-    """Closed-form learnable parameter count (positional table excluded)."""
-    d, k, f = cfg.d_model, cfg.kernel, cfg.ffn_hidden
-    conv_stack = sum(co * ci * k + co for ci, co in _encoder_channels(cfg))
-    linear = lambda i, o: i * o + o
-    attn = 4 * linear(d, d)
-    ln = 2 * d
-    total = conv_stack * len(cfg.streams)
-    if cfg.input_mode not in SINGLE_STREAM_MODES:
-        total += 2 * (attn + ln)                   # two cross-attention blocks
-        total += linear(cfg.fusion_in, d)          # fusion projection
-    total += cfg.transformer_layers * (attn + 2 * ln + linear(d, f) + linear(f, d))
-    total += linear(d, 2)                          # active head
-    return total
+    """Learnable parameter count (positional table excluded)."""
+    return sum(math.prod(shape) for _, shape, init in layout(cfg) if init != "sinusoid")
 
 
 def init_params(cfg: ModelConfig, seed: int, head_kind: str = CLASSIFIER_HEAD) -> ModelParams:
-    """Deterministic initialization: uniform fan-in scaling, zero biases,
-    unit layer-norm gains."""
+    """Deterministic initialization along `layout`: uniform fan-in scaling,
+    zero biases, unit layer-norm gains."""
     if head_kind not in (VELOCITY_HEAD, CLASSIFIER_HEAD):
         raise ConfigError(f"unknown head kind {head_kind!r}")
     rng = np.random.default_rng(seed)
     params = ModelParams(cfg, head_kind)
-    t = params.tensors
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32),
-                      requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-    def linear(prefix, d_in, d_out):
-        t[f"{prefix}.w"] = uniform((d_in, d_out), d_in)
-        t[f"{prefix}.b"] = zeros((d_out,))
-
-    def layernorm(prefix, d):
-        t[f"{prefix}.g"] = ones((d,))
-        t[f"{prefix}.b"] = zeros((d,))
-
-    def attention(prefix, d):
-        for name in ("wq", "wk", "wv", "wo"):
-            t[f"{prefix}.{name}"] = uniform((d, d), d)
-            t[f"{prefix}.{name[1]}b"] = zeros((d,))
-
-    d = cfg.d_model
-    for stream in cfg.streams:
-        for li, (ci, co) in enumerate(_encoder_channels(cfg)):
-            t[f"enc_{stream}.conv{li}.w"] = uniform((co, ci, cfg.kernel), ci * cfg.kernel)
-            t[f"enc_{stream}.conv{li}.b"] = zeros((co,))
-    if cfg.input_mode not in SINGLE_STREAM_MODES:
-        for block in ("cross_gc", "cross_cg"):
-            attention(block, d)
-            layernorm(f"{block}.ln", d)
-        linear("fusion", cfg.fusion_in, d)
-    for li in range(cfg.transformer_layers):
-        attention(f"tf{li}.attn", d)
-        layernorm(f"tf{li}.ln1", d)
-        layernorm(f"tf{li}.ln2", d)
-        linear(f"tf{li}.ffn1", d, cfg.ffn_hidden)
-        linear(f"tf{li}.ffn2", cfg.ffn_hidden, d)
-    linear("head", d, 2)
-    t["pos"] = Tensor(sinusoidal_table(cfg.window, d).astype(np.float32),
-                      requires_grad=False)
+    for name, shape, init in layout(cfg):
+        if init == "sinusoid":
+            data = sinusoidal_table(*shape)
+        elif init == "zeros":
+            data = np.zeros(shape, dtype=np.float32)
+        elif init == "ones":
+            data = np.ones(shape, dtype=np.float32)
+        else:
+            bound = 1.0 / math.sqrt(init)
+            data = rng.uniform(-bound, bound, size=shape)
+        params.tensors[name] = Tensor(data.astype(np.float32, copy=False),
+                                      requires_grad=init != "sinusoid")
     return params
 
 
@@ -303,20 +300,25 @@ def predict_proba(params: ModelParams, batch: dict) -> np.ndarray:
 # checkpoints
 
 
+def _entries(tensors):
+    """Manifest entries for `layout`'s (name, shape, init) tuples: name
+    order, float32, offsets back to back. Save writes these, and load
+    accepts nothing else."""
+    offset = 0
+    for name, shape, _ in sorted(tensors):
+        nbytes = 4 * math.prod(shape)
+        yield {"name": name, "shape": list(shape), "dtype": "float32",
+               "offset": offset, "nbytes": nbytes}
+        offset += nbytes
+
+
 def save_checkpoint(params: ModelParams, stats, path) -> None:
     """Directory with manifest.json and weights.bin (little-endian f32)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    blob = bytearray()
-    for name in sorted(params.tensors):
-        data = np.ascontiguousarray(params.tensors[name].data, dtype="<f4")
-        raw = data.tobytes()
-        entries.append({"name": name, "shape": list(data.shape),
-                        "dtype": "float32", "offset": offset, "nbytes": len(raw)})
-        blob += raw
-        offset += len(raw)
+    entries = list(_entries(layout(params.config)))
+    blob = b"".join(np.ascontiguousarray(params.tensors[e["name"]].data, dtype="<f4").tobytes()
+                    for e in entries)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
@@ -325,17 +327,21 @@ def save_checkpoint(params: ModelParams, stats, path) -> None:
         "tensors": entries,
     }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    (path / "weights.bin").write_bytes(bytes(blob))
+    (path / "weights.bin").write_bytes(blob)
 
 
 def load_checkpoint(path):
     """Returns (ModelParams, NormStats | None); bit-exact inverse of save.
 
-    A checkpoint that cannot be read or interpreted raises DataError, and
-    so does one whose head kind is unknown, whose tensor names and shapes
-    differ from the layout `init_params` builds for its stored config and
-    head, or whose weights hold a non-finite value. A stored config that
-    `ModelConfig` rejects raises ConfigError.
+    The manifest's tensor entries must be exactly those `save_checkpoint`
+    writes for its stored config: names, shapes, dtype, offsets and sizes
+    are derived from `layout`, never trusted. The layout is walked no
+    further than the manifest's entry count, so the work is bounded by the
+    two files whatever the stored config asks for. A checkpoint that cannot
+    be read or interpreted raises DataError, and so does one with an
+    unknown head kind, a `weights.bin` of another length, any other entry,
+    or a non-finite weight. A stored config that `ModelConfig` rejects
+    raises ConfigError.
     """
     path = Path(path)
     try:
@@ -351,43 +357,32 @@ def load_checkpoint(path):
         params = ModelParams(ModelConfig(**manifest["config"]), manifest["head_kind"])
         if params.head_kind not in (VELOCITY_HEAD, CLASSIFIER_HEAD):
             raise DataError(f"{path}: unknown head kind {params.head_kind!r}")
-        total = sum(e["nbytes"] for e in manifest["tensors"])
-        if total != len(blob):
-            raise DataError(f"{path}: weights.bin length {len(blob)} != manifest total {total}")
-        for e in manifest["tensors"]:
-            count = int(np.prod(e["shape"])) if e["shape"] else 1
-            if count * 4 != e["nbytes"]:
-                raise DataError(f"{path}: tensor {e['name']} payload length mismatch")
-            data = np.frombuffer(blob, dtype="<f4", count=count,
-                                 offset=e["offset"]).reshape(e["shape"]).copy()
-            params.tensors[e["name"]] = Tensor(data, requires_grad=e["name"] != "pos")
-        _check_layout(params, len(blob) // 4, path)
+        got = manifest["tensors"]
+        # one layout entry past the manifest's count shows that it lists too few
+        want = list(_entries(islice(layout(params.config), len(got) + 1)))
+        need = sum(e["nbytes"] for e in want)
+        if need != len(blob):
+            at_least = "at least " if len(want) > len(got) else ""
+            raise DataError(f"{path}: weights.bin holds {len(blob)} bytes, "
+                            f"its config needs a length of {at_least}{need}")
+        for i, (w, e) in enumerate(zip_longest(want, got)):
+            if w != e:
+                where = f"tensor {w['name']}" if w else "the end"
+                raise DataError(f"{path}: manifest entry {i} does not match {where} "
+                                f"of the stored config's layout")
+        values = np.split(np.frombuffer(blob, dtype="<f4"), [w["offset"] // 4 for w in want[1:]])
+        for w, data in zip(want, values):
+            params.tensors[w["name"]] = Tensor(data.reshape(w["shape"]).copy(),
+                                               requires_grad=w["name"] != "pos")
+        bad = [k for k, t in params.tensors.items() if not np.isfinite(t.data).all()]
+        if bad:
+            raise DataError(f"{path}: tensors {bad} hold non-finite values")
         stats = None
         if manifest["stats"] is not None:
             stats = dataio.NormStats.from_json(manifest["stats"])
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed checkpoint manifest: {e!r}") from e
     return params, stats
-
-
-def _check_layout(params: ModelParams, n_values: int, path) -> None:
-    """DataError unless the loaded tensors have exactly the names and
-    shapes that `init_params` gives params' config and head, and only
-    finite values. The stored values are counted first, so a config that
-    asks for more than the file holds is rejected before anything that
-    size is built."""
-    cfg = params.config
-    need = param_count(cfg) + cfg.window * cfg.d_model   # learnable + positional table
-    if need != n_values:
-        raise DataError(f"{path}: weights.bin holds {n_values} values, its config needs {need}")
-    want = {k: t.data.shape for k, t in init_params(cfg, 0, params.head_kind).tensors.items()}
-    got = {k: t.data.shape for k, t in params.tensors.items()}
-    if got != want:
-        bad = sorted((k for k in want.keys() | got.keys() if got.get(k) != want.get(k)), key=str)
-        raise DataError(f"{path}: tensors {bad} do not match the layout of the stored config")
-    bad = [k for k, t in params.tensors.items() if not np.isfinite(t.data).all()]
-    if bad:
-        raise DataError(f"{path}: tensors {sorted(bad)} hold non-finite values")
 
 
 def reinit_head(params: ModelParams, head_seed: int) -> ModelParams:

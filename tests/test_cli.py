@@ -6,10 +6,14 @@ import io
 import json
 import math
 import os
+import select
 import shutil
 import signal
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -83,6 +87,19 @@ class TestGen:
 
 
 class TestTrain:
+    def test_bad_session_magnification_exits_3_naming_the_file(self, workspace, tmp_path,
+                                                                capsys):
+        _, data, _ = workspace
+        shutil.copytree(data, tmp_path / "data")
+        bad = tmp_path / "data" / "S01_text.session"
+        session = dataio.parse_session(bad)
+        session.meta.magnification = 0.5
+        dataio.write_session(session, bad)
+        assert cli.main(["train", "--mode", "supervised", "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "run"), "--max-epochs", "1"]) == 3
+        assert f"error: {bad}:1: malformed meta: magnification must be >= 1, got 0.5" \
+            in capsys.readouterr().err
+
     def test_finetune_requires_checkpoint(self, workspace):
         _, data, _ = workspace
         assert cli.main(["train", "--mode", "finetune", "--data", str(data),
@@ -538,6 +555,31 @@ class TestInfer:
                          "--magnification", str(mag)]) == 0
         assert capsys.readouterr().out == out["right"]
 
+    def test_live_feed_decision_arrives_before_the_feed_ends(self, workspace):
+        # stdout is a pipe, where Python buffers output unless it is flushed
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gazeintent.cli", "infer", "--ckpt", str(ckpt),
+             "--input", "-", "--eye", "left", "--magnification", str(mag)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=env, text=True)
+        try:
+            proc.stdin.write("\n".join(rows[:200]) + "\n")
+            proc.stdin.flush()   # the feed stays open
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "no decision within 30 s of 200 fed rows"
+            assert "p_reading" in json.loads(proc.stdout.readline())
+        finally:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=30)
+            finally:
+                proc.kill()
+                proc.stdout.close()
+
     def test_feed_header_line_skipped(self, workspace, capsys, monkeypatch):
         _, data, ckpt = workspace
         rows, mag = self._feed_rows(data / "S01_text.session")
@@ -626,7 +668,8 @@ class TestInfer:
         assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-"]) == 3
         assert "cannot read feed -" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["drop", "transpose", "nan"])
+    @pytest.mark.parametrize("edit", ["drop", "transpose", "nan", "swap", "share",
+                                      "float64", "extra", "deep"])
     def test_unusable_checkpoint_exits_3(self, workspace, tmp_path, capsys, edit):
         _, data, ckpt = workspace
         bad = tmp_path / "ckpt"

@@ -166,8 +166,22 @@ class TestContainer:
         session.meta.magnification = 0.5
         p = tmp_path / "a.session"
         dataio.write_session(session, p)
-        with pytest.raises(ConfigError, match="magnification"):
+        with pytest.raises(DataError, match="a.session:1: malformed meta: magnification"):
             dataio.parse_session(p)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("task", "book", "unknown task 'book'"),
+        ("screen_w", 0, "screen dimensions must be positive"),
+        ("gaze_rate", 60, "v1 files are fixed at 120/10 Hz")])
+    def test_meta_fault_names_the_file(self, tmp_path, field, value, message):
+        p = tmp_path / "a.session"
+        dataio.write_session(make_session(10), p)
+        meta, rest = p.read_text().split("\n", 1)
+        meta = {**json.loads(meta[len("#meta "):]), field: value}
+        p.write_text(f"#meta {json.dumps(meta)}\n{rest}")
+        with pytest.raises(DataError) as e:
+            dataio.parse_session(p)
+        assert str(e.value) == f"{p}:1: malformed meta: {message}"
 
     @given(st.floats(-1e6, 1e6))
     @settings(max_examples=100, deadline=None)
@@ -800,7 +814,7 @@ def reference_parse(path):
         raise DataError(f"{path}:1: expected '#meta {{json}}' header")
     try:
         meta = dataio.SessionMeta(**json.loads(lines[0][len("#meta "):]))
-    except (TypeError, json.JSONDecodeError) as e:
+    except (ConfigError, DataError, TypeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}:1: malformed meta: {e}") from e
     vmax_x = meta.screen_w * (1 - 1 / meta.magnification)
     vmax_y = meta.screen_h * (1 - 1 / meta.magnification)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,18 +27,34 @@ def rand_batch(cfg, n=2, seed=0, dtype=np.float32):
 def edit_checkpoint(path, edit: str) -> None:
     """Leave checkpoint `path` readable but unusable: "drop" removes
     tf0.attn.wq and its bytes, "transpose" reverses the stored shape of
-    fusion.w, "nan" makes the first stored value NaN."""
+    fusion.w, "nan" makes the first stored value NaN. The rest edit only the
+    manifest: "swap" swaps the offsets of tf0.attn.wq and tf0.attn.wk,
+    "share" gives tf0.attn.wq the offset of tf0.attn.wk, "float64" marks
+    fusion.w as float64, "extra" lists one more tensor, and "deep" stores
+    `cnn_layers: 10**7`."""
     doc = json.loads((path / "manifest.json").read_text())
     blob = bytearray((path / "weights.bin").read_bytes())
-    if edit == "drop":
-        gone = next(e for e in doc["tensors"] if e["name"] == "tf0.attn.wq")
+    entry = {e["name"]: e for e in doc["tensors"]}
+    if edit == "swap":
+        q, k = entry["tf0.attn.wq"], entry["tf0.attn.wk"]
+        q["offset"], k["offset"] = k["offset"], q["offset"]
+    elif edit == "share":
+        entry["tf0.attn.wq"]["offset"] = entry["tf0.attn.wk"]["offset"]
+    elif edit == "float64":
+        entry["fusion.w"]["dtype"] = "float64"
+    elif edit == "extra":
+        doc["tensors"].append({"name": "zz", "shape": [], "dtype": "float32",
+                               "offset": len(blob), "nbytes": 0})
+    elif edit == "deep":
+        doc["config"]["cnn_layers"] = 10 ** 7
+    elif edit == "drop":
+        gone = entry["tf0.attn.wq"]
         del blob[gone["offset"]:gone["offset"] + gone["nbytes"]]
         doc["tensors"].remove(gone)
         for e in doc["tensors"]:
             e["offset"] -= gone["nbytes"] if e["offset"] > gone["offset"] else 0
     elif edit == "transpose":
-        e = next(e for e in doc["tensors"] if e["name"] == "fusion.w")
-        e["shape"] = e["shape"][::-1]
+        entry["fusion.w"]["shape"] = entry["fusion.w"]["shape"][::-1]
     else:
         blob[:4] = np.float32(np.nan).tobytes()
     (path / "manifest.json").write_text(json.dumps(doc))
@@ -356,14 +373,19 @@ class TestCheckpoints:
         with pytest.raises(DataError):
             model.load_checkpoint(ckpt)
 
-    @pytest.mark.parametrize("edit,match", [("drop", "holds"), ("transpose", "fusion.w"),
-                                            ("nan", "non-finite")])
+    @pytest.mark.parametrize("edit,match", [
+        ("drop", "holds"), ("transpose", "fusion.w"), ("nan", "non-finite"),
+        ("swap", "tf0.attn.wk"), ("share", "tf0.attn.wq"), ("float64", "fusion.w"),
+        ("extra", "the end"), ("deep", "holds")])
     def test_unusable_checkpoint_rejected(self, tmp_path, edit, match):
         model.save_checkpoint(model.init_params(model.ModelConfig(), seed=0), None,
                               tmp_path / "ckpt")
         edit_checkpoint(tmp_path / "ckpt", edit)
+        start = time.perf_counter()
         with pytest.raises(DataError, match=match):
             model.load_checkpoint(tmp_path / "ckpt")
+        # "deep": the layout is walked no further than the manifest's entry count
+        assert time.perf_counter() - start < 1.0
 
     def test_unknown_head_kind_rejected(self, tmp_path):
         ckpt = self._edit_manifest(tmp_path, lambda d: json.dumps({**d, "head_kind": "ranker"}))
@@ -446,9 +468,8 @@ class TestCheckpointFuzz:
             params, stats = model.load_checkpoint(path)
         except (DataError, ConfigError):
             return
-        layout = model.init_params(params.config, 0, params.head_kind).tensors
         assert {k: t.shape for k, t in params.tensors.items()} == \
-            {k: t.shape for k, t in layout.items()}
+            {name: shape for name, shape, _ in model.layout(params.config)}
         assert all(np.isfinite(t.data).all() for t in params.tensors.values())
         if stats is None:
             return
