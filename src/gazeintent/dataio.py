@@ -846,23 +846,23 @@ class NormStats:
 
     @classmethod
     def from_json(cls, d: dict) -> "NormStats":
-        """Inverse of `to_json`; raises ValueError unless the screen size is
-        positive and every mean and std is a pair of finite numbers."""
+        """Inverse of `to_json`; raises ValueError unless the screen size and
+        every std are positive and every mean and std is a pair of finite numbers."""
         w, h = d["screen_w"], d["screen_h"]
         if not (_real(w) and _real(h) and w > 0 and h > 0):
             raise ValueError(f"screen size must be positive numbers, got {w!r} x {h!r}")
         stats = cls(screen_w=w, screen_h=h)
         for k, (mu, sd) in d["channels"].items():
-            stats.channels[k] = (_pair(mu), _pair(sd))
+            stats.channels[k] = (_pair(mu), _pair(sd, positive=True))
         if d.get("vel") is not None:
-            stats.vel = (_pair(d["vel"][0]), _pair(d["vel"][1]))
+            stats.vel = (_pair(d["vel"][0]), _pair(d["vel"][1], positive=True))
         return stats
 
 
-def _pair(values) -> np.ndarray:
+def _pair(values, positive: bool = False) -> np.ndarray:
     a = np.array(values, dtype=np.float64)
-    if a.shape != (2,) or not np.isfinite(a).all():
-        raise ValueError(f"expected two finite numbers, got {values!r}")
+    if a.shape != (2,) or not np.isfinite(a).all() or (positive and not (a > 0).all()):
+        raise ValueError(f"expected two finite{' positive' * positive} numbers, got {values!r}")
     return a
 
 

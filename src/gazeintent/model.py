@@ -1,7 +1,8 @@
 """Dual-stream gaze architecture: per-stream 1D CNN encoders, bidirectional
 cross-attention fusion, a pre-norm transformer encoder, and a swappable
 velocity-regression / intent-classification head. Includes bit-exact
-checkpoint serialization.
+checkpoint serialization. The architecture is fixed: a `ModelConfig`
+chooses only which input streams the model reads.
 
 `layout` is the one description of a model's tensors: `init_params` draws
 along it, `param_count` sums it, and a checkpoint's manifest entries are
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -41,24 +42,20 @@ SINGLE_STREAM_MODES = ("gaze_only", "comp_only", "mouse_only")
 INPUT_MODES = ("gaze_plus_comp", "mouse_gaze_comp") + SINGLE_STREAM_MODES
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    d_model: int = 64
-    n_heads: int = 4
-    cnn_layers: int = 3
-    kernel: int = 3
-    transformer_layers: int = 3
-    ffn_hidden: int = 256
-    window: int = dataio.WINDOW_LEN
-    in_channels: int = 2
+    """The one architecture: `input_mode` is its only argument."""
+    d_model: int = field(default=64, init=False)
+    n_heads: int = field(default=4, init=False)
+    cnn_layers: int = field(default=3, init=False)
+    kernel: int = field(default=3, init=False)
+    transformer_layers: int = field(default=3, init=False)
+    ffn_hidden: int = field(default=256, init=False)
+    window: int = field(default=dataio.WINDOW_LEN, init=False)
+    in_channels: int = field(default=2, init=False)
     input_mode: str = "gaze_plus_comp"
 
     def __post_init__(self):
-        dataio.check_fields(self, d_model=1, n_heads=1, cnn_layers=1, kernel=1,
-                            transformer_layers=1, ffn_hidden=1, in_channels=1,
-                            window=(dataio.WINDOW_LEN, dataio.WINDOW_LEN))
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError("d_model must be divisible by n_heads")
         if self.input_mode not in INPUT_MODES:
             raise ConfigError(f"unknown input_mode {self.input_mode!r}")
 
@@ -71,11 +68,6 @@ class ModelConfig:
             "comp_only": ("c",),
             "mouse_only": ("m",),
         }[self.input_mode]
-
-    @property
-    def fusion_in(self) -> int:
-        # two cross-attention outputs, plus the raw mouse encoding if present
-        return self.d_model * (3 if self.input_mode == "mouse_gaze_comp" else 2)
 
 
 @dataclass
@@ -125,8 +117,7 @@ def layout(cfg: ModelConfig):
     """The one description of a model's tensors: (name, shape, init) in the
     order `init_params` draws them, the same for both heads. `init` is the
     fan-in of a uniform draw, "zeros", "ones" or "sinusoid" (the fixed
-    positional table). A generator, so a caller can stop early on a config
-    whose layout is huge."""
+    positional table)."""
     d = cfg.d_model
 
     def linear(prefix, d_in, d_out):
@@ -151,7 +142,8 @@ def layout(cfg: ModelConfig):
         for block in ("cross_gc", "cross_cg"):
             yield from attention(block)
             yield from layernorm(f"{block}.ln")
-        yield from linear("fusion", cfg.fusion_in, d)
+        # two cross-attention outputs, plus the raw mouse encoding if present
+        yield from linear("fusion", d * len(cfg.streams), d)
     for li in range(cfg.transformer_layers):
         yield from attention(f"tf{li}.attn")
         yield from layernorm(f"tf{li}.ln1")
@@ -333,15 +325,14 @@ def save_checkpoint(params: ModelParams, stats, path) -> None:
 def load_checkpoint(path):
     """Returns (ModelParams, NormStats | None); bit-exact inverse of save.
 
-    The manifest's tensor entries must be exactly those `save_checkpoint`
-    writes for its stored config: names, shapes, dtype, offsets and sizes
-    are derived from `layout`, never trusted. The layout is walked no
-    further than the manifest's entry count, so the work is bounded by the
-    two files whatever the stored config asks for. A checkpoint that cannot
-    be read or interpreted raises DataError, and so does one with an
-    unknown head kind, a `weights.bin` of another length, any other entry,
-    or a non-finite weight. A stored config that `ModelConfig` rejects
-    raises ConfigError.
+    Everything a checkpoint holds is data, checked before it is used: the
+    stored config must be the architecture of a known input mode, and the
+    manifest's tensor entries exactly those `save_checkpoint` writes for it
+    (names, shapes, dtype, offsets and sizes are derived from `layout`,
+    never trusted). Any other config, an unknown head kind, a `weights.bin`
+    of another length, any other entry, a non-finite weight, or stats with
+    a std that is not positive or without a stream the model reads raise
+    DataError naming the checkpoint, as does one that cannot be read.
     """
     path = Path(path)
     try:
@@ -354,17 +345,20 @@ def load_checkpoint(path):
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     try:
-        params = ModelParams(ModelConfig(**manifest["config"]), manifest["head_kind"])
+        stored = manifest["config"]
+        cfg = next((c for c in map(ModelConfig, INPUT_MODES) if asdict(c) == stored), None)
+        if cfg is None:
+            raise DataError(f"{path}: stored config is not the model's architecture for "
+                            f"a known input_mode: {stored!r:.200}")
+        params = ModelParams(cfg, manifest["head_kind"])
         if params.head_kind not in (VELOCITY_HEAD, CLASSIFIER_HEAD):
             raise DataError(f"{path}: unknown head kind {params.head_kind!r}")
         got = manifest["tensors"]
-        # one layout entry past the manifest's count shows that it lists too few
-        want = list(_entries(islice(layout(params.config), len(got) + 1)))
+        want = list(_entries(layout(params.config)))
         need = sum(e["nbytes"] for e in want)
         if need != len(blob):
-            at_least = "at least " if len(want) > len(got) else ""
             raise DataError(f"{path}: weights.bin holds {len(blob)} bytes, "
-                            f"its config needs a length of {at_least}{need}")
+                            f"its config needs a length of {need}")
         for i, (w, e) in enumerate(zip_longest(want, got)):
             if w != e:
                 where = f"tensor {w['name']}" if w else "the end"
@@ -380,6 +374,9 @@ def load_checkpoint(path):
         stats = None
         if manifest["stats"] is not None:
             stats = dataio.NormStats.from_json(manifest["stats"])
+            if not set(cfg.streams) <= stats.channels.keys():
+                raise DataError(f"{path}: normalization stats lack a stream that "
+                                f"input_mode {cfg.input_mode} reads")
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed checkpoint manifest: {e!r}") from e
     return params, stats

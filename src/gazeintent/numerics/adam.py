@@ -26,13 +26,13 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, *,
-              lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, weight_decay: float = 0.01) -> None:
+              lr: float = 3e-4, weight_decay: float = 0.01) -> None:
     """One in-place update step over a named parameter dict.
 
     Weight decay is decoupled: applied directly to the parameter,
     outside the moment estimates.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     t = state.t
     bc1 = 1.0 - beta1 ** t

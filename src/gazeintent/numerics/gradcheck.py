@@ -7,8 +7,7 @@ import numpy as np
 from gazeintent.numerics.tensor import Tape, backward
 
 
-def finite_difference_check(loss_fn, params, *, n_coords: int = 100,
-                            rng=None, step: float | None = None) -> float:
+def finite_difference_check(loss_fn, params, *, n_coords: int = 100, rng=None) -> float:
     """Compare analytic gradients of loss_fn() against central differences.
 
     loss_fn computes a scalar Tensor from `params` (a list of leaf
@@ -26,9 +25,7 @@ def finite_difference_check(loss_fn, params, *, n_coords: int = 100,
     backward(loss, tape, params=params)
     analytic = [p.grad.astype(np.float64) for p in params]
 
-    if step is None:
-        step = 1e-5
-
+    step = 1e-5
     # numeric side runs in float64 regardless of the params' training dtype
     saved = [p.data for p in params]
     for p in params:

@@ -134,8 +134,8 @@ def log_softmax_lastaxis(x: Tensor) -> Tensor:
     return Tensor._result(out, (x,), lambda g: [g - sm * g.sum(axis=-1, keepdims=True)])
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine.
 
     gamma and beta have the shape (d,) of that axis.
     """
@@ -147,7 +147,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(f"layer_norm affine shapes {gd.shape}, {bd.shape} "
                          f"do not match the last axis of {xd.shape}")
     xhat = xd - _mean_lastaxis(xd)
-    inv = 1.0 / np.sqrt(_mean_lastaxis(xhat, xhat) + eps)
+    inv = 1.0 / np.sqrt(_mean_lastaxis(xhat, xhat) + 1e-5)
     xhat *= inv
     out = xhat * gd
     out += bd

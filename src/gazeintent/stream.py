@@ -137,6 +137,9 @@ class StreamingEngine:
     def _emit(self, n_missing: int) -> Decision:
         w = dataio.normalize(self._window(), self.stats)
         probs = model.predict_proba(self.params, w.batch(self.params.config.streams))[0]
+        if not np.isfinite(probs).all():
+            raise DataError(f"window ending at t={w.t_end[0]}: the model gives "
+                            f"non-finite probabilities {probs.tolist()}")
         return Decision(t_end=float(w.t_end[0]), label=dataio.LABELS[int(probs.argmax())],
                         p_reading=float(probs[0]), n_missing=n_missing,
                         open_gap=self.has_open_gap())

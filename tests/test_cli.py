@@ -669,7 +669,8 @@ class TestInfer:
         assert "cannot read feed -" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["drop", "transpose", "nan", "swap", "share",
-                                      "float64", "extra", "deep"])
+                                      "float64", "extra", "deep", "hologram",
+                                      "zero_std", "no_channels"])
     def test_unusable_checkpoint_exits_3(self, workspace, tmp_path, capsys, edit):
         _, data, ckpt = workspace
         bad = tmp_path / "ckpt"
@@ -682,6 +683,16 @@ class TestInfer:
                          "--max-epochs", "1"]) == 3
         out, err = capsys.readouterr()
         assert "Traceback" not in err and "p_reading" not in out
+
+    def test_non_finite_decision_exits_3(self, workspace, tmp_path, capsys):
+        _, data, ckpt = workspace
+        bad = tmp_path / "ckpt"
+        shutil.copytree(ckpt, bad)
+        edit_checkpoint(bad, "tiny_std")
+        assert cli.main(["infer", "--ckpt", str(bad), "--input",
+                         str(data / "S00_text.session"), "--eye", "left"]) == 3
+        out, err = capsys.readouterr()
+        assert "NaN" not in out and "non-finite probabilities" in err
 
     def test_malformed_checkpoint_manifest(self, workspace, tmp_path, monkeypatch):
         _, _, ckpt = workspace

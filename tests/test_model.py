@@ -11,17 +11,18 @@ from gazeintent.errors import ConfigError, DataError, ShapeError
 from gazeintent.numerics import Tensor, finite_difference_check
 
 
-def small_cfg(**kw):
-    kw.setdefault("d_model", 8)
-    kw.setdefault("n_heads", 2)
-    kw.setdefault("ffn_hidden", 16)
-    return model.ModelConfig(**kw)
-
-
 def rand_batch(cfg, n=2, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     return {s: rng.normal(size=(n, cfg.in_channels, cfg.window)).astype(dtype)
             for s in cfg.streams}
+
+
+def unit_stats():
+    """Stats for streams g and c and the velocity target, each std 1."""
+    session_meta = dataio.SessionMeta("S00", "text", 2.0, 100.0, 100.0)
+    w = dataio.Window(g=np.ones((2, 24)), c=np.ones((2, 24)), t_end=0.2,
+                      subject_id="S00", label=0, vel_target=np.ones(2))
+    return dataio.compute_stats([w], session_meta)
 
 
 def edit_checkpoint(path, edit: str) -> None:
@@ -30,8 +31,10 @@ def edit_checkpoint(path, edit: str) -> None:
     fusion.w, "nan" makes the first stored value NaN. The rest edit only the
     manifest: "swap" swaps the offsets of tf0.attn.wq and tf0.attn.wk,
     "share" gives tf0.attn.wq the offset of tf0.attn.wk, "float64" marks
-    fusion.w as float64, "extra" lists one more tensor, and "deep" stores
-    `cnn_layers: 10**7`."""
+    fusion.w as float64, "extra" lists one more tensor, "deep" stores
+    `cnn_layers: 10**7`, "hologram" stores an unknown input mode,
+    "zero_std" and "tiny_std" set one std of stream g to 0 and to 1e-300,
+    and "no_channels" stores stats without channels."""
     doc = json.loads((path / "manifest.json").read_text())
     blob = bytearray((path / "weights.bin").read_bytes())
     entry = {e["name"]: e for e in doc["tensors"]}
@@ -47,6 +50,12 @@ def edit_checkpoint(path, edit: str) -> None:
                                "offset": len(blob), "nbytes": 0})
     elif edit == "deep":
         doc["config"]["cnn_layers"] = 10 ** 7
+    elif edit == "hologram":
+        doc["config"]["input_mode"] = "hologram"
+    elif edit in ("zero_std", "tiny_std"):
+        doc["stats"]["channels"]["g"][1][0] = 0.0 if edit == "zero_std" else 1e-300
+    elif edit == "no_channels":
+        doc["stats"]["channels"] = {}
     elif edit == "drop":
         gone = entry["tf0.attn.wq"]
         del blob[gone["offset"]:gone["offset"] + gone["nbytes"]]
@@ -91,9 +100,9 @@ class TestInit:
         with pytest.raises(ConfigError):
             model.init_params(model.ModelConfig(), 0, head_kind="regressor")
 
-    def test_indivisible_heads_rejected(self):
-        with pytest.raises(ConfigError):
-            model.init_params(model.ModelConfig(d_model=64, n_heads=5), 0)
+    def test_architecture_is_fixed(self):
+        with pytest.raises(TypeError):
+            model.ModelConfig(d_model=8)
 
 
 class TestParamCount:
@@ -107,23 +116,17 @@ class TestParamCount:
         actual = sum(p.tensors[k].data.size for k in p.learnable_names())
         assert model.param_count(cfg) == actual
 
-    def test_small_config_matches_tensors(self):
-        cfg = small_cfg(cnn_layers=2, transformer_layers=1)
-        p = model.init_params(cfg, seed=0)
-        actual = sum(p.tensors[k].data.size for k in p.learnable_names())
-        assert model.param_count(cfg) == actual
-
 
 class TestForward:
     @pytest.mark.parametrize("mode", model.INPUT_MODES)
     def test_output_shape(self, mode):
-        cfg = small_cfg(input_mode=mode)
+        cfg = model.ModelConfig(input_mode=mode)
         p = model.init_params(cfg, seed=0)
         out = model.forward(p, rand_batch(cfg, n=3))
         assert out.shape == (3, 2)
 
     def test_missing_stream_rejected(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0)
         batch = rand_batch(cfg)
         del batch["c"]
@@ -131,14 +134,14 @@ class TestForward:
             model.forward(p, batch)
 
     def test_wrong_window_length_rejected(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0)
         batch = {s: np.zeros((1, 2, 20), dtype=np.float32) for s in cfg.streams}
         with pytest.raises(ShapeError):
             model.forward(p, batch)
 
     def test_batch_rows_independent(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0)
         batch = rand_batch(cfg, n=4)
         full = model.forward(p, batch).data
@@ -146,14 +149,14 @@ class TestForward:
         np.testing.assert_allclose(full[2], one[0], atol=1e-5)
 
     def test_predict_proba_rows_sum_to_one(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0)
         probs = model.predict_proba(p, rand_batch(cfg, n=5))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert (probs >= 0).all()
 
     def test_predict_proba_needs_classifier(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0, head_kind=model.VELOCITY_HEAD)
         with pytest.raises(ConfigError):
             model.predict_proba(p, rand_batch(cfg))
@@ -161,7 +164,7 @@ class TestForward:
 
 class TestAttentionBlocks:
     def test_mha_matches_per_head_oracle(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=1).astype(np.float64)
         t = p.tensors
         rng = np.random.default_rng(2)
@@ -183,7 +186,7 @@ class TestAttentionBlocks:
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_cross_blocks_symmetric_under_tied_weights(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0)
         for k in list(p.tensors):
             if k.startswith("cross_cg."):
@@ -195,7 +198,7 @@ class TestAttentionBlocks:
         np.testing.assert_array_equal(a, b)
 
     def test_transformer_permutation_equivariant_without_positions(self):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0).astype(np.float64)
         p.tensors["pos"] = Tensor(np.zeros_like(p.tensors["pos"].data))
         rng = np.random.default_rng(4)
@@ -208,7 +211,7 @@ class TestAttentionBlocks:
     def test_positions_added_once(self):
         # with all-identity-free weights zeroed the transformer reduces to
         # h + pos (residual path only)
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0).astype(np.float64)
         for k in p.tensors:
             if k != "pos" and not k.endswith((".g",)):
@@ -279,7 +282,7 @@ class TestTapeSize:
 class TestGradients:
     def test_classifier_loss_gradcheck(self):
         from gazeintent.numerics import weighted_cross_entropy
-        cfg = small_cfg(cnn_layers=2, transformer_layers=1)
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0).astype(np.float64)
         batch = rand_batch(cfg, n=2, dtype=np.float64)
         labels = np.array([0, 1])
@@ -295,7 +298,7 @@ class TestGradients:
 
     def test_velocity_loss_gradcheck(self):
         from gazeintent.numerics import mse_loss
-        cfg = small_cfg(cnn_layers=2, transformer_layers=1)
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=1, head_kind=model.VELOCITY_HEAD)
         p = p.astype(np.float64)
         batch = rand_batch(cfg, n=2, seed=6, dtype=np.float64)
@@ -312,7 +315,7 @@ class TestGradients:
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0)
         session_meta = dataio.SessionMeta("S00", "text", 2.0, 100.0, 100.0)
         w = dataio.Window(g=np.ones((2, 24)), c=np.ones((2, 24)), t_end=0.2,
@@ -332,7 +335,7 @@ class TestCheckpoints:
             (tmp_path / "ckpt2" / "manifest.json").read_text()
 
     def test_truncated_weights_rejected(self, tmp_path):
-        p = model.init_params(small_cfg(), seed=0)
+        p = model.init_params(model.ModelConfig(), seed=0)
         model.save_checkpoint(p, None, tmp_path / "ckpt")
         blob = (tmp_path / "ckpt" / "weights.bin").read_bytes()
         (tmp_path / "ckpt" / "weights.bin").write_bytes(blob[:-4])
@@ -344,7 +347,7 @@ class TestCheckpoints:
             model.load_checkpoint(tmp_path / "nope")
 
     def _edit_manifest(self, tmp_path, edit):
-        p = model.init_params(small_cfg(), seed=0)
+        p = model.init_params(model.ModelConfig(), seed=0)
         model.save_checkpoint(p, None, tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "manifest.json"
         doc = json.loads(path.read_text())
@@ -376,15 +379,17 @@ class TestCheckpoints:
     @pytest.mark.parametrize("edit,match", [
         ("drop", "holds"), ("transpose", "fusion.w"), ("nan", "non-finite"),
         ("swap", "tf0.attn.wk"), ("share", "tf0.attn.wq"), ("float64", "fusion.w"),
-        ("extra", "the end"), ("deep", "holds")])
+        ("extra", "the end"), ("deep", "architecture"), ("hologram", "architecture"),
+        ("zero_std", "positive"), ("no_channels", "lack a stream")])
     def test_unusable_checkpoint_rejected(self, tmp_path, edit, match):
-        model.save_checkpoint(model.init_params(model.ModelConfig(), seed=0), None,
+        model.save_checkpoint(model.init_params(model.ModelConfig(), seed=0), unit_stats(),
                               tmp_path / "ckpt")
         edit_checkpoint(tmp_path / "ckpt", edit)
         start = time.perf_counter()
-        with pytest.raises(DataError, match=match):
+        with pytest.raises(DataError, match=match) as raised:
             model.load_checkpoint(tmp_path / "ckpt")
-        # "deep": the layout is walked no further than the manifest's entry count
+        assert str(tmp_path / "ckpt") in str(raised.value)
+        # "deep": a stored config is compared, never built
         assert time.perf_counter() - start < 1.0
 
     def test_unknown_head_kind_rejected(self, tmp_path):
@@ -393,21 +398,22 @@ class TestCheckpoints:
             model.load_checkpoint(ckpt)
 
     def test_config_larger_than_weights_rejected(self, tmp_path):
-        # about 10^13 values asked for: rejected before a layout that size is built
+        # about 10^13 values asked for: rejected without building a layout
         big = {"d_model": 10 ** 6, "ffn_hidden": 10 ** 6}
         ckpt = self._edit_manifest(
             tmp_path, lambda d: json.dumps({**d, "config": {**d["config"], **big}}))
-        with pytest.raises(DataError, match="weights.bin holds"):
+        with pytest.raises(DataError, match="architecture"):
             model.load_checkpoint(ckpt)
 
     def test_invalid_config_rejected(self, tmp_path):
-        ckpt = self._edit_manifest(
-            tmp_path, lambda d: json.dumps({**d, "config": {**d["config"], "n_heads": 3}}))
-        with pytest.raises(ConfigError, match="divisible"):
-            model.load_checkpoint(ckpt)
+        for i, change in enumerate([{"n_heads": 3}, {"d_model": 32}, {"window": 12}]):
+            ckpt = self._edit_manifest(
+                tmp_path / str(i), lambda d: json.dumps({**d, "config": {**d["config"], **change}}))
+            with pytest.raises(DataError, match="architecture"):
+                model.load_checkpoint(ckpt)
 
     def test_finetune_load_keeps_backbone_swaps_head(self, tmp_path):
-        cfg = small_cfg()
+        cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0, head_kind=model.VELOCITY_HEAD)
         model.save_checkpoint(p, None, tmp_path / "ckpt")
         ft, _ = model.load_for_finetune(tmp_path / "ckpt", head_seed=99)
@@ -420,7 +426,7 @@ class TestCheckpoints:
                                       fresh.tensors["head.w"].data)
 
     def test_reinit_head_returns_a_copy(self):
-        p = model.init_params(small_cfg(), seed=0, head_kind=model.VELOCITY_HEAD)
+        p = model.init_params(model.ModelConfig(), seed=0, head_kind=model.VELOCITY_HEAD)
         before = p.checksum()
         ft = model.reinit_head(p, head_seed=99)
         assert p.checksum() == before and p.head_kind == model.VELOCITY_HEAD
@@ -446,27 +452,25 @@ def _json_paths(doc, prefix=()):
 
 class TestCheckpointFuzz:
     """Whatever the checkpoint files hold, `load_checkpoint` raises only
-    DataError or ConfigError."""
+    DataError: a checkpoint, its stored config included, is data."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
-        session_meta = dataio.SessionMeta("S00", "text", 2.0, 100.0, 100.0)
-        w = dataio.Window(g=np.ones((2, 24)), c=np.ones((2, 24)), t_end=0.2,
-                          subject_id="S00", label=0, vel_target=np.ones(2))
         path = tmp_path_factory.mktemp("ckpt") / "ckpt"
-        model.save_checkpoint(model.init_params(small_cfg(), seed=0),
-                              dataio.compute_stats([w], session_meta), path)
+        model.save_checkpoint(model.init_params(model.ModelConfig(), seed=0), unit_stats(), path)
         return json.loads((path / "manifest.json").read_text()), \
             (path / "weights.bin").read_bytes()
 
     @staticmethod
     def _load(tmp_path_factory, manifest: bytes, blob: bytes):
-        path = tmp_path_factory.mktemp("fuzz")
+        # one directory for every example: a default-size blob is about 1 MB
+        path = tmp_path_factory.getbasetemp() / "fuzz"
+        path.mkdir(exist_ok=True)
         (path / "manifest.json").write_bytes(manifest)
         (path / "weights.bin").write_bytes(blob)
         try:
             params, stats = model.load_checkpoint(path)
-        except (DataError, ConfigError):
+        except DataError:
             return
         assert {k: t.shape for k, t in params.tensors.items()} == \
             {name: shape for name, shape, _ in model.layout(params.config)}
@@ -474,9 +478,11 @@ class TestCheckpointFuzz:
         if stats is None:
             return
         assert stats.screen_w > 0 and stats.screen_h > 0
+        assert set(params.config.streams) <= stats.channels.keys()
         pairs = [*stats.channels.values(), stats.vel or ()]
         for a in (a for pair in pairs for a in pair):
             assert a.shape == (2,) and np.isfinite(a).all()
+        assert all((pair[1] > 0).all() for pair in pairs if len(pair))
 
     @given(manifest=st.binary(max_size=300), blob=st.binary(max_size=64))
     @settings(max_examples=100, deadline=None)

@@ -194,8 +194,7 @@ class TestOnePath:
     """The engine prepares windows with `windowize`'s gap fill and
     compensation, so stride-1 streaming reproduces the batch windows."""
 
-    tiny = model.init_params(model.ModelConfig(d_model=8, n_heads=2, cnn_layers=1,
-                                               transformer_layers=1, ffn_hidden=8), 0)
+    params = model.init_params(model.ModelConfig(), 0)
     stats = dataio.NormStats(1000.0, 800.0, {k: (np.zeros(2), np.ones(2)) for k in "gc"})
 
     @given(session=gappy_sessions(), eye=st.sampled_from(["left", "right"]))
@@ -203,7 +202,7 @@ class TestOnePath:
     def test_stride1_windows_equal_windowize(self, session, eye):
         W = dataio.WINDOW_LEN
         batch = {w.t_end: w for w in dataio.windowize(session, 1, "labeled", eye=eye)}
-        engine = stream.StreamingEngine(self.tiny, self.stats, session.meta.magnification,
+        engine = stream.StreamingEngine(self.params, self.stats, session.meta.magnification,
                                         eye=eye, stride=1)
         emitted = []
         last_valid = last_idx = None
@@ -268,6 +267,17 @@ class TestValidation:
         model.save_checkpoint(params, None, tmp_path / "ckpt")
         with pytest.raises(DataError, match="stats"):
             stream.StreamingEngine.from_checkpoint(tmp_path / "ckpt", 2.0)
+
+    def test_non_finite_decision_rejected(self, trained):
+        # a std > 0 so small that the normalized window overflows float32
+        params, stats, _, _ = trained
+        channels = {**stats.channels, "g": (stats.channels["g"][0], np.full(2, 1e-300))}
+        tiny = dataio.NormStats(stats.screen_w, stats.screen_h, channels)
+        engine = stream.StreamingEngine(params, tiny, 2.0, stride=1)
+        for i in range(23):
+            engine.push(clean_sample(i))
+        with pytest.raises(DataError, match="t=0.19"):
+            engine.push(clean_sample(23))
 
     def test_from_checkpoint_round_trip(self, trained):
         params, _, ckpt, _ = trained
