@@ -43,6 +43,7 @@ WINDOW_LEN = 24
 WINDOW_SPAN_S = 0.2
 MAX_MISSING = WINDOW_LEN // 2  # strictly more than this -> window excluded
 PARSE_ROWS = 2048  # rows per `float` conversion pass of a section: bounds the parse's working set
+_F9 = "%.9g"  # the container's float format: 9 significant digits
 
 GAZE_HEADER = "t,lx,ly,rx,ry,vx,vy"
 MOUSE_HEADER = "t,mx,my"
@@ -56,7 +57,19 @@ READING, SCANNING = 0, 1
 
 
 def fmt9(x: float) -> str:
-    return f"{x:.9g}"
+    return _F9 % x
+
+
+def format_rows(block: np.ndarray):
+    """The CSV rows of a (k, n) column block, as the container writes them:
+    every value through `fmt9`, NaN as an empty field, each row ending in a
+    newline. Yields one string per PARSE_ROWS rows, made by one `%` format,
+    so only one chunk's `float` and `str` objects are alive at once."""
+    k, n = block.shape
+    row = ",".join([_F9] * k) + "\n"
+    for a in range(0, n, PARSE_ROWS):
+        chunk = block[:, a:a + PARSE_ROWS]
+        yield (row * chunk.shape[1] % tuple(chunk.T.ravel().tolist())).replace("nan", "")
 
 
 def q9(x: float) -> float:
@@ -350,8 +363,15 @@ class Windows:
                          m=self.m[i] if hm else None)
 
     def batch(self, streams) -> dict:
-        """The model input: each named stream as a float32 block."""
-        return {k: getattr(self, k).astype(np.float32) for k in streams}
+        """The model input: each named stream as a float32 block. A block
+        that is not finite as float32 (a value past its range or NaN) raises
+        DataError naming the stream; the cast's overflow warning is off."""
+        with np.errstate(over="ignore"):
+            out = {k: getattr(self, k).astype(np.float32) for k in streams}
+        for k, block in out.items():
+            if not np.isfinite(block).all():
+                raise DataError(f"model input stream {k} is not finite as float32")
+        return out
 
     def __repr__(self) -> str:
         return f"Windows(n={len(self)}, m={self.m is not None})"
@@ -366,27 +386,22 @@ def _as_windows(windows) -> Windows:
 
 
 def write_session(session: Session, path) -> None:
+    """The session as a container file: each section's rows through
+    `format_rows`, the label intervals through `fmt9`."""
     meta = session.meta
-    lines = ["#meta " + json.dumps({
+    head = "#meta " + json.dumps({
         "subject_id": meta.subject_id, "task": meta.task,
         "magnification": meta.magnification,
         "screen_w": meta.screen_w, "screen_h": meta.screen_h,
         "gaze_rate": meta.gaze_rate, "mouse_rate": meta.mouse_rate,
-    }, sort_keys=True)]
-    lines.append("#gaze")
-    lines.append(GAZE_HEADER)
-    for t, lx, ly, rx, ry, vx, vy in session.gaze.data.T.tolist():
-        coords = ",".join("" if math.isnan(c) else fmt9(c) for c in (lx, ly, rx, ry))
-        lines.append(f"{fmt9(t)},{coords},{fmt9(vx)},{fmt9(vy)}")
-    lines.append("#mouse")
-    lines.append(MOUSE_HEADER)
-    for t, mx, my in session.mouse.data.T.tolist():
-        lines.append(f"{fmt9(t)},{fmt9(mx)},{fmt9(my)}")
-    lines.append("#labels")
-    lines.append(LABEL_HEADER)
-    for iv in session.labels:
-        lines.append(f"{fmt9(iv.start)},{fmt9(iv.end)},{iv.label}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    }, sort_keys=True)
+    labels = "".join(f"{fmt9(iv.start)},{fmt9(iv.end)},{iv.label}\n" for iv in session.labels)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{head}\n#gaze\n{GAZE_HEADER}\n")
+        f.writelines(format_rows(session.gaze.data))
+        f.write(f"#mouse\n{MOUSE_HEADER}\n")
+        f.writelines(format_rows(session.mouse.data))
+        f.write(f"#labels\n{LABEL_HEADER}\n{labels}")
 
 
 # -- section parsing
@@ -846,23 +861,27 @@ class NormStats:
 
     @classmethod
     def from_json(cls, d: dict) -> "NormStats":
-        """Inverse of `to_json`; raises ValueError unless the screen size and
-        every std are positive and every mean and std is a pair of finite numbers."""
+        """Inverse of `to_json`; raises ValueError naming the key and field it
+        rejects unless the screen size and every std are positive and every
+        mean and std is a pair of finite numbers."""
         w, h = d["screen_w"], d["screen_h"]
         if not (_real(w) and _real(h) and w > 0 and h > 0):
-            raise ValueError(f"screen size must be positive numbers, got {w!r} x {h!r}")
+            raise ValueError(f"stats: screen size must be positive numbers, got {w!r} x {h!r}")
         stats = cls(screen_w=w, screen_h=h)
         for k, (mu, sd) in d["channels"].items():
-            stats.channels[k] = (_pair(mu), _pair(sd, positive=True))
+            stats.channels[k] = (_pair(mu, f"stats.channels.{k}: mean"),
+                                 _pair(sd, f"stats.channels.{k}: std", positive=True))
         if d.get("vel") is not None:
-            stats.vel = (_pair(d["vel"][0]), _pair(d["vel"][1], positive=True))
+            stats.vel = (_pair(d["vel"][0], "stats.vel: mean"),
+                         _pair(d["vel"][1], "stats.vel: std", positive=True))
         return stats
 
 
-def _pair(values, positive: bool = False) -> np.ndarray:
+def _pair(values, what: str, positive: bool = False) -> np.ndarray:
     a = np.array(values, dtype=np.float64)
     if a.shape != (2,) or not np.isfinite(a).all() or (positive and not (a > 0).all()):
-        raise ValueError(f"expected two finite{' positive' * positive} numbers, got {values!r}")
+        raise ValueError(f"{what} must be two finite{' positive' * positive} numbers, "
+                         f"got {values!r}")
     return a
 
 

@@ -159,6 +159,20 @@ def param_count(cfg: ModelConfig) -> int:
     return sum(math.prod(shape) for _, shape, init in layout(cfg) if init != "sinusoid")
 
 
+def _init_tensor(rng, shape: tuple, init) -> Tensor:
+    """One tensor of `layout`; a fan-in init draws its values from `rng`."""
+    if init == "sinusoid":
+        data = sinusoidal_table(*shape)
+    elif init == "zeros":
+        data = np.zeros(shape, dtype=np.float32)
+    elif init == "ones":
+        data = np.ones(shape, dtype=np.float32)
+    else:
+        bound = 1.0 / math.sqrt(init)
+        data = rng.uniform(-bound, bound, size=shape)
+    return Tensor(data.astype(np.float32, copy=False), requires_grad=init != "sinusoid")
+
+
 def init_params(cfg: ModelConfig, seed: int, head_kind: str = CLASSIFIER_HEAD) -> ModelParams:
     """Deterministic initialization along `layout`: uniform fan-in scaling,
     zero biases, unit layer-norm gains."""
@@ -167,17 +181,7 @@ def init_params(cfg: ModelConfig, seed: int, head_kind: str = CLASSIFIER_HEAD) -
     rng = np.random.default_rng(seed)
     params = ModelParams(cfg, head_kind)
     for name, shape, init in layout(cfg):
-        if init == "sinusoid":
-            data = sinusoidal_table(*shape)
-        elif init == "zeros":
-            data = np.zeros(shape, dtype=np.float32)
-        elif init == "ones":
-            data = np.ones(shape, dtype=np.float32)
-        else:
-            bound = 1.0 / math.sqrt(init)
-            data = rng.uniform(-bound, bound, size=shape)
-        params.tensors[name] = Tensor(data.astype(np.float32, copy=False),
-                                      requires_grad=init != "sinusoid")
+        params.tensors[name] = _init_tensor(rng, shape, init)
     return params
 
 
@@ -373,7 +377,10 @@ def load_checkpoint(path):
             raise DataError(f"{path}: tensors {bad} hold non-finite values")
         stats = None
         if manifest["stats"] is not None:
-            stats = dataio.NormStats.from_json(manifest["stats"])
+            try:
+                stats = dataio.NormStats.from_json(manifest["stats"])
+            except ValueError as e:  # it names the key and field it rejects
+                raise DataError(f"{path}: malformed checkpoint manifest: {e}") from e
             if not set(cfg.streams) <= stats.channels.keys():
                 raise DataError(f"{path}: normalization stats lack a stream that "
                                 f"input_mode {cfg.input_mode} reads")
@@ -384,11 +391,16 @@ def load_checkpoint(path):
 
 def reinit_head(params: ModelParams, head_seed: int) -> ModelParams:
     """Copy of `params` keeping the backbone, with a freshly initialized
-    classifier head."""
-    fresh = init_params(params.config, head_seed, head_kind=CLASSIFIER_HEAD)
+    classifier head: the head of `init_params(params.config, head_seed)`.
+    Only the head is drawn; the generator skips the uniform draws of the
+    tensors before it (one PCG64 output per value)."""
+    rng = np.random.default_rng(head_seed)
     out = params.copy()
-    for name in ("head.w", "head.b"):
-        out.tensors[name] = fresh.tensors[name]
+    for name, shape, init in layout(params.config):
+        if name.startswith("head."):
+            out.tensors[name] = _init_tensor(rng, shape, init)
+        elif isinstance(init, int):
+            rng.bit_generator.advance(math.prod(shape))
     out.head_kind = CLASSIFIER_HEAD
     return out
 

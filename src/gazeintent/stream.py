@@ -136,7 +136,11 @@ class StreamingEngine:
 
     def _emit(self, n_missing: int) -> Decision:
         w = dataio.normalize(self._window(), self.stats)
-        probs = model.predict_proba(self.params, w.batch(self.params.config.streams))[0]
+        try:
+            x = w.batch(self.params.config.streams)
+        except DataError as e:
+            raise DataError(f"window ending at t={w.t_end[0]}: {e}") from e
+        probs = model.predict_proba(self.params, x)[0]
         if not np.isfinite(probs).all():
             raise DataError(f"window ending at t={w.t_end[0]}: the model gives "
                             f"non-finite probabilities {probs.tolist()}")

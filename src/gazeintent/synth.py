@@ -26,6 +26,7 @@ from gazeintent.dataio import (
     Session,
     SessionMeta,
     check_fields,
+    format_rows,
     q9,
     write_session,
 )
@@ -141,12 +142,29 @@ def _content_path(cfg: SynthConfig, segs, n, rng) -> np.ndarray:
 
 
 def _q9(a: np.ndarray, hi=()) -> np.ndarray:
-    """`q9` of every element; one of row i that rounds above `hi[i]` takes the
+    """The (k, n) block `a` as a session file stores it (its `format_rows`
+    text, parsed back); a value of row i that rounds above `hi[i]` takes the
     largest 9-digit value below it, which the session file's range checks accept."""
-    out = np.array([q9(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    values = (float(f) for text in format_rows(a) for f in text[:-1].replace("\n", ",").split(","))
+    out = np.fromiter(values, np.float64, a.size).reshape(a.shape[::-1]).T.copy()
     for row, bound in zip(out, hi):
         d = Decimal(bound)
         row[row > bound] = float(d.quantize(Decimal(1).scaleb(d.adjusted() - 8), ROUND_FLOOR))
+    return out
+
+
+def _follow(targets: np.ndarray, gain: float) -> np.ndarray:
+    """A first-order follower of each row of `targets`, starting at the row's
+    first target: v[i] = v[i-1] + gain * (targets[i] - v[i-1]). Each row is
+    one plain float recurrence, so there is no numpy call per sample."""
+    out = np.empty_like(targets)
+    for row, series in zip(out, targets.tolist()):
+        v = series[0]
+        path = []
+        for t in series:
+            v = v + gain * (t - v)
+            path.append(v)
+        row[:] = path
     return out
 
 
@@ -165,20 +183,11 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
     # viewport follows gaze with a preferred region at the lens center
     vmax = np.array([w * (1 - 1 / m), h * (1 - 1 / m)])
     center = np.array([w / (2 * m), h / (2 * m)])
-    viewport = np.empty((2, n))
-    v = np.clip(content[:, 0] - center, 0.0, vmax)
-    for i in range(n):
-        target = np.clip(content[:, i] - center, 0.0, vmax)
-        v = v + cfg.viewport_gain * (target - v)
-        viewport[:, i] = v
+    viewport = _follow(np.clip(content - center[:, None], 0.0, vmax[:, None]), cfg.viewport_gain)
 
     # physical gaze through the lens; cursor is a smoothed pursuit of it
     phys_clean = np.clip((content - viewport) * m, [[0.0], [0.0]], [[w], [h]])
-    mouse_path = np.empty((2, n))
-    mp = phys_clean[:, 0].copy()
-    for i in range(n):
-        mp = mp + cfg.mouse_gain * (phys_clean[:, i] - mp)
-        mouse_path[:, i] = mp
+    mouse_path = _follow(phys_clean, cfg.mouse_gain)
 
     def noisy_eye():
         e = phys_clean + rng.normal(0.0, cfg.tracker_noise_px, size=(2, n))
@@ -205,7 +214,7 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
     eyes = _q9(np.concatenate([left, right]), [w, h, w, h])
     eyes[0:2, left_missing] = np.nan
     eyes[2:4, right_missing] = np.nan
-    gaze = GazeColumns(np.concatenate([_q9(np.arange(n) / GAZE_RATE)[None], eyes,
+    gaze = GazeColumns(np.concatenate([_q9((np.arange(n) / GAZE_RATE)[None]), eyes,
                                        _q9(viewport, vmax)]))
     step = GAZE_RATE // MOUSE_RATE
     idx = np.arange(0, n, step)

@@ -99,6 +99,7 @@ def split_train_val(sessions, cfg: TrainConfig):
 
 
 HEAD_WINDOWS = {model.VELOCITY_HEAD: "pretext", model.CLASSIFIER_HEAD: "labeled"}
+COMPUTED_STATS = "computed on the training split"
 
 
 def collect_windows(sessions, cfg: TrainConfig, params: model.ModelParams) -> dataio.Windows:
@@ -146,6 +147,16 @@ def _stage_windows(sessions, cfg: TrainConfig, params: model.ModelParams, stats=
     if stats is None:
         stats = dataio.compute_stats(train_w, screen)
     return dataio.normalize(train_w, stats), dataio.normalize(val_w, stats), stats, counts
+
+
+def _model_inputs(splits, streams, stage: str, stats_source: str) -> list:
+    """`Windows.batch` of each split; a block that is not finite raises
+    DataError naming the stage and where its normalization stats came from."""
+    try:
+        return [w.batch(streams) for w in splits]
+    except DataError as e:
+        raise DataError(f"{stage} stage: {e} under the normalization stats "
+                        f"{stats_source}") from e
 
 
 class History(list):
@@ -242,26 +253,28 @@ def pretrain(sessions, cfg: TrainConfig):
     mcfg = model.ModelConfig(input_mode=cfg.input_mode)
     params = model.init_params(mcfg, cfg.seed, head_kind=model.VELOCITY_HEAD)
     train_w, val_w, stats, counts = _stage_windows(sessions, cfg, params)
+    x_train, x_val = _model_inputs((train_w, val_w), mcfg.streams, "pretext", COMPUTED_STATS)
     best, history = _train_loop(
         params, params.learnable_names(),
-        train_w.batch(mcfg.streams), train_w.vel_target.astype(np.float32),
-        val_w.batch(mcfg.streams), val_w.vel_target.astype(np.float32),
+        x_train, train_w.vel_target.astype(np.float32),
+        x_val, val_w.vel_target.astype(np.float32),
         lambda out, v: mse_loss(out, Tensor(v)), cfg, "pretext")
     return best, stats, History(history, counts)
 
 
 def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
-                      trainable_names, permute_labels: bool = False):
+                      trainable_names, permute_labels: bool = False,
+                      stats_source: str = COMPUTED_STATS):
+    source = COMPUTED_STATS if stats is None else stats_source
     train_w, val_w, stats, counts = _stage_windows(sessions, cfg, params, stats)
     y_train = train_w.label
     if permute_labels:
         rng = np.random.default_rng([cfg.seed, 0x9e12])
         y_train = y_train[rng.permutation(y_train.size)]
     weights = Tensor(compute_class_weights(y_train))
-    streams = params.config.streams
+    x_train, x_val = _model_inputs((train_w, val_w), params.config.streams, stage, source)
     best, history = _train_loop(
-        params, trainable_names, train_w.batch(streams), y_train,
-        val_w.batch(streams), val_w.label,
+        params, trainable_names, x_train, y_train, x_val, val_w.label,
         lambda logits, y: weighted_cross_entropy(logits, y, weights), cfg, stage)
     return best, stats, History(history, counts)
 
@@ -273,12 +286,14 @@ def partial_trainable_names(params: model.ModelParams) -> list:
             if k.startswith("tf") or k.startswith("head.")]
 
 
-def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig):
+def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig,
+                    stats_source: str = "of the pretext stage"):
     """Swap the pretext head of `params` for a fresh classifier and fine-tune
     a copy; the caller's params are left untouched.
 
     cfg.freeze selects full (all parameters) or partial (transformer +
-    head only) updates. Mouse data is never consumed here.
+    head only) updates. Mouse data is never consumed here. `stats_source`
+    says where `stats` came from, for the error a non-finite input raises.
     """
     params = model.reinit_head(params, head_seed=cfg.seed + 1)
     if params.config.input_mode != cfg.input_mode:
@@ -288,13 +303,15 @@ def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig
         raise ConfigError("fine-tuning consumes gaze streams only")
     trainable = (params.learnable_names() if cfg.freeze == "full"
                  else partial_trainable_names(params))
-    return _classifier_stage(params, stats, sessions, cfg, "finetune", trainable)
+    return _classifier_stage(params, stats, sessions, cfg, "finetune", trainable,
+                             stats_source=stats_source)
 
 
 def finetune(checkpoint_path, sessions, cfg: TrainConfig):
     """`finetune_params` on a pretext checkpoint read from disk."""
     params, stats = model.load_checkpoint(checkpoint_path)
-    return finetune_params(params, stats, sessions, cfg)
+    return finetune_params(params, stats, sessions, cfg,
+                           stats_source=f"of checkpoint {checkpoint_path}")
 
 
 def supervised_train(sessions, cfg: TrainConfig, permute_labels: bool = False):

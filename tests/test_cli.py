@@ -685,14 +685,27 @@ class TestInfer:
         assert "Traceback" not in err and "p_reading" not in out
 
     def test_non_finite_decision_exits_3(self, workspace, tmp_path, capsys):
+        # a std > 0 so small that a normalized window overflows float32: the
+        # model input is rejected, naming the stream (and for a stage, the
+        # checkpoint the stats came from), without a numpy warning
         _, data, ckpt = workspace
         bad = tmp_path / "ckpt"
         shutil.copytree(ckpt, bad)
         edit_checkpoint(bad, "tiny_std")
-        assert cli.main(["infer", "--ckpt", str(bad), "--input",
-                         str(data / "S00_text.session"), "--eye", "left"]) == 3
-        out, err = capsys.readouterr()
-        assert "NaN" not in out and "non-finite probabilities" in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["infer", "--ckpt", str(bad), "--input",
+                             str(data / "S00_text.session"), "--eye", "left"]) == 3
+            out, err = capsys.readouterr()
+            assert "NaN" not in out and "model input stream g is not finite" in err
+            assert cli.main(["train", "--mode", "finetune", "--from", str(bad), "--data",
+                             str(data), "--out", str(tmp_path / "run"), "--stride", "24",
+                             "--max-epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert f"finetune stage: model input stream g is not finite as float32 under the " \
+               f"normalization stats of checkpoint {bad}" in err
+        assert "diverged" not in err
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
     def test_malformed_checkpoint_manifest(self, workspace, tmp_path, monkeypatch):
         _, _, ckpt = workspace

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -455,6 +456,35 @@ class TestNormalization:
         assert stats.channels["g"][1][1] == 1.0
         normed = dataio.normalize(wins, stats)
         np.testing.assert_allclose(normed[0].g[1], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["channels"]["g"][1].__setitem__(0, 0.0),
+         "stats.channels.g: std must be two finite positive numbers, got [0.0, "),
+        (lambda d: d["channels"]["c"][0].__setitem__(1, math.inf),
+         "stats.channels.c: mean must be two finite numbers, got ["),
+        (lambda d: d["vel"][1].append(1.0), "stats.vel: std must be two finite positive numbers"),
+        (lambda d: d.update(screen_w=0), "stats: screen size must be positive numbers, got 0 x")])
+    def test_stats_json_rejection_names_key_and_field(self, edit, message):
+        session = make_session(240)
+        doc = dataio.compute_stats(dataio.windowize(session, 2, "pretext", eye="left"),
+                                   session.meta).to_json()
+        edit(doc)
+        with pytest.raises(ValueError) as raised:
+            dataio.NormStats.from_json(doc)
+        assert str(raised.value).startswith(message)
+
+    def test_batch_rejects_a_block_not_finite_as_float32(self):
+        wins = dataio.windowize(make_session(240), 2, "labeled", eye="left")
+        assert wins.batch(("g", "c"))["c"].dtype == np.float32
+        wins.c[0, 1, 5] = 1e39   # finite as float64, past float32's range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="model input stream c is not finite"):
+                wins.batch(("g", "c"))
+            wins.c[0, 1, 5] = np.nan
+            with pytest.raises(DataError, match="stream c"):
+                wins.batch(("c",))
+            wins.batch(("g",))
 
     def test_stats_round_trip_json(self):
         session = make_session(240)
@@ -1100,3 +1130,68 @@ class TestParserFuzz:
         assert np.isfinite(session.gaze.t).all()
         assert np.isfinite(session.gaze.data[5:7]).all()
         assert np.isfinite(session.mouse.data).all()
+
+
+# ---------------------------------------------------------------------------
+# block writer against the row-by-row reference
+
+
+def reference_write(session, path) -> None:
+    """The row-by-row session writer that `format_rows` replaced: one
+    f-string per value, an empty field for a missing eye coordinate."""
+    def fmt9(x):
+        return f"{x:.9g}"
+
+    meta = session.meta
+    lines = ["#meta " + json.dumps({
+        "subject_id": meta.subject_id, "task": meta.task,
+        "magnification": meta.magnification,
+        "screen_w": meta.screen_w, "screen_h": meta.screen_h,
+        "gaze_rate": meta.gaze_rate, "mouse_rate": meta.mouse_rate,
+    }, sort_keys=True)]
+    lines.append("#gaze")
+    lines.append(dataio.GAZE_HEADER)
+    for t, lx, ly, rx, ry, vx, vy in session.gaze.data.T.tolist():
+        coords = ",".join("" if math.isnan(c) else fmt9(c) for c in (lx, ly, rx, ry))
+        lines.append(f"{fmt9(t)},{coords},{fmt9(vx)},{fmt9(vy)}")
+    lines.append("#mouse")
+    lines.append(dataio.MOUSE_HEADER)
+    for t, mx, my in session.mouse.data.T.tolist():
+        lines.append(f"{fmt9(t)},{fmt9(mx)},{fmt9(my)}")
+    lines.append("#labels")
+    lines.append(dataio.LABEL_HEADER)
+    for iv in session.labels:
+        lines.append(f"{fmt9(iv.start)},{fmt9(iv.end)},{iv.label}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_writes_like_reference(session, directory: Path) -> None:
+    dataio.write_session(session, directory / "block.session")
+    reference_write(session, directory / "rows.session")
+    assert (directory / "block.session").read_bytes() == (directory / "rows.session").read_bytes()
+
+
+class TestBlockWriter:
+    @given(session=small_sessions())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_row_reference(self, tmp_path_factory, session):
+        # 0..60 gaze rows with missing eyes, empty mouse and label sections
+        assert_writes_like_reference(session, tmp_path_factory.mktemp("write"))
+
+    def test_rows_across_chunks(self, tmp_path):
+        session = make_session(2 * dataio.PARSE_ROWS + 5, missing_idx={0, dataio.PARSE_ROWS})
+        assert len(list(dataio.format_rows(session.gaze.data))) == 3
+        assert_writes_like_reference(session, tmp_path)
+
+    def test_values_the_format_changes(self):
+        block = np.array([[0.0, -0.0, 1e16, 1.5e-7, 123456789.5, 5e-324, math.inf, 2 / 3]])
+        want = "".join(f"{x:.9g}\n" for x in block[0].tolist())
+        assert "".join(dataio.format_rows(block)) == want
+        assert dataio.fmt9(2 / 3) == f"{2 / 3:.9g}"
+
+    def test_nan_is_an_empty_field(self):
+        text = "".join(dataio.format_rows(np.array([[1.0, np.nan], [np.nan, 2.0], [3.0, 4.0]])))
+        assert text == "1,,3\n,2,4\n"
+
+    def test_empty_block_writes_nothing(self):
+        assert list(dataio.format_rows(np.empty((3, 0)))) == []

@@ -433,6 +433,18 @@ class TestCheckpoints:
         assert ft.head_kind == model.CLASSIFIER_HEAD
         assert all(ft.tensors[k] is not p.tensors[k] for k in p.tensors)
 
+    @pytest.mark.parametrize("mode", model.INPUT_MODES)
+    def test_reinit_head_equals_init_params_head(self, mode):
+        # the head is drawn after skipping the backbone's uniform draws
+        cfg = model.ModelConfig(input_mode=mode)
+        p = model.init_params(cfg, seed=0, head_kind=model.VELOCITY_HEAD)
+        ft = model.reinit_head(p, head_seed=7)
+        fresh = model.init_params(cfg, 7)
+        for name in ("head.w", "head.b"):
+            assert ft.tensors[name].data.tobytes() == fresh.tensors[name].data.tobytes()
+            assert ft.tensors[name].requires_grad
+        assert ft.checksum(ft.backbone_names()) == p.checksum(p.backbone_names())
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2**70, 2**70)

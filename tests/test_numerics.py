@@ -677,17 +677,28 @@ def classifier_step(b: int):
 
 
 # minor faults of 5 warm steps after 3 warm-up steps, in a fresh interpreter
+# prints the minor faults of each of 5 warm steps; when one reaches the
+# bound, also each step's ru_minflt and program break (sbrk(0)) on stderr,
+# which tells heap growth from pages the kernel took back from a kept heap
 WARM_FAULTS_RUN = textwrap.dedent("""
-    import resource, sys
+    import ctypes, resource, sys
     from test_numerics import classifier_step
+    sbrk = ctypes.CDLL(None).sbrk
+    sbrk.argtypes, sbrk.restype = [ctypes.c_ssize_t], ctypes.c_void_p
     full_step = classifier_step(int(sys.argv[1]))[2]
     for _ in range(3):
         full_step()
+    marks = [(resource.getrusage(resource.RUSAGE_SELF).ru_minflt, sbrk(0))]
     for _ in range(5):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         full_step()
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        marks.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt, sbrk(0)))
+    faults = [b[0] - a[0] for a, b in zip(marks, marks[1:])]
+    print(*faults)
+    if max(faults) >= int(sys.argv[2]):
+        for k, (minflt, brk) in enumerate(marks):
+            print(f"after step {3 + k}: ru_minflt {minflt}, sbrk(0) {brk:#x}", file=sys.stderr)
 """)
+WARM_FAULT_BOUND = 100
 
 
 class TestTapeMemory:
@@ -729,12 +740,13 @@ class TestTapeMemory:
         # tests ran before and how they left the heap's free lists
         tests = Path(__file__).resolve().parent
         path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run([sys.executable, "-c", WARM_FAULTS_RUN, str(self.B)],
+        proc = subprocess.run([sys.executable, "-c", WARM_FAULTS_RUN, str(self.B),
+                               str(WARM_FAULT_BOUND)],
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         faults = [int(f) for f in proc.stdout.split()]
-        assert len(faults) == 5 and max(faults) < 100, faults
+        assert len(faults) == 5 and max(faults) < WARM_FAULT_BOUND, (faults, proc.stderr)
 
     def test_output_read_by_no_backward_is_freed_in_forward(self):
         x, y, w, b = leaves(3, np.float32, (8, 5, 16), (8, 5, 16), (16, 4), (4,))

@@ -279,6 +279,17 @@ class TestValidation:
         with pytest.raises(DataError, match="t=0.19"):
             engine.push(clean_sample(23))
 
+    def test_non_finite_probabilities_rejected(self, trained):
+        # finite inputs, but a non-finite weight (the loader rejects one on disk)
+        params, stats, _, _ = trained
+        params = params.copy()
+        params.tensors["head.b"].data[0] = np.nan
+        engine = stream.StreamingEngine(params, stats, 2.0, stride=1)
+        for i in range(23):
+            engine.push(clean_sample(i))
+        with pytest.raises(DataError, match="t=0.19.*non-finite probabilities"):
+            engine.push(clean_sample(23))
+
     def test_from_checkpoint_round_trip(self, trained):
         params, _, ckpt, _ = trained
         engine = stream.StreamingEngine.from_checkpoint(ckpt, 2.0, stride=3)

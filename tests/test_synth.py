@@ -1,10 +1,13 @@
 import io
+from dataclasses import replace
+from decimal import ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
 
 from gazeintent import dataio, synth
 from gazeintent.errors import ConfigError
+from test_dataio import assert_writes_like_reference
 
 
 def short_cfg(**kw):
@@ -170,3 +173,131 @@ class TestValidation:
     def test_out_of_range_rejected(self, kw):
         with pytest.raises(ConfigError):
             short_cfg(**kw)
+
+
+# ---------------------------------------------------------------------------
+# generator against the per-sample reference
+
+
+def reference_session(cfg, subject_idx, task="text"):
+    """`generate_session` with the per-sample viewport and cursor loops on
+    2-vectors and the per-value `q9` that the scalar followers and
+    `format_rows` replaced: the same draws in the same order."""
+    if task == "webpage" and cfg.columns == 1:
+        cfg = replace(cfg, columns=2, read_seg_s=0.6 * cfg.read_seg_s,
+                      scan_seg_s=1.5 * cfg.scan_seg_s)
+    rng = np.random.default_rng([cfg.seed, subject_idx, 0 if task == "text" else 1])
+    n = int(round(cfg.session_len * dataio.GAZE_RATE))
+    w, h, m = cfg.screen_w, cfg.screen_h, cfg.magnification
+    segs = synth._segments(cfg, rng)
+    content = synth._content_path(cfg, segs, n, rng)
+
+    vmax = np.array([w * (1 - 1 / m), h * (1 - 1 / m)])
+    center = np.array([w / (2 * m), h / (2 * m)])
+    viewport = np.empty((2, n))
+    v = np.clip(content[:, 0] - center, 0.0, vmax)
+    for i in range(n):
+        target = np.clip(content[:, i] - center, 0.0, vmax)
+        v = v + cfg.viewport_gain * (target - v)
+        viewport[:, i] = v
+
+    phys_clean = np.clip((content - viewport) * m, [[0.0], [0.0]], [[w], [h]])
+    mouse_path = np.empty((2, n))
+    mp = phys_clean[:, 0].copy()
+    for i in range(n):
+        mp = mp + cfg.mouse_gain * (phys_clean[:, i] - mp)
+        mouse_path[:, i] = mp
+
+    def noisy_eye():
+        e = phys_clean + rng.normal(0.0, cfg.tracker_noise_px, size=(2, n))
+        return np.clip(e, [[0.0], [0.0]], [[w], [h]])
+
+    left, right = noisy_eye(), noisy_eye()
+
+    def dropout_mask():
+        mask = np.zeros(n, dtype=bool)
+        mean_len = max(1.0, cfg.dropout_burst_len_ms / 1000.0 * dataio.GAZE_RATE)
+        for i in np.flatnonzero(rng.random(n) < cfg.dropout_burst_rate / dataio.GAZE_RATE):
+            mask[i:i + rng.geometric(1.0 / mean_len)] = True
+        return mask
+
+    left_missing, right_missing = dropout_mask(), dropout_mask()
+
+    def q9_block(a, hi=()):
+        out = np.array([float(f"{v:.9g}") for v in a.ravel().tolist()]).reshape(a.shape)
+        for row, bound in zip(out, hi):
+            d = Decimal(bound)
+            row[row > bound] = float(d.quantize(Decimal(1).scaleb(d.adjusted() - 8), ROUND_FLOOR))
+        return out
+
+    meta = dataio.SessionMeta(subject_id=f"S{subject_idx:02d}", task=task,
+                              magnification=m, screen_w=w, screen_h=h)
+    eyes = q9_block(np.concatenate([left, right]), [w, h, w, h])
+    eyes[0:2, left_missing] = np.nan
+    eyes[2:4, right_missing] = np.nan
+    gaze = dataio.GazeColumns(np.concatenate([q9_block(np.arange(n) / dataio.GAZE_RATE)[None],
+                                              eyes, q9_block(viewport, vmax)]))
+    idx = np.arange(0, n, dataio.GAZE_RATE // dataio.MOUSE_RATE)
+    mouse = dataio.MouseColumns(q9_block(np.concatenate([(idx / dataio.GAZE_RATE)[None],
+                                                         mouse_path[:, idx]])))
+    labels = [dataio.LabelInterval(dataio.q9(s.start), dataio.q9(s.end), s.label) for s in segs]
+    return dataio.Session(meta, gaze, mouse, labels)
+
+
+ORACLE_CASES = {
+    "text": ({}, "text"),
+    "webpage": ({}, "webpage"),
+    "pinned_viewport": ({"magnification": 1.0}, "text"),
+    "magnification_4": ({"magnification": 4.0}, "webpage"),
+    "heavy_dropout": ({"dropout_burst_rate": 3.0, "dropout_burst_len_ms": 400.0}, "text"),
+    "one_second": ({"session_len": 1.0}, "webpage"),
+    "at_screen_bound": ({"magnification": 2.2, "screen_w": 1920.123456789}, "text"),
+}
+
+
+class TestAgainstPerSampleReference:
+    """Arrays and file bytes equal those of the per-sample generator and the
+    row-by-row writer (20 s sessions span two PARSE_ROWS chunks)."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_arrays_and_bytes(self, tmp_path, case):
+        kw, task = ORACLE_CASES[case]
+        cfg = short_cfg(seed=3, **kw)
+        got = synth.generate_session(cfg, 1, task)
+        want = reference_session(cfg, 1, task)
+        for cols in ("gaze", "mouse"):
+            a, b = getattr(got, cols).data, getattr(want, cols).data
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), cols
+        assert got.labels == want.labels and got.meta == want.meta
+        assert_writes_like_reference(got, tmp_path)
+
+    @pytest.mark.parametrize("gain", [0.05, 0.08, 0.5, 1.0, 0])
+    def test_follower_equals_per_sample_loop(self, gain):
+        # unquantized, so a change of operation order shows in the last bit
+        targets = np.random.default_rng(5).normal(500.0, 300.0, (2, 3000))
+        want = np.empty_like(targets)
+        v = targets[:, 0].copy()
+        for i in range(targets.shape[1]):
+            v = v + gain * (targets[:, i] - v)
+            want[:, i] = v
+        assert synth._follow(targets, gain).tobytes() == want.tobytes()
+
+    def test_case_coverage(self):
+        heavy = synth.generate_session(short_cfg(seed=3, **ORACLE_CASES["heavy_dropout"][0]), 1)
+        assert np.isnan(heavy.gaze.lx).mean() > 0.5
+        pinned = synth.generate_session(short_cfg(seed=3, magnification=1.0), 1)
+        assert not pinned.gaze.vx.any() and not pinned.gaze.vy.any()
+        # values clipped to a bound of more than 9 digits take the clamp below
+        # it: screen_w 1920.123456789 and vmax_x 1047.3400673394544
+        at_bound = synth.generate_session(short_cfg(seed=3, **ORACLE_CASES["at_screen_bound"][0]), 1)
+        assert (at_bound.gaze.lx == 1920.12345).any() or (at_bound.gaze.rx == 1920.12345).any()
+        assert (at_bound.gaze.vx == 1047.34006).any()
+
+    def test_empty_mouse_and_no_labels(self, tmp_path):
+        session = synth.generate_session(short_cfg(session_len=1.0), 0)
+        session.mouse = []
+        session.labels = []
+        assert_writes_like_reference(session, tmp_path)
+        text = (tmp_path / "block.session").read_text()
+        assert text.endswith("\n#mouse\nt,mx,my\n#labels\nstart,end,label\n")
+        assert "\n\n" not in text

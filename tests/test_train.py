@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,19 @@ class TestPretext:
         assert all(t.requires_grad == (k != "pos") for k, t in params.tensors.items())
         # the same fine-tune as from the checkpoint on disk
         assert ft.checksum() == train.finetune(ckpt, sessions, cfg)[0].checksum()
+
+    def test_non_finite_input_names_the_stats(self, sessions, pretrained):
+        # a std > 0 so small that normalized windows overflow float32 is a
+        # data fault of the stats, not a learning rate that diverged
+        params, stats, _, _ = pretrained
+        channels = {**stats.channels, "c": (stats.channels["c"][0], np.array([1.0, 1e-300]))}
+        tiny = dataio.NormStats(stats.screen_w, stats.screen_h, channels, stats.vel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="finetune stage: model input stream c is not "
+                                                "finite as float32 under the normalization "
+                                                "stats of the pretext stage"):
+                train.finetune_params(params, tiny, sessions, quick_cfg(max_epochs=1))
 
     def test_finetune_input_mode_mismatch_rejected(self, sessions, pretrained):
         with pytest.raises(ConfigError, match="input_mode"):
