@@ -1183,7 +1183,7 @@ class TestBlockWriter:
         assert len(list(dataio.format_rows(session.gaze.data))) == 3
         assert_writes_like_reference(session, tmp_path)
 
-    def test_values_the_format_changes(self):
+    def test_special_values_format_like_an_fstring(self):
         block = np.array([[0.0, -0.0, 1e16, 1.5e-7, 123456789.5, 5e-324, math.inf, 2 / 3]])
         want = "".join(f"{x:.9g}\n" for x in block[0].tolist())
         assert "".join(dataio.format_rows(block)) == want
