@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -202,11 +202,11 @@ def _iter_feed_lines(source):
 
 
 def _read_feed(source, screen: tuple, magnification: float):
-    """Samples of a CSV feed, skipping blank lines and the column header.
+    """`GazeColumns` chunks of a CSV feed, skipping blank lines and the header.
     Rows pass the gaze row rules of a session file, on the screen (w, h)
     at `magnification`; a bad row raises DataError with its line number,
-    after every sample before it. A file is checked PARSE_ROWS lines at a
-    time, stdin a line at a time so that a live feed is never held back."""
+    after a chunk of the rows before it. A file is checked PARSE_ROWS lines
+    at a time, stdin a line at a time so that a live feed is never held back."""
     lines = enumerate(_iter_feed_lines(source), start=1)
     size = 1 if source == "-" else dataio.PARSE_ROWS
     prev_t = None
@@ -217,7 +217,7 @@ def _read_feed(source, screen: tuple, magnification: float):
             continue
         linenos, rows = zip(*kept)
         values, fault = dataio.parse_gaze_rows(rows, prev_t, screen, magnification)
-        yield from dataio.GazeColumns(values[:len(rows) if fault is None else fault[0]].T)
+        yield dataio.GazeColumns(values[:len(rows) if fault is None else fault[0]].T)
         if fault is not None:
             raise DataError(f"feed line {linenos[fault[0]]}: {fault[1]}")
         prev_t = float(values[-1, 0])
@@ -242,17 +242,18 @@ def cmd_infer(args) -> int:
     if session is not None:
         # the checkpoint's stats normalize by the screen they were made on
         dataio.one_screen([session.meta, engine.stats])
-        samples = session.gaze
+        chunks = [session.gaze]
     else:
         screen = (engine.stats.screen_w, engine.stats.screen_h)
-        samples = _read_feed(args.input, screen, magnification)
+        chunks = _read_feed(args.input, screen, magnification)
         if args.eye == "auto":
-            # the batch rule reads the first ceil(10%) of the whole feed
-            samples = dataio.GazeColumns.from_rows(samples)
+            # the batch rule reads the first ceil(10%) of the whole feed (7 x 0 if empty)
+            data = [np.empty((7, 0))] + [c.data for c in chunks]
+            chunks = [dataio.GazeColumns(np.concatenate(data, axis=1))]
     if args.eye == "auto":
-        engine.eye = dataio.select_eye(samples)
+        engine.eye = dataio.select_eye(chunks[0])
     n = 0
-    for sample in samples:
+    for sample in chain.from_iterable(chunks):
         decision = engine.push(sample)
         if decision is not None:
             n += 1

@@ -949,7 +949,8 @@ def _mean_std(x: np.ndarray, axis) -> tuple:
 def normalize(windows, stats: NormStats) -> Windows:
     """Standardize window streams (and velocity targets) with training-split
     stats: (v / screen dims - mean) / std on a copy of each block. Absent
-    rows stay NaN; a stream the stats do not cover is passed through.
+    rows stay NaN; a stream the stats do not cover is passed through. An
+    overflow (a subnormal std) gives inf silently; `Windows.batch` reports it.
 
     `windows` is a `Windows` container or a list of `Window` records.
     Returns a new container; the input is left untouched.
@@ -961,13 +962,14 @@ def normalize(windows, stats: NormStats) -> Windows:
     if stats.vel is not None:
         scale["vel_target"] = (dims, *stats.vel)
     out = {}
-    for key in ("g", "c", "m", "vel_target"):
-        block = getattr(windows, key)
-        if block is not None and key in scale:
-            d, mu, sd = scale[key]
-            block = block / d
-            block -= mu
-            block /= sd
-        out[key] = block
+    with np.errstate(over="ignore"):
+        for key in ("g", "c", "m", "vel_target"):
+            block = getattr(windows, key)
+            if block is not None and key in scale:
+                d, mu, sd = scale[key]
+                block = block / d
+                block -= mu
+                block /= sd
+            out[key] = block
     return Windows(**out, t_end=windows.t_end.copy(), label=windows.label.copy(),
                    subject_id=windows.subject_id.copy(), counts=dict(windows.counts))

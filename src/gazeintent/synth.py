@@ -4,14 +4,16 @@ Content-space gaze is a fixation/saccade staircase along text lines
 (reading) or a sequence of large erratic jumps (scanning). The mouse
 drags the viewport to keep gaze in a preferred region; physical gaze is
 the content point seen through the magnifier plus tracker noise.
-Behavioral defaults are loosely anchored to classical reading
-psychophysics and are config-exposed, not dataset claims.
+The reader is fixed: module constants, loosely anchored to classical
+reading psychophysics (not dataset claims), and one LAYOUTS row per task.
+A `SynthConfig` sets only the runs, magnification, screen and dropout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 
@@ -32,7 +34,21 @@ from gazeintent.dataio import (
 )
 from gazeintent.errors import ConfigError, DataError
 
-DAY_S = 86400.0
+DAY_S = 86400.0            # caps a session and a dropout burst
+FIXATION_MS_MEAN = 220.0   # reading fixation duration
+FIXATION_MS_STD = 60.0
+SACCADE_PX_MEAN = 35.0     # content px, rightward reading saccades
+SACCADE_PX_STD = 10.0
+SCAN_JUMP_PX = 280.0       # scale of scanning jumps
+TRACKER_NOISE_PX = 3.0
+LINE_HEIGHT_PX = 30.0
+MARGIN_PX = 80.0
+VIEWPORT_GAIN = 0.08       # per-sample viewport tracking rate
+MOUSE_GAIN = 0.05          # per-sample cursor smoothing rate
+
+# a task's page: text columns, and mean reading and scanning segment lengths (s)
+Layout = namedtuple("Layout", "columns read_seg_s scan_seg_s")
+LAYOUTS = {"text": Layout(1, 4.5, 1.5), "webpage": Layout(2, 0.6 * 4.5, 1.5 * 1.5)}
 
 
 @dataclass
@@ -43,43 +59,24 @@ class SynthConfig:
     magnification: float = 2.0
     screen_w: float = 1920.0
     screen_h: float = 1080.0
-    fixation_ms_mean: float = 220.0  # reading fixation duration
-    fixation_ms_std: float = 60.0
-    saccade_px_mean: float = 35.0    # content px, rightward reading saccades
-    saccade_px_std: float = 10.0
-    scan_jump_px: float = 280.0      # scale of scanning jumps
-    tracker_noise_px: float = 3.0
     dropout_burst_rate: float = 0.25   # bursts per second per eye
     dropout_burst_len_ms: float = 60.0
-    read_seg_s: float = 4.5          # mean reading segment length
-    scan_seg_s: float = 1.5          # mean scanning segment length
-    line_height_px: float = 30.0
-    margin_px: float = 80.0
-    columns: int = 1                 # 2 for webpage-style layouts
-    viewport_gain: float = 0.08      # per-sample viewport tracking rate
-    mouse_gain: float = 0.05         # per-sample cursor smoothing rate
 
     def __post_init__(self):
-        # a day caps durations (webpages scale scan segments by 1.5); a gain above 1 overshoots
         check_fields(self, seed=0, n_subjects=1, session_len=(1.0, DAY_S), magnification=1,
-                     columns=1, fixation_ms_std=0, saccade_px_std=0, tracker_noise_px=0,
-                     read_seg_s=(0, DAY_S), scan_seg_s=(0, DAY_S), viewport_gain=(0, 1),
-                     mouse_gain=(0, 1), dropout_burst_len_ms=(0, 1000 * DAY_S))
-        for name in ("fixation_ms_mean", "saccade_px_mean", "scan_jump_px",
-                     "read_seg_s", "scan_seg_s", "screen_w", "screen_h"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0 <= 2 * self.margin_px < min(self.screen_w, self.screen_h):
-            raise ConfigError("margin_px must be >= 0 and leave room on the screen")
+                     dropout_burst_rate=0, dropout_burst_len_ms=(0, 1000 * DAY_S))
+        if min(self.screen_w, self.screen_h) <= 2 * MARGIN_PX:
+            raise ConfigError(f"screen_w and screen_h must exceed twice the {MARGIN_PX:g} px "
+                              f"margin, got {self.screen_w!r} x {self.screen_h!r}")
 
 
-def _segments(cfg: SynthConfig, rng) -> list:
+def _segments(cfg: SynthConfig, layout: Layout, rng) -> list:
     """Alternating reading/scanning segments tiling the session."""
     segs = []
     t = 0.0
     kind = "reading"
     while t < cfg.session_len:
-        mean = cfg.read_seg_s if kind == "reading" else cfg.scan_seg_s
+        mean = layout.read_seg_s if kind == "reading" else layout.scan_seg_s
         dur = max(0.5, rng.normal(mean, 0.3 * mean))
         end = min(t + dur, cfg.session_len)
         segs.append(LabelInterval(t, end, kind))
@@ -88,19 +85,19 @@ def _segments(cfg: SynthConfig, rng) -> list:
     return segs
 
 
-def _content_path(cfg: SynthConfig, segs, n, rng) -> np.ndarray:
+def _content_path(cfg: SynthConfig, layout: Layout, segs, n, rng) -> np.ndarray:
     """Content-space gaze trajectory, one point per 120 Hz sample."""
     w, h = cfg.screen_w, cfg.screen_h
-    col_w = (w - 2 * cfg.margin_px) / cfg.columns
+    col_w = (w - 2 * MARGIN_PX) / layout.columns
     col = 0
 
     def line_bounds(column):
-        x0 = cfg.margin_px + column * col_w
+        x0 = MARGIN_PX + column * col_w
         return x0 + 5.0, x0 + col_w - 5.0
 
     x0, x1 = line_bounds(col)
     pos = np.empty((2, n))
-    x, y = x0, cfg.margin_px
+    x, y = x0, MARGIN_PX
     kinds = np.empty(n, dtype=object)
     for seg in segs:
         i0 = int(round(seg.start * GAZE_RATE))
@@ -109,11 +106,10 @@ def _content_path(cfg: SynthConfig, segs, n, rng) -> np.ndarray:
 
     i = 0
     while i < n:
-        reading = kinds[i] == "reading"
-        if reading:
-            dur_ms = max(50.0, rng.normal(cfg.fixation_ms_mean, cfg.fixation_ms_std))
+        if kinds[i] == "reading":
+            dur_ms = max(50.0, rng.normal(FIXATION_MS_MEAN, FIXATION_MS_STD))
         else:
-            dur_ms = max(30.0, rng.normal(0.5 * cfg.fixation_ms_mean, 0.5 * cfg.fixation_ms_std))
+            dur_ms = max(30.0, rng.normal(0.5 * FIXATION_MS_MEAN, 0.5 * FIXATION_MS_STD))
         hold = max(1, int(round(dur_ms / 1000.0 * GAZE_RATE)))
         j = min(i + hold, n)
         pos[0, i:j] = x
@@ -122,20 +118,20 @@ def _content_path(cfg: SynthConfig, segs, n, rng) -> np.ndarray:
         if i >= n:
             break
         if kinds[i] == "reading":
-            x += max(5.0, rng.normal(cfg.saccade_px_mean, cfg.saccade_px_std))
+            x += max(5.0, rng.normal(SACCADE_PX_MEAN, SACCADE_PX_STD))
             y += rng.normal(0.0, 1.5)
             if x > x1:
                 # return sweep to the next line (or next column / page top)
-                y += cfg.line_height_px
-                if y > h - cfg.margin_px:
-                    col = (col + 1) % cfg.columns
-                    y = cfg.margin_px
+                y += LINE_HEIGHT_PX
+                if y > h - MARGIN_PX:
+                    col = (col + 1) % layout.columns
+                    y = MARGIN_PX
                 x0, x1 = line_bounds(col)
                 x = x0 + abs(rng.normal(0.0, 5.0))
             y = min(max(y, 0.0), h)
         else:
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            mag = abs(rng.normal(cfg.scan_jump_px, 0.3 * cfg.scan_jump_px))
+            mag = abs(rng.normal(SCAN_JUMP_PX, 0.3 * SCAN_JUMP_PX))
             x = min(max(x + mag * math.cos(ang), 0.0), w)
             y = min(max(y + mag * math.sin(ang), 0.0), h)
     return pos
@@ -169,32 +165,31 @@ def _follow(targets: np.ndarray, gain: float) -> np.ndarray:
 
 
 def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> Session:
-    if task == "webpage" and cfg.columns == 1:
-        cfg = replace(cfg, columns=2,
-                      read_seg_s=0.6 * cfg.read_seg_s,
-                      scan_seg_s=1.5 * cfg.scan_seg_s)
+    w, h, m = cfg.screen_w, cfg.screen_h, cfg.magnification
+    # built first: an unknown task raises DataError here, before the layout lookup
+    meta = SessionMeta(subject_id=f"S{subject_idx:02d}", task=task,
+                       magnification=m, screen_w=w, screen_h=h)
+    layout = LAYOUTS[task]
     rng = np.random.default_rng([cfg.seed, subject_idx, 0 if task == "text" else 1])
     n = int(round(cfg.session_len * GAZE_RATE))
-    w, h, m = cfg.screen_w, cfg.screen_h, cfg.magnification
 
-    segs = _segments(cfg, rng)
-    content = _content_path(cfg, segs, n, rng)
+    segs = _segments(cfg, layout, rng)
+    content = _content_path(cfg, layout, segs, n, rng)
 
     # viewport follows gaze with a preferred region at the lens center
     vmax = np.array([w * (1 - 1 / m), h * (1 - 1 / m)])
     center = np.array([w / (2 * m), h / (2 * m)])
-    viewport = _follow(np.clip(content - center[:, None], 0.0, vmax[:, None]), cfg.viewport_gain)
+    viewport = _follow(np.clip(content - center[:, None], 0.0, vmax[:, None]), VIEWPORT_GAIN)
 
     # physical gaze through the lens; cursor is a smoothed pursuit of it
     phys_clean = np.clip((content - viewport) * m, [[0.0], [0.0]], [[w], [h]])
-    mouse_path = _follow(phys_clean, cfg.mouse_gain)
+    mouse_path = _follow(phys_clean, MOUSE_GAIN)
 
     def noisy_eye():
-        e = phys_clean + rng.normal(0.0, cfg.tracker_noise_px, size=(2, n))
+        e = phys_clean + rng.normal(0.0, TRACKER_NOISE_PX, size=(2, n))
         return np.clip(e, [[0.0], [0.0]], [[w], [h]])
 
-    left = noisy_eye()
-    right = noisy_eye()
+    left, right = noisy_eye(), noisy_eye()
 
     def dropout_mask():
         mask = np.zeros(n, dtype=bool)
@@ -206,11 +201,8 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
             mask[i:i + length] = True
         return mask
 
-    left_missing = dropout_mask()
-    right_missing = dropout_mask()
+    left_missing, right_missing = dropout_mask(), dropout_mask()
 
-    meta = SessionMeta(subject_id=f"S{subject_idx:02d}", task=task,
-                       magnification=m, screen_w=w, screen_h=h)
     eyes = _q9(np.concatenate([left, right]), [w, h, w, h])
     eyes[0:2, left_missing] = np.nan
     eyes[2:4, right_missing] = np.nan

@@ -234,7 +234,13 @@ BAD_CONFIGS = [
     ("gen", [], '{"viewport_gain": NaN}'),
     ("gen", [], '{"screen_w": Infinity}'),
     ("gen", [], '{"seed": true}'),
+    ("gen", [], '{"dropout_burst_rate": -3.0}'),
+    ("gen", [], '{"screen_w": 160}'),
 ]
+# simulated-reader values that are constants now: a config naming one is an unknown key
+READER_KEYS = ("fixation_ms_mean", "fixation_ms_std", "saccade_px_mean", "saccade_px_std",
+               "scan_jump_px", "tracker_noise_px", "line_height_px", "margin_px",
+               "viewport_gain", "mouse_gain", "columns", "read_seg_s", "scan_seg_s")
 
 
 @pytest.mark.parametrize("command,options,config", BAD_CONFIGS)
@@ -252,6 +258,18 @@ def test_bad_config_exits_2_before_any_work(workspace, tmp_path, capsys, command
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    named = [k for k in READER_KEYS if config and f'"{k}"' in config]
+    if named:
+        assert f"unknown config keys for SynthConfig: {named}" in err
+
+
+@pytest.mark.parametrize("key", READER_KEYS)
+def test_reader_key_in_gen_config_exits_2_naming_it(tmp_path, capsys, key):
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1, key: 1}))
+    assert cli.main(["gen", "--out", str(tmp_path / "out"),
+                     "--config", str(tmp_path / "cfg.json")]) == 2
+    assert f"unknown config keys for SynthConfig: ['{key}']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -555,6 +573,18 @@ class TestInfer:
                          "--magnification", str(mag)]) == 0
         assert capsys.readouterr().out == out["right"]
 
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_empty_feed_with_eye_auto_exits_3(self, workspace, tmp_path, capsys, monkeypatch,
+                                              via):
+        _, _, ckpt = workspace
+        feed = tmp_path / "empty.csv"
+        feed.write_text(dataio.GAZE_HEADER + "\n\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(feed.read_text()))
+        source = str(feed) if via == "file" else "-"
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", source]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: empty session" in captured.err
+
     def test_live_feed_decision_arrives_before_the_feed_ends(self, workspace):
         # stdout is a pipe, where Python buffers output unless it is flushed
         _, data, ckpt = workspace
@@ -685,27 +715,29 @@ class TestInfer:
         assert "Traceback" not in err and "p_reading" not in out
 
     def test_non_finite_decision_exits_3(self, workspace, tmp_path, capsys):
-        # a std > 0 so small that a normalized window overflows float32: the
-        # model input is rejected, naming the stream (and for a stage, the
-        # checkpoint the stats came from), without a numpy warning
+        # a std > 0 so small that a normalized window overflows float32 (1e-300)
+        # or float64 (1e-310): the model input is rejected, naming the stream
+        # (and for a stage, the checkpoint the stats came from), without a
+        # numpy warning
         _, data, ckpt = workspace
-        bad = tmp_path / "ckpt"
-        shutil.copytree(ckpt, bad)
-        edit_checkpoint(bad, "tiny_std")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert cli.main(["infer", "--ckpt", str(bad), "--input",
-                             str(data / "S00_text.session"), "--eye", "left"]) == 3
-            out, err = capsys.readouterr()
-            assert "NaN" not in out and "model input stream g is not finite" in err
-            assert cli.main(["train", "--mode", "finetune", "--from", str(bad), "--data",
-                             str(data), "--out", str(tmp_path / "run"), "--stride", "24",
-                             "--max-epochs", "1"]) == 3
-        err = capsys.readouterr().err
-        assert f"finetune stage: model input stream g is not finite as float32 under the " \
-               f"normalization stats of checkpoint {bad}" in err
-        assert "diverged" not in err
-        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+        for edit in ("tiny_std", "subnormal_std"):
+            bad, run = tmp_path / edit, tmp_path / f"run_{edit}"
+            shutil.copytree(ckpt, bad)
+            edit_checkpoint(bad, edit)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["infer", "--ckpt", str(bad), "--input",
+                                 str(data / "S00_text.session"), "--eye", "left"]) == 3
+                out, err = capsys.readouterr()
+                assert "NaN" not in out and "model input stream g is not finite" in err
+                assert cli.main(["train", "--mode", "finetune", "--from", str(bad), "--data",
+                                 str(data), "--out", str(run), "--stride", "24",
+                                 "--max-epochs", "1"]) == 3
+            err = capsys.readouterr().err
+            assert f"finetune stage: model input stream g is not finite as float32 under " \
+                   f"the normalization stats of checkpoint {bad}" in err
+            assert "diverged" not in err
+            assert not run.exists() or not any(run.iterdir())
 
     def test_malformed_checkpoint_manifest(self, workspace, tmp_path, monkeypatch):
         _, _, ckpt = workspace

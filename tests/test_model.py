@@ -33,8 +33,8 @@ def edit_checkpoint(path, edit: str) -> None:
     "share" gives tf0.attn.wq the offset of tf0.attn.wk, "float64" marks
     fusion.w as float64, "extra" lists one more tensor, "deep" stores
     `cnn_layers: 10**7`, "hologram" stores an unknown input mode,
-    "zero_std" and "tiny_std" set one std of stream g to 0 and to 1e-300,
-    and "no_channels" stores stats without channels."""
+    "zero_std", "tiny_std" and "subnormal_std" set one std of stream g to 0,
+    1e-300 and 1e-310, and "no_channels" stores stats without channels."""
     doc = json.loads((path / "manifest.json").read_text())
     blob = bytearray((path / "weights.bin").read_bytes())
     entry = {e["name"]: e for e in doc["tensors"]}
@@ -52,8 +52,9 @@ def edit_checkpoint(path, edit: str) -> None:
         doc["config"]["cnn_layers"] = 10 ** 7
     elif edit == "hologram":
         doc["config"]["input_mode"] = "hologram"
-    elif edit in ("zero_std", "tiny_std"):
-        doc["stats"]["channels"]["g"][1][0] = 0.0 if edit == "zero_std" else 1e-300
+    elif edit.endswith("_std"):
+        doc["stats"]["channels"]["g"][1][0] = {"zero": 0.0, "tiny": 1e-300,
+                                               "subnormal": 1e-310}[edit[:-4]]
     elif edit == "no_channels":
         doc["stats"]["channels"] = {}
     elif edit == "drop":

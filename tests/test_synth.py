@@ -1,12 +1,12 @@
 import io
-from dataclasses import replace
+from dataclasses import fields
 from decimal import ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
 
 from gazeintent import dataio, synth
-from gazeintent.errors import ConfigError
+from gazeintent.errors import ConfigError, DataError
 from test_dataio import assert_writes_like_reference
 
 
@@ -161,18 +161,33 @@ class TestValidation:
         with pytest.raises(ConfigError):
             synth.generate_session(short_cfg(session_len=0.5), 0)
 
-    def test_nonpositive_segment_length(self):
-        with pytest.raises(ConfigError):
-            synth.generate_session(short_cfg(read_seg_s=0.0), 0)
-
     @pytest.mark.parametrize("kw", [
-        {"margin_px": 1e308}, {"margin_px": -1.0}, {"margin_px": 540.0},
-        {"scan_seg_s": 1.7e308}, {"session_len": 1e9}, {"viewport_gain": 1.5},
-        {"mouse_gain": -0.1}, {"fixation_ms_std": -1.0}, {"n_subjects": 0},
-        {"dropout_burst_len_ms": 1e300}])
+        {"session_len": 1e9}, {"n_subjects": 0}, {"dropout_burst_len_ms": 1e300},
+        {"dropout_burst_rate": -3.0}, {"screen_w": 160.0}, {"screen_h": 100.0},
+        {"screen_w": -1920.0}, {"screen_h": float("nan")}, {"seed": -1},
+        {"dropout_burst_rate": float("inf")}])
     def test_out_of_range_rejected(self, kw):
         with pytest.raises(ConfigError):
             short_cfg(**kw)
+
+    def test_smallest_screen_past_twice_the_margin(self):
+        side = 2 * synth.MARGIN_PX + 1
+        session = synth.generate_session(short_cfg(screen_w=side, screen_h=side), 0, "webpage")
+        assert session.meta.screen_w == side
+
+    def test_unknown_task(self):
+        with pytest.raises(DataError, match="unknown task 'poster'"):
+            synth.generate_session(short_cfg(), 0, "poster")
+
+    def test_config_sets_runs_magnification_screen_and_dropout_only(self):
+        assert [f.name for f in fields(synth.SynthConfig)] == [
+            "seed", "n_subjects", "session_len", "magnification", "screen_w", "screen_h",
+            "dropout_burst_rate", "dropout_burst_len_ms"]
+
+    def test_webpage_layout_scales_the_text_layout(self):
+        # 0.6 x the mean reading and 1.5 x the mean scanning segment of text, as float products
+        text = synth.LAYOUTS["text"]
+        assert synth.LAYOUTS["webpage"] == (2, 0.6 * text.read_seg_s, 1.5 * text.scan_seg_s)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +198,12 @@ def reference_session(cfg, subject_idx, task="text"):
     """`generate_session` with the per-sample viewport and cursor loops on
     2-vectors and the per-value `q9` that the scalar followers and
     `format_rows` replaced: the same draws in the same order."""
-    if task == "webpage" and cfg.columns == 1:
-        cfg = replace(cfg, columns=2, read_seg_s=0.6 * cfg.read_seg_s,
-                      scan_seg_s=1.5 * cfg.scan_seg_s)
+    layout = synth.LAYOUTS[task]
     rng = np.random.default_rng([cfg.seed, subject_idx, 0 if task == "text" else 1])
     n = int(round(cfg.session_len * dataio.GAZE_RATE))
     w, h, m = cfg.screen_w, cfg.screen_h, cfg.magnification
-    segs = synth._segments(cfg, rng)
-    content = synth._content_path(cfg, segs, n, rng)
+    segs = synth._segments(cfg, layout, rng)
+    content = synth._content_path(cfg, layout, segs, n, rng)
 
     vmax = np.array([w * (1 - 1 / m), h * (1 - 1 / m)])
     center = np.array([w / (2 * m), h / (2 * m)])
@@ -198,18 +211,18 @@ def reference_session(cfg, subject_idx, task="text"):
     v = np.clip(content[:, 0] - center, 0.0, vmax)
     for i in range(n):
         target = np.clip(content[:, i] - center, 0.0, vmax)
-        v = v + cfg.viewport_gain * (target - v)
+        v = v + synth.VIEWPORT_GAIN * (target - v)
         viewport[:, i] = v
 
     phys_clean = np.clip((content - viewport) * m, [[0.0], [0.0]], [[w], [h]])
     mouse_path = np.empty((2, n))
     mp = phys_clean[:, 0].copy()
     for i in range(n):
-        mp = mp + cfg.mouse_gain * (phys_clean[:, i] - mp)
+        mp = mp + synth.MOUSE_GAIN * (phys_clean[:, i] - mp)
         mouse_path[:, i] = mp
 
     def noisy_eye():
-        e = phys_clean + rng.normal(0.0, cfg.tracker_noise_px, size=(2, n))
+        e = phys_clean + rng.normal(0.0, synth.TRACKER_NOISE_PX, size=(2, n))
         return np.clip(e, [[0.0], [0.0]], [[w], [h]])
 
     left, right = noisy_eye(), noisy_eye()
