@@ -260,6 +260,8 @@ def cmd_infer(args) -> int:
             # flushed, so a live feed's reader gets each decision when it is made
             print(json.dumps({"t": decision.t_end, "label": decision.label,
                               "p_reading": decision.p_reading}), flush=True)
+    if engine.count == 0:
+        raise DataError("empty session")
     print(f"emitted {n} decisions", file=sys.stderr)
     print(json.dumps({"pushes": engine.count, "decisions": n, "silent": engine.silent_counts()}),
           file=sys.stderr)

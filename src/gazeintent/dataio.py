@@ -693,33 +693,9 @@ def remap_to_screen(px: float, py: float, vx: float, vy: float, meta: SessionMet
     return cx, cy
 
 
-def mouse_velocity(mouse: list, t_start: float, t_end: float):
-    """Mean cursor velocity (px/s) over [t_start, t_end]; None when the window
-    falls outside the mouse record."""
-    if not mouse:
-        return None
-    mt = np.array([s.t for s in mouse])
-    if t_start < mt[0] or t_end > mt[-1]:
-        return None
-    mx = np.array([s.mx for s in mouse])
-    my = np.array([s.my for s in mouse])
-    x0, x1 = np.interp([t_start, t_end], mt, mx)
-    y0, y1 = np.interp([t_start, t_end], mt, my)
-    dt = t_end - t_start
-    return np.array([(x1 - x0) / dt, (y1 - y0) / dt])
-
-
-def label_at(labels: list, t: float) -> int | None:
-    """Class id of the interval covering t (half-open [start, end)), else None."""
-    for iv in labels:
-        if iv.start <= t < iv.end:
-            return LABELS.index(iv.label)
-    return None
-
-
 def _label_ids(labels: list, t: np.ndarray) -> np.ndarray:
-    """Vectorized `label_at`: class id of the interval covering each t
-    (half-open [start, end)), -1 where none does.
+    """Class id of the interval covering each t (half-open [start, end)),
+    -1 where none does.
 
     One binary search over the intervals sorted by start; the interval with
     the largest start <= t is the only candidate because intervals do not
@@ -758,8 +734,8 @@ def windowize(session: Session, stride: int, mode: str, *,
     Every per-window quantity is computed for all window starts at once,
     so the cost is linear in session length. Labels are found by binary
     search over the label intervals, which is exact because
-    `parse_session` guarantees they do not overlap. Results equal the
-    per-window `label_at` / `mouse_velocity` reference bit for bit. The
+    `parse_session` guarantees they do not overlap. Results equal, bit for
+    bit, a per-window loop over scalar references that the tests keep. The
     kept windows come back as one `Windows` container whose `counts` say
     why each other window position was dropped, the first reason in the
     order above.

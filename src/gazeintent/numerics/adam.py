@@ -49,7 +49,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, *,
         v += (1.0 - beta2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
+        # in place: a parameter keeps its buffer across steps, so the heap a
+        # step frees is laid out the same way at the next one
+        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
 
 
 def zero_grads(params) -> None:

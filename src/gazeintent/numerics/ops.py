@@ -5,7 +5,9 @@ hand-written backward pass: conv1d (one im2col GEMM), linear (x @ W + b),
 layer_norm, scaled_dot_attention, softmax and log_softmax. The losses are
 compositions and get their gradients from the tape. Each backward captures
 only the arrays it reads (see `Tensor._result`); an array read only for
-the gradient of a parent that requires none is not kept.
+the gradient of a parent that requires none is not kept. conv1d keeps its
+input, which the relu before it (or the caller) keeps anyway, and rebuilds
+its im2col matrix from it in backward: the matrix is K times the input.
 """
 
 from __future__ import annotations
@@ -18,16 +20,29 @@ from gazeintent.errors import ShapeError
 from gazeintent.numerics.tensor import Tensor, _unbroadcast
 
 
+def _im2col(xd: np.ndarray, K: int) -> np.ndarray:
+    """(B, C_in, T) -> (B * T, K * C_in): row (b, t) holds the K input frames
+    around step t, gathered in one copy through a strided view of the
+    zero-padded input."""
+    B, c_in, T = xd.shape
+    pad = (K - 1) // 2
+    xp = np.zeros((B, T + K - 1, c_in), dtype=xd.dtype)    # (B, T + 2 pad, C_in)
+    xp[:, pad:pad + T] = xd.transpose(0, 2, 1)
+    # row (b, t) holds padded frames t .. t + K - 1: step and tap both advance one frame
+    strides = xp.strides[:2] + xp.strides[1:]
+    return np.ndarray((B, T, K, c_in), xp.dtype, xp, 0, strides).reshape(B * T, K * c_in)
+
+
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Temporal convolution with odd kernel width and same-length zero padding.
 
     x: (C_in, T) or (B, C_in, T); kernels: (C_out, C_in, K); bias: (C_out,).
     Output has the same temporal length T.
 
-    Computed as one GEMM over an im2col matrix whose row (b, t) holds the
-    K input frames around step t (Chellapilla et al., 2006), gathered in
-    one copy through a strided view of the zero-padded input. The output is
-    a (B, C_out, T) view of a (B, T, C_out) buffer.
+    Computed as one GEMM over an im2col matrix (`_im2col`; Chellapilla et
+    al., 2006), which backward builds again from the kept input for the
+    kernel gradient. The output is a (B, C_out, T) view of a (B, T, C_out)
+    buffer.
     """
     if x.data.ndim == 2:
         res = conv1d(x.reshape((1,) + x.data.shape), kernels, bias)
@@ -44,22 +59,21 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if T < 1:
         raise ShapeError("conv1d requires at least one time step")
     pad = (K - 1) // 2
-    xp = np.zeros((B, T + K - 1, c_in), dtype=xd.dtype)    # (B, T + 2 pad, C_in)
-    xp[:, pad:pad + T] = xd.transpose(0, 2, 1)
-    # row (b, t) holds padded frames t .. t + K - 1: step and tap both advance one frame
-    strides = xp.strides[:2] + xp.strides[1:]
-    cols = np.ndarray((B, T, K, c_in), xp.dtype, xp, 0, strides).reshape(B * T, K * c_in)
     wm = wd.transpose(0, 2, 1).reshape(c_out, K * c_in)
-    out = cols.dot(wm.T)
+    out = _im2col(xd, K).dot(wm.T)
     out += bias.data
     if not kernels.requires_grad:
-        cols = None           # read only for the kernel gradient
+        xd = None             # read only for the kernel gradient
     if not x.requires_grad:
         wm = None             # read only for the input gradient
 
     def backward(g):
         g2 = g.transpose(0, 2, 1).reshape(B * T, c_out)
         gx = gw = None
+        # the rebuilt im2col matrix is freed before its gradient, of the same size, is made
+        if xd is not None:
+            gw = g2.T @ _im2col(xd, K)
+            gw = np.ascontiguousarray(gw.reshape(c_out, K, c_in).transpose(0, 2, 1))
         if wm is not None:
             # col2im: every tap adds its column block back onto the frames it
             # read (output rows [lo, hi)); the centre tap reads every frame, so it starts the sum
@@ -71,8 +85,6 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                     hi = max(lo, min(T, T + pad - k))
                     gxt[:, lo + k - pad:hi + k - pad] += gcols[:, lo:hi, k]
             gx = gxt.transpose(0, 2, 1)
-        if cols is not None:
-            gw = np.ascontiguousarray((g2.T @ cols).reshape(c_out, K, c_in).transpose(0, 2, 1))
         return [gx, gw, np.einsum("ni->i", g2)]
 
     return Tensor._result(out.reshape(B, T, c_out).transpose(0, 2, 1), (x, kernels, bias), backward)

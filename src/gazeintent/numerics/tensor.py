@@ -7,12 +7,15 @@ ops are plain numpy computations and record nothing, which is the
 inference fast path.
 
 A recorded op keeps only what its backward reads: the arrays its closure
-captures (an im2col matrix, attention weights, a normalized input) plus
+captures (a conv input, attention weights, a normalized input) plus
 shapes and dtypes, and one grad target per parent. It never keeps a
 parent Tensor, so an output that no backward reads is freed as soon as the
-caller drops it. Backward pops each op as it runs it and drops the op's
-gradient and closure, so only leaves (parameters, and inputs created with
-requires_grad=True) keep a `.grad` afterwards.
+caller drops it. Each activation is kept once: relu reads its mask off its
+own output, which the conv or linear after it keeps anyway, and conv1d
+rebuilds its im2col matrix from its input rather than keep it. Backward
+pops each op as it runs it and drops the op's gradient and closure, so
+only leaves (parameters, and inputs created with requires_grad=True) keep
+a `.grad` afterwards.
 """
 
 from __future__ import annotations
@@ -252,17 +255,18 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def power(self, exponent: float) -> "Tensor":
-        """Elementwise power with a constant exponent."""
-        ad = self.data
-        return Tensor._result(ad ** exponent, (self,),
-                              lambda g: [g * exponent * ad ** (exponent - 1.0)])
-
     def relu(self) -> "Tensor":
-        data = np.maximum(self.data, 0)
-        # backward reads only which outputs are positive: a quarter of their bytes
-        mask = data > 0 if self.requires_grad else None
-        return Tensor._result(data, (self,), lambda g: [g * mask])
+        out = np.maximum(self.data, 0)
+        # the op after it (a conv or linear) keeps the output anyway
+        kept = out if self.requires_grad else None
+
+        def backward(g):
+            nonlocal kept
+            # released before the product: by now it may be the last reference
+            mask, kept = kept > 0, None
+            return [g * mask]
+
+        return Tensor._result(out, (self,), backward)
 
     # ---- linear algebra ------------------------------------------------
 

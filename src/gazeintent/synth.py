@@ -43,12 +43,16 @@ SCAN_JUMP_PX = 280.0       # scale of scanning jumps
 TRACKER_NOISE_PX = 3.0
 LINE_HEIGHT_PX = 30.0
 MARGIN_PX = 80.0
+LINE_INSET_PX = 5.0        # a text line starts and ends this far inside its column
 VIEWPORT_GAIN = 0.08       # per-sample viewport tracking rate
 MOUSE_GAIN = 0.05          # per-sample cursor smoothing rate
 
 # a task's page: text columns, and mean reading and scanning segment lengths (s)
 Layout = namedtuple("Layout", "columns read_seg_s scan_seg_s")
 LAYOUTS = {"text": Layout(1, 4.5, 1.5), "webpage": Layout(2, 0.6 * 4.5, 1.5 * 1.5)}
+# narrower, a column has no room for a line between its insets: every reading
+# saccade would sweep to the next line
+MIN_SCREEN_W = 2 * MARGIN_PX + 2 * LINE_INSET_PX * max(lay.columns for lay in LAYOUTS.values())
 
 
 @dataclass
@@ -65,9 +69,13 @@ class SynthConfig:
     def __post_init__(self):
         check_fields(self, seed=0, n_subjects=1, session_len=(1.0, DAY_S), magnification=1,
                      dropout_burst_rate=0, dropout_burst_len_ms=(0, 1000 * DAY_S))
-        if min(self.screen_w, self.screen_h) <= 2 * MARGIN_PX:
-            raise ConfigError(f"screen_w and screen_h must exceed twice the {MARGIN_PX:g} px "
-                              f"margin, got {self.screen_w!r} x {self.screen_h!r}")
+        if self.screen_h <= 2 * MARGIN_PX:
+            raise ConfigError(f"screen_h must exceed twice the {MARGIN_PX:g} px margin, "
+                              f"got {self.screen_h!r}")
+        if self.screen_w <= MIN_SCREEN_W:
+            raise ConfigError(f"screen_w must exceed {MIN_SCREEN_W:g} px: twice the {MARGIN_PX:g} px "
+                              f"margin plus a line inset of {LINE_INSET_PX:g} px on each side of "
+                              f"each column, got {self.screen_w!r}")
 
 
 def _segments(cfg: SynthConfig, layout: Layout, rng) -> list:
@@ -93,7 +101,7 @@ def _content_path(cfg: SynthConfig, layout: Layout, segs, n, rng) -> np.ndarray:
 
     def line_bounds(column):
         x0 = MARGIN_PX + column * col_w
-        return x0 + 5.0, x0 + col_w - 5.0
+        return x0 + LINE_INSET_PX, x0 + col_w - LINE_INSET_PX
 
     x0, x1 = line_bounds(col)
     pos = np.empty((2, n))

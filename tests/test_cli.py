@@ -236,6 +236,7 @@ BAD_CONFIGS = [
     ("gen", [], '{"seed": true}'),
     ("gen", [], '{"dropout_burst_rate": -3.0}'),
     ("gen", [], '{"screen_w": 160}'),
+    ("gen", [], '{"screen_w": 180}'),
 ]
 # simulated-reader values that are constants now: a config naming one is an unknown key
 READER_KEYS = ("fixation_ms_mean", "fixation_ms_std", "saccade_px_mean", "saccade_px_std",
@@ -573,15 +574,23 @@ class TestInfer:
                          "--magnification", str(mag)]) == 0
         assert capsys.readouterr().out == out["right"]
 
-    @pytest.mark.parametrize("via", ["file", "stdin"])
-    def test_empty_feed_with_eye_auto_exits_3(self, workspace, tmp_path, capsys, monkeypatch,
-                                              via):
-        _, _, ckpt = workspace
+    @pytest.mark.parametrize("eye", ["auto", "left", "right"])
+    @pytest.mark.parametrize("via", ["file", "stdin", "session"])
+    def test_input_without_gaze_rows_exits_3(self, workspace, tmp_path, capsys, monkeypatch,
+                                             via, eye):
+        _, data, ckpt = workspace
         feed = tmp_path / "empty.csv"
         feed.write_text(dataio.GAZE_HEADER + "\n\n")
         monkeypatch.setattr("sys.stdin", io.StringIO(feed.read_text()))
-        source = str(feed) if via == "file" else "-"
-        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", source]) == 3
+        source = {"file": str(feed), "stdin": "-", "session": str(tmp_path / "empty.session")}[via]
+        if via == "session":
+            # the meta line and every section header, no rows
+            lines = (data / "S01_text.session").read_text().splitlines()
+            kept = [ln for i, ln in enumerate(lines)
+                    if i == 0 or ln.startswith("#") or lines[i - 1].startswith("#")]
+            Path(source).write_text("\n".join(kept) + "\n")
+            assert len(dataio.parse_session(source).gaze) == 0
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", source, "--eye", eye]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "error: empty session" in captured.err
 

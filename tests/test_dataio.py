@@ -314,11 +314,37 @@ class TestRemap:
             assert not np.signbit(dataio.compensate(zeros, zeros, 2.0, 1920.0, 1080.0)).any()
 
 
+def mouse_velocity(mouse: list, t_start: float, t_end: float):
+    """Scalar reference for `windowize`'s pretext targets: mean cursor
+    velocity (px/s) over [t_start, t_end]; None when the window falls
+    outside the mouse record."""
+    if not mouse:
+        return None
+    mt = np.array([s.t for s in mouse])
+    if t_start < mt[0] or t_end > mt[-1]:
+        return None
+    mx = np.array([s.mx for s in mouse])
+    my = np.array([s.my for s in mouse])
+    x0, x1 = np.interp([t_start, t_end], mt, mx)
+    y0, y1 = np.interp([t_start, t_end], mt, my)
+    dt = t_end - t_start
+    return np.array([(x1 - x0) / dt, (y1 - y0) / dt])
+
+
+def label_at(labels: list, t: float) -> int | None:
+    """Scalar reference for `windowize`'s labels: class id of the interval
+    covering t (half-open [start, end)), else None."""
+    for iv in labels:
+        if iv.start <= t < iv.end:
+            return dataio.LABELS.index(iv.label)
+    return None
+
+
 class TestMouseVelocity:
     def test_linear_motion_exact(self):
         mouse = [dataio.MouseSample(t=j / 10, mx=3.0 * j / 10 + 1.0, my=7.0)
                  for j in range(20)]
-        v = dataio.mouse_velocity(mouse, 0.5, 0.7)
+        v = mouse_velocity(mouse, 0.5, 0.7)
         np.testing.assert_allclose(v, [3.0, 0.0], atol=1e-9)
 
     def test_piecewise_oracle(self):
@@ -330,32 +356,32 @@ class TestMouseVelocity:
         t0, t1 = 0.33, 0.53
         x0 = np.interp(t0, ts, xs)
         x1 = np.interp(t1, ts, xs)
-        v = dataio.mouse_velocity(mouse, t0, t1)
+        v = mouse_velocity(mouse, t0, t1)
         assert v[0] == pytest.approx((x1 - x0) / (t1 - t0))
 
     def test_outside_record_is_none(self):
         mouse = [dataio.MouseSample(t=1.0, mx=0.0, my=0.0),
                  dataio.MouseSample(t=2.0, mx=1.0, my=1.0)]
-        assert dataio.mouse_velocity(mouse, 0.5, 0.7) is None
-        assert dataio.mouse_velocity(mouse, 1.9, 2.1) is None
+        assert mouse_velocity(mouse, 0.5, 0.7) is None
+        assert mouse_velocity(mouse, 1.9, 2.1) is None
 
     def test_empty_record_is_none(self):
-        assert dataio.mouse_velocity([], 0.0, 0.2) is None
+        assert mouse_velocity([], 0.0, 0.2) is None
 
 
 class TestLabelAt:
     def test_half_open_intervals(self):
         labels = [dataio.LabelInterval(0.0, 1.0, "reading"),
                   dataio.LabelInterval(1.0, 2.0, "scanning")]
-        assert dataio.label_at(labels, 0.0) == dataio.READING
-        assert dataio.label_at(labels, 0.999) == dataio.READING
-        assert dataio.label_at(labels, 1.0) == dataio.SCANNING
-        assert dataio.label_at(labels, 2.0) is None
+        assert label_at(labels, 0.0) == dataio.READING
+        assert label_at(labels, 0.999) == dataio.READING
+        assert label_at(labels, 1.0) == dataio.SCANNING
+        assert label_at(labels, 2.0) is None
 
     def test_gap_is_unlabeled(self):
         labels = [dataio.LabelInterval(0.0, 1.0, "reading"),
                   dataio.LabelInterval(3.0, 4.0, "scanning")]
-        assert dataio.label_at(labels, 2.0) is None
+        assert label_at(labels, 2.0) is None
 
 
 class TestWindowize:
@@ -404,7 +430,7 @@ class TestWindowize:
         wins = dataio.windowize(session, 6, "pretext", eye="left")
         assert wins
         for w in wins:
-            expected = dataio.mouse_velocity(session.mouse, w.t_end - 0.2, w.t_end)
+            expected = mouse_velocity(session.mouse, w.t_end - 0.2, w.t_end)
             np.testing.assert_allclose(w.vel_target, expected)
             assert w.label is None
 
@@ -550,11 +576,11 @@ def reference_windows(session, stride, mode, eye, with_mouse):
         t_end = float(t[end - 1])
         label = vel = m = None
         if mode == "labeled":
-            label = dataio.label_at(session.labels, t_end)
+            label = label_at(session.labels, t_end)
             if label is None:
                 continue
         else:
-            vel = dataio.mouse_velocity(session.mouse, t_end - dataio.WINDOW_SPAN_S, t_end)
+            vel = mouse_velocity(session.mouse, t_end - dataio.WINDOW_SPAN_S, t_end)
             if vel is None:
                 continue
         if with_mouse:
@@ -791,9 +817,9 @@ class TestWindowsContainer:
             t_end = float(t[start + dataio.WINDOW_LEN - 1])
             if missing[start:start + dataio.WINDOW_LEN].sum() > dataio.MAX_MISSING:
                 reason = "dropped_missing"
-            elif mode == "labeled" and dataio.label_at(session.labels, t_end) is None:
+            elif mode == "labeled" and label_at(session.labels, t_end) is None:
                 reason = "dropped_unlabeled"
-            elif (mode == "pretext" and dataio.mouse_velocity(
+            elif (mode == "pretext" and mouse_velocity(
                     session.mouse, t_end - dataio.WINDOW_SPAN_S, t_end) is None) or (
                     with_mouse and not (mt.size and mt[0] <= t[start] and t_end <= mt[-1])):
                 reason = "dropped_no_mouse"

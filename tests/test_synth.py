@@ -7,7 +7,7 @@ import pytest
 
 from gazeintent import dataio, synth
 from gazeintent.errors import ConfigError, DataError
-from test_dataio import assert_writes_like_reference
+from test_dataio import assert_writes_like_reference, label_at
 
 
 def short_cfg(**kw):
@@ -116,7 +116,7 @@ class TestContracts:
         cx = np.array([g.vx + (g.lx if g.lx is not None else g.rx or 0.0) / m
                        for g in session.gaze])
         t = np.array([g.t for g in session.gaze])
-        labels = np.array([dataio.label_at(session.labels, ti) for ti in t])
+        labels = np.array([label_at(session.labels, ti) for ti in t])
         dx = np.diff(cx)[labels[:-1] == dataio.READING]
         moves = dx[np.abs(dx) > 10.0]  # above the tracker-noise floor
         assert (moves > 0).mean() > 0.6
@@ -171,9 +171,12 @@ class TestValidation:
             short_cfg(**kw)
 
     def test_smallest_screen_past_twice_the_margin(self):
-        side = 2 * synth.MARGIN_PX + 1
-        session = synth.generate_session(short_cfg(screen_w=side, screen_h=side), 0, "webpage")
-        assert session.meta.screen_w == side
+        # a webpage column must also hold its two 5 px line insets: 2 x 80 + 2 x 2 x 5 px
+        assert synth.MIN_SCREEN_W == 180.0
+        with pytest.raises(ConfigError, match="screen_w must exceed 180 px: .* line inset"):
+            short_cfg(screen_w=180.0, screen_h=161.0)
+        session = synth.generate_session(short_cfg(screen_w=181.0, screen_h=161.0), 0, "webpage")
+        assert (session.meta.screen_w, session.meta.screen_h) == (181.0, 161.0)
 
     def test_unknown_task(self):
         with pytest.raises(DataError, match="unknown task 'poster'"):
