@@ -3,7 +3,9 @@ from raw recordings to model-ready 24-step windows.
 
 A session file is UTF-8 text: a `#meta {json}` line, then `#gaze`,
 `#mouse` and `#labels` CSV sections. Missing gaze coordinates are empty
-fields. Floats are serialized with 9 significant digits.
+fields. Floats are serialized with 9 significant digits: `fmt9` and
+`format_rows` write them, and `q9` is the one quantizer that gives the
+value a float or an array of floats has once written and parsed back.
 
 A parsed `Session` stores its gaze and mouse records as float64 columns
 (`GazeColumns`: t, lx, ly, rx, ry, vx, vy with NaN for a missing eye
@@ -72,9 +74,50 @@ def format_rows(block: np.ndarray):
         yield (row * chunk.shape[1] % tuple(chunk.T.ravel().tolist())).replace("nan", "")
 
 
-def q9(x: float) -> float:
-    """Quantize to 9 significant digits (the container's serialized precision)."""
-    return float(fmt9(x))
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # 10**0 .. 10**22, each exact in float64
+_TIE = 1e-6  # how near |x| * 10**k may come to a half-integer and still skip the text
+
+
+def q9(x):
+    """Quantize to 9 significant digits, the container's serialized precision:
+    `float(fmt9(x))` for a number, and that value for each element of an
+    array (a new float64 array of the same shape).
+
+    An array element is quantized without text. With k = 8 - floor(log10|x|),
+    moved by one where |x| * 10**k falls outside [1e8, 1e9), it is
+    +-m / 10**k for m = rint(|x| * 10**k). For 0 <= k <= 22, 10**k is exact;
+    unless |x| * 10**k lies within _TIE of a half-integer, the product's
+    rounding error (below 1.2e-7) cannot move the rint, so m is the digits
+    `%.9g` prints, and one correctly rounded division of exact operands is
+    what `float` returns for them (Clinger's fast path). Every other element
+    (a near tie, |x| >= 1e9 or < 1e-14, a zero or a non-finite value) goes
+    through `float(fmt9(x))`. Columns are done PARSE_ROWS at a time, so the
+    temporaries stay the size of one chunk."""
+    if np.ndim(x) == 0:
+        return float(fmt9(x))
+    a = np.asarray(x, dtype=np.float64)
+    out = np.empty(a.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(0, a.shape[-1], PARSE_ROWS):
+            v, o = a[..., c:c + PARSE_ROWS], out[..., c:c + PARSE_ROWS]
+            ax = np.abs(v)
+            k = 8 - np.floor(np.log10(ax))
+            fast = (k >= 0) & (k <= 22)
+            k = np.where(fast, k, 0).astype(np.intp)
+            y = ax * _POW10[k]
+            k += y < 1e8
+            k -= y >= 1e9
+            fast &= (k >= 0) & (k <= 22)
+            np.clip(k, 0, 22, out=k)
+            np.multiply(ax, _POW10[k], out=y)
+            m = np.rint(y)
+            fast &= np.abs(y - m) < 0.5 - _TIE
+            np.divide(m, _POW10[k], out=o)
+            np.copysign(o, v, out=o)
+            slow = ~fast
+            if slow.any():
+                o[slow] = [float(fmt9(s)) for s in v[slow].tolist()]
+    return out
 
 
 def _real(x) -> bool:

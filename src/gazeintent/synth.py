@@ -28,7 +28,6 @@ from gazeintent.dataio import (
     Session,
     SessionMeta,
     check_fields,
-    format_rows,
     q9,
     write_session,
 )
@@ -146,11 +145,10 @@ def _content_path(cfg: SynthConfig, layout: Layout, segs, n, rng) -> np.ndarray:
 
 
 def _q9(a: np.ndarray, hi=()) -> np.ndarray:
-    """The (k, n) block `a` as a session file stores it (its `format_rows`
-    text, parsed back); a value of row i that rounds above `hi[i]` takes the
-    largest 9-digit value below it, which the session file's range checks accept."""
-    values = (float(f) for text in format_rows(a) for f in text[:-1].replace("\n", ",").split(","))
-    out = np.fromiter(values, np.float64, a.size).reshape(a.shape[::-1]).T.copy()
+    """`q9` of the (k, n) block `a`, the values its session file holds; a
+    value of row i that rounds above `hi[i]` takes the largest 9-digit value
+    below it, which the session file's range checks accept."""
+    out = q9(a)
     for row, bound in zip(out, hi):
         d = Decimal(bound)
         row[row > bound] = float(d.quantize(Decimal(1).scaleb(d.adjusted() - 8), ROUND_FLOOR))
@@ -190,7 +188,9 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
     viewport = _follow(np.clip(content - center[:, None], 0.0, vmax[:, None]), VIEWPORT_GAIN)
 
     # physical gaze through the lens; cursor is a smoothed pursuit of it
-    phys_clean = np.clip((content - viewport) * m, [[0.0], [0.0]], [[w], [h]])
+    # the clip maps a product past the float range (a huge magnification) to the screen bound
+    with np.errstate(over="ignore"):
+        phys_clean = np.clip((content - viewport) * m, [[0.0], [0.0]], [[w], [h]])
     mouse_path = _follow(phys_clean, MOUSE_GAIN)
 
     def noisy_eye():

@@ -59,6 +59,20 @@ class TestGen:
         assert len(doc["artifacts"]) == 6
         assert doc["config"]["seed"] == 9
 
+    def test_huge_magnification_warns_nothing(self, tmp_path, capsys):
+        # (content - viewport) * 1e308 overflows; the clip maps it to the screen bound
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"magnification": 1e308}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                             "--subjects", "1", "--session-len", "5"]) == 0
+        assert capsys.readouterr().err == ""
+        for p in sorted((tmp_path / "x").glob("*.session")):
+            session = dataio.parse_session(p)
+            assert session.meta.magnification == 1e308
+            assert np.nanmax(session.gaze.lx) <= session.meta.screen_w
+
     def test_rejects_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"magnification": 0.5}))

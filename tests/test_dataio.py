@@ -190,6 +190,65 @@ class TestContainer:
         assert dataio.q9(dataio.q9(x)) == dataio.q9(x)
 
 
+def _text_q9(values) -> np.ndarray:
+    """The quantizer's oracle: each value printed with `%.9g` and parsed back."""
+    return np.array([float(dataio._F9 % x) for x in values], dtype=np.float64)
+
+
+def _neighbour(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _scaled(texts, exponents):
+    """Each text times 10**e, as the nearest double or one of its two
+    neighbours on either side, of either sign."""
+    return st.builds(lambda text, e, steps, sign: sign * _neighbour(float(f"{text}e{e}"), steps),
+                     texts, exponents, st.integers(-2, 2), st.sampled_from([1.0, -1.0]))
+
+
+# (m + 0.5) * 10**-k for every 9-digit m and exact 10**k: the products that the
+# fast path must leave to the text
+NEAR_TIES = _scaled(st.integers(10**8, 10**9 - 1).map(lambda m: f"{m}.5"), st.integers(-22, 0))
+EDGES = st.one_of(
+    _scaled(st.just("1"), st.integers(-16, 12)),                      # powers of ten
+    _scaled(st.sampled_from(["999999999.5", "99999999.5"]), st.integers(-23, 1)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320]),
+    st.floats(min_value=1e9), st.floats(max_value=-1e9),
+    st.floats(-1e-14, 1e-14),
+    st.floats(),                                                       # NaN and inf too
+)
+
+
+class TestQuantizer:
+    @given(st.lists(NEAR_TIES, max_size=20), st.lists(EDGES, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_array_equals_the_text_round_trip(self, ties, edges):
+        values = ties + edges
+        with mock.patch.object(dataio, "fmt9", wraps=dataio.fmt9) as text:
+            got = dataio.q9(np.array(values, dtype=np.float64))
+        assert got.view(np.int64).tolist() == _text_q9(values).view(np.int64).tolist()
+        # every near tie went through the text
+        assert set(ties) <= {call.args[0] for call in text.call_args_list}
+
+    def test_block_across_chunks(self):
+        rng = np.random.default_rng(3)
+        n = 2 * dataio.PARSE_ROWS + 7
+        block = np.stack([rng.uniform(0, 2000, n), rng.normal(0, 1, n) * 10.0 ** rng.integers(-20, 20, n),
+                          np.where(rng.random(n) < 0.2, np.nan, rng.uniform(-1, 1, n))])
+        before = block.copy()
+        got = dataio.q9(block)
+        assert got.shape == block.shape and got.dtype == np.float64
+        assert got.tobytes() == _text_q9(block.ravel().tolist()).reshape(block.shape).tobytes()
+        assert block.tobytes() == before.tobytes()
+
+    def test_a_number_stays_a_number(self):
+        assert type(dataio.q9(0.1 + 0.2)) is float and dataio.q9(0.1 + 0.2) == 0.3
+        assert type(dataio.q9(np.float64(2.0))) is float
+        assert dataio.q9(np.empty((4, 0))).shape == (4, 0)
+
+
 class TestEyeSelection:
     def _gaze(self, n, left_missing, right_missing):
         out = []

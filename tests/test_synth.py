@@ -268,6 +268,8 @@ ORACLE_CASES = {
     "heavy_dropout": ({"dropout_burst_rate": 3.0, "dropout_burst_len_ms": 400.0}, "text"),
     "one_second": ({"session_len": 1.0}, "webpage"),
     "at_screen_bound": ({"magnification": 2.2, "screen_w": 1920.123456789}, "text"),
+    # gaze and cursor coordinates of 1e9 px and more, which q9 takes through the text
+    "giga_screen": ({"screen_w": 2e9, "magnification": 1e9}, "webpage"),
 }
 
 
@@ -308,6 +310,10 @@ class TestAgainstPerSampleReference:
         at_bound = synth.generate_session(short_cfg(seed=3, **ORACLE_CASES["at_screen_bound"][0]), 1)
         assert (at_bound.gaze.lx == 1920.12345).any() or (at_bound.gaze.rx == 1920.12345).any()
         assert (at_bound.gaze.vx == 1047.34006).any()
+        giga = synth.generate_session(short_cfg(seed=3, **ORACLE_CASES["giga_screen"][0]), 1,
+                                      "webpage")
+        assert (giga.gaze.lx >= 1e9).sum() > 100 and (giga.mouse.mx >= 1e9).sum() > 10
+        assert (giga.gaze.lx[giga.gaze.lx < 2e9] >= 1e9).any()
 
     def test_empty_mouse_and_no_labels(self, tmp_path):
         session = synth.generate_session(short_cfg(session_len=1.0), 0)
