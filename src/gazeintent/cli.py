@@ -48,15 +48,15 @@ def _load_config(path, cls):
     return cls(**doc)
 
 
-def _write_manifest(out_dir, command: str, config, inputs: dict, artifacts: list):
-    manifest = {
+def _write_manifest(out_dir, command: str, config, inputs: dict, artifacts: list, **extra):
+    dataio.write_file(Path(out_dir, "manifest.json"), {
         "tool_version": gazeintent.__version__,
         "command": command,
         "config": asdict(config),
         "input_checksums": inputs,
         "artifacts": [str(a) for a in artifacts],
-    }
-    Path(out_dir, "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        **extra,
+    })
 
 
 def _config(cls, args):
@@ -65,16 +65,6 @@ def _config(cls, args):
     cfg = _load_config(args.config, cls) if args.config else cls()
     return replace(cfg, **{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
                            if getattr(args, f.name, None) is not None})
-
-
-def _out_dir(path) -> Path:
-    """The --out directory, created before any work: failing to is a config error."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create output directory {out}: {e}") from e
-    return out
 
 
 def _load_sessions(data_dir, task: str = "all"):
@@ -98,7 +88,7 @@ def _load_sessions(data_dir, task: str = "all"):
 
 def cmd_gen(args) -> int:
     cfg = _config(synth.SynthConfig, args)
-    paths = synth.generate_dataset(cfg, _out_dir(args.out))
+    paths = synth.generate_dataset(cfg, dataio.writable_dir(args.out))
     _write_manifest(args.out, "gen", cfg, {}, paths)
     print(f"wrote {len(paths)} session files to {args.out}")
     return 0
@@ -108,7 +98,7 @@ def cmd_train(args) -> int:
     cfg = _config(train.TrainConfig, args)
     if args.mode == "finetune" and not args.from_ckpt:
         raise ConfigError("finetune requires --from CKPT")
-    out = _out_dir(args.out)
+    out = dataio.writable_dir(args.out)
     sessions, checksums = _load_sessions(args.data, args.task)
     if args.mode == "pretrain":
         params, stats, history = train.pretrain(sessions, cfg)
@@ -116,12 +106,11 @@ def cmd_train(args) -> int:
         params, stats, history = train.finetune(args.from_ckpt, sessions, cfg)
     else:
         params, stats, history = train.supervised_train(sessions, cfg)
-    train.write_artifacts(out, params, stats, history,
-                          cfg, extra_manifest={"mode": args.mode,
-                                               "input_checksums": checksums,
-                                               "windows": history.windows})
+    model.save_checkpoint(params, stats, out / "checkpoint")
+    dataio.write_file(out / "history.jsonl",
+                      (json.dumps(entry, sort_keys=True) + "\n" for entry in history))
     _write_manifest(out, f"train:{args.mode}", cfg, checksums,
-                    [out / "checkpoint", out / "history.jsonl"])
+                    [out / "checkpoint", out / "history.jsonl"], windows=history.windows)
     last = history[-1]
     print(f"{args.mode}: {len(history)} epochs, final train_loss "
           f"{last['train_loss']:.4f}, val_loss {last['val_loss']:.4f}")
@@ -134,9 +123,8 @@ def _eval_report(sessions, checksums: dict, pipeline: str, cfg, out) -> evaluate
     report = evaluate.loso_evaluate(sessions, pipeline, cfg)
     cfg_hash = hashlib.sha256(
         json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
-    evaluate.write_report(report, out,
-                          extra={"config": asdict(cfg), "config_hash": cfg_hash,
-                                 "input_checksums": checksums})
+    dataio.write_file(out, {**report.to_json(), "config": asdict(cfg), "config_hash": cfg_hash,
+                            "input_checksums": checksums})
     return report
 
 
@@ -144,7 +132,8 @@ def cmd_eval(args) -> int:
     cfg = _config(train.TrainConfig, args)
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():
-        raise ConfigError(f"--out {out} must be a file path in an existing directory")
+        raise ConfigError(f"cannot write {out}: --out must be a file path in an existing directory")
+    dataio.writable_dir(out.parent)
     sessions, checksums = _load_sessions(args.data, args.task)
     report = _eval_report(sessions, checksums, args.pipeline, cfg, out)
     print(report.table())
@@ -163,7 +152,7 @@ def cmd_sweep(args) -> int:
     seeds = list(dict.fromkeys(args.seed or [base.seed]))
     cells = {(fraction, seed): replace(base, label_fraction=fraction, seed=seed)
              for fraction in fractions for seed in seeds}
-    out = _out_dir(args.out)
+    out = dataio.writable_dir(args.out)
     sessions, checksums = _load_sessions(args.data, args.task)
     rows = []
     print("fraction " + "".join(f"{p:>18}" for p in pipelines))
@@ -181,7 +170,7 @@ def cmd_sweep(args) -> int:
                          "std": float(np.std(scores))})
             line += f"{rows[-1]['mean']:11.2f}+/-{rows[-1]['std']:4.2f}"
         print(line)
-    (out / "sweep.json").write_text(json.dumps(rows, indent=1, sort_keys=True))
+    dataio.write_file(out / "sweep.json", rows)
     print(f"reports and sweep.json written to {out}")
     return 0
 

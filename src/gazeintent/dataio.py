@@ -6,6 +6,7 @@ A session file is UTF-8 text: a `#meta {json}` line, then `#gaze`,
 fields. Floats are serialized with 9 significant digits: `fmt9` and
 `format_rows` write them, and `q9` is the one quantizer that gives the
 value a float or an array of floats has once written and parsed back.
+`write_file` writes every file of the package, atomically.
 
 A parsed `Session` stores its gaze and mouse records as float64 columns
 (`GazeColumns`: t, lx, ly, rx, ry, vx, vy with NaN for a missing eye
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from pathlib import Path
@@ -428,9 +430,51 @@ def _as_windows(windows) -> Windows:
 # container I/O
 
 
+def _open_temp(path: Path):
+    """The writer's first step: (name, open binary file) of a temporary file
+    beside `path`, named `.<name>.<pid>.tmp` so no `*.session` glob finds it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    return tmp, open(tmp, "wb")
+
+
+def write_file(path, content) -> None:
+    """Every file the package writes: `content` is a JSON document (dict or
+    list, as `json.dumps(doc, indent=1, sort_keys=True)`) or an iterator of
+    str (as UTF-8) or bytes chunks. A temporary file beside `path` replaces
+    it when complete and is removed on any failure, so `path` keeps its old
+    bytes or has all the new ones. OSError: ConfigError `cannot write ...`."""
+    path = Path(path)
+    if isinstance(content, (dict, list)):
+        content = [json.dumps(content, indent=1, sort_keys=True)]
+    try:
+        tmp, f = _open_temp(path)
+        try:
+            with f:
+                f.writelines(c if isinstance(c, bytes) else c.encode() for c in content)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def writable_dir(path) -> Path:
+    """`path`, once the writer's first step has made a temporary file there
+    (and it is removed): a directory it cannot use fails before any work."""
+    path = Path(path)
+    try:
+        tmp, f = _open_temp(path / "probe")
+        f.close()
+        tmp.unlink()
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+    return path
+
+
 def write_session(session: Session, path) -> None:
-    """The session as a container file: each section's rows through
-    `format_rows`, the label intervals through `fmt9`."""
+    """The session as a container file: each section's rows in `format_rows`'
+    chunks, the label intervals through `fmt9`, all through `write_file`."""
     meta = session.meta
     head = "#meta " + json.dumps({
         "subject_id": meta.subject_id, "task": meta.task,
@@ -439,12 +483,11 @@ def write_session(session: Session, path) -> None:
         "gaze_rate": meta.gaze_rate, "mouse_rate": meta.mouse_rate,
     }, sort_keys=True)
     labels = "".join(f"{fmt9(iv.start)},{fmt9(iv.end)},{iv.label}\n" for iv in session.labels)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{head}\n#gaze\n{GAZE_HEADER}\n")
-        f.writelines(format_rows(session.gaze.data))
-        f.write(f"#mouse\n{MOUSE_HEADER}\n")
-        f.writelines(format_rows(session.mouse.data))
-        f.write(f"#labels\n{LABEL_HEADER}\n{labels}")
+    write_file(path, chain([f"{head}\n#gaze\n{GAZE_HEADER}\n"],
+                           format_rows(session.gaze.data),
+                           [f"#mouse\n{MOUSE_HEADER}\n"],
+                           format_rows(session.mouse.data),
+                           [f"#labels\n{LABEL_HEADER}\n{labels}"]))
 
 
 # -- section parsing

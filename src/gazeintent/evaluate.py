@@ -3,10 +3,8 @@ sanity baseline."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -171,10 +169,3 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
             counts_reading=counts_r, counts_scanning=counts_s,
         ))
     return report
-
-
-def write_report(report: F1Report, path, extra: dict | None = None) -> None:
-    doc = report.to_json()
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))

@@ -310,20 +310,17 @@ def _entries(tensors):
 
 def save_checkpoint(params: ModelParams, stats, path) -> None:
     """Directory with manifest.json and weights.bin (little-endian f32)."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     entries = list(_entries(layout(params.config)))
-    blob = b"".join(np.ascontiguousarray(params.tensors[e["name"]].data, dtype="<f4").tobytes()
-                    for e in entries)
-    manifest = {
+    dataio.write_file(Path(path, "manifest.json"), {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
         "head_kind": params.head_kind,
         "stats": stats.to_json() if stats is not None else None,
         "tensors": entries,
-    }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    (path / "weights.bin").write_bytes(blob)
+    })
+    dataio.write_file(Path(path, "weights.bin"),
+                      (np.ascontiguousarray(params.tensors[e["name"]].data, dtype="<f4").tobytes()
+                       for e in entries))
 
 
 def load_checkpoint(path):

@@ -31,7 +31,7 @@ from gazeintent.dataio import (
     q9,
     write_session,
 )
-from gazeintent.errors import ConfigError, DataError
+from gazeintent.errors import ConfigError
 
 DAY_S = 86400.0            # caps a session and a dropout burst
 FIXATION_MS_MEAN = 220.0   # reading fixation duration
@@ -231,9 +231,6 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> list:
         for task in ("text", "webpage"):
             session = generate_session(cfg, subject_idx, task)
             path = Path(out_dir, f"{session.meta.subject_id}_{task}.session")
-            try:
-                write_session(session, path)
-            except OSError as e:
-                raise DataError(f"cannot write {path}: {e}") from e
+            write_session(session, path)
             paths.append(path)
     return paths

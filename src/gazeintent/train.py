@@ -10,9 +10,7 @@ loop gathers batches, validates and stops early.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,7 +159,7 @@ def _model_inputs(splits, streams, stage: str, stats_source: str) -> list:
 
 class History(list):
     """A stage's epoch entries, plus `windows`: windowize's accounting of
-    its training split before label subsampling (written to run.json)."""
+    its training split before label subsampling (in train's manifest.json)."""
 
     def __init__(self, entries=(), windows: dict | None = None):
         super().__init__(entries)
@@ -320,19 +318,3 @@ def supervised_train(sessions, cfg: TrainConfig, permute_labels: bool = False):
     params = model.init_params(mcfg, cfg.seed, head_kind=model.CLASSIFIER_HEAD)
     return _classifier_stage(params, None, sessions, cfg, "supervised",
                              params.learnable_names(), permute_labels=permute_labels)
-
-
-# ---------------------------------------------------------------------------
-# artifacts
-
-
-def write_artifacts(out_dir, params, stats, history, cfg: TrainConfig,
-                    extra_manifest: dict | None = None):
-    """Checkpoint directory + history.jsonl + run.json."""
-    out_dir = Path(out_dir)
-    model.save_checkpoint(params, stats, out_dir / "checkpoint")
-    with open(out_dir / "history.jsonl", "w") as f:
-        for entry in history:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
-    manifest = {"config": asdict(cfg), **(extra_manifest or {})}
-    (out_dir / "run.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))

@@ -131,18 +131,35 @@ class TestTrain:
         history = (root / "run" / "history.jsonl").read_text().splitlines()
         assert json.loads(history[0])["stage"] == "supervised"
 
-    def test_run_json_records_window_counts(self, workspace):
+    def test_manifest_records_window_counts(self, workspace):
         root, _, _ = workspace
-        counts = json.loads((root / "run" / "run.json").read_text())["windows"]
+        counts = json.loads((root / "run" / "manifest.json").read_text())["windows"]
         assert set(counts) == set(dataio.COUNTS) and counts["kept"] > 0
         # two training subjects' 8 s text sessions (960 samples) at stride 12
         assert sum(counts.values()) == 2 * ((960 - 24) // 12 + 1)
+        # one run record: the manifest
+        assert not (root / "run" / "run.json").exists()
+
+    def test_artifacts_round_trip(self, workspace, tmp_path, monkeypatch):
+        _, data, _ = workspace
+        trained = []
+        stage = train.supervised_train
+        monkeypatch.setattr(train, "supervised_train",
+                            lambda *a, **k: trained.append(stage(*a, **k)) or trained[-1])
+        assert cli.main(["train", "--mode", "supervised", "--data", str(data),
+                         "--out", str(tmp_path), "--stride", "48", "--max-epochs", "2",
+                         "--task", "text"]) == 0
+        (params, _, history), = trained
+        back, _ = model.load_checkpoint(tmp_path / "checkpoint")
+        assert back.checksum() == params.checksum()
+        lines = (tmp_path / "history.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == list(history)
 
     @pytest.mark.parametrize("mode,windows", [("supervised", "labeled"),
                                               ("pretrain", "pretext")])
     def test_train_windowizes_each_split_once(self, workspace, tmp_path, monkeypatch,
                                               mode, windows):
-        # the stage hands back its training split's counts for run.json
+        # the stage hands back its training split's counts for the manifest
         _, data, _ = workspace
         calls = []
         collect = train.collect_windows
@@ -156,7 +173,7 @@ class TestTrain:
         head = model.VELOCITY_HEAD if mode == "pretrain" else model.CLASSIFIER_HEAD
         params = model.init_params(model.ModelConfig(), 0, head_kind=head)
         want = train.stage_windows(sessions, train.TrainConfig(stride=12), params)[0].counts
-        assert json.loads((tmp_path / "run" / "run.json").read_text())["windows"] == want
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["windows"] == want
 
     def test_unknown_task_filter(self, workspace, tmp_path):
         # all generated sessions are text/webpage; filtering is exercised in
@@ -309,7 +326,65 @@ def test_unwritable_out_exits_2_before_any_work(workspace, tmp_path, capsys):
         assert "--out" in capsys.readouterr().err
         assert cli.main(["train", "--mode", "supervised",
                          "--out", str(tmp_path / "file")] + opts) == 2
-        assert "cannot create output directory" in capsys.readouterr().err
+        assert f"error: cannot write {tmp_path / 'file'}: " in capsys.readouterr().err
+
+
+# the options of each command that writes files, besides --data and --out
+_WRITING = {"gen": ["--subjects", "3", "--session-len", "5"],
+            "train": ["--mode", "supervised"],
+            "eval": ["--pipeline", "supervised"],
+            "sweep": ["--pipeline", "supervised"]}
+_TRAINING = ["--task", "text", "--stride", "48", "--batch-size", "128", "--max-epochs", "1"]
+
+
+def _argv(command, data, out) -> list:
+    inputs = [] if command == "gen" else ["--data", str(data)] + _TRAINING
+    return [command] + _WRITING[command] + inputs + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command", list(_WRITING))
+def test_unusable_out_dir_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                  command):
+    # root ignores directory modes, so the writer's temporary-file step is made to fail
+    _, data, _ = workspace
+    monkeypatch.setattr(dataio, "_open_temp", mock.Mock(side_effect=PermissionError(
+        13, "Permission denied")))
+    monkeypatch.setattr(cli, "_load_sessions", mock.Mock(side_effect=AssertionError("read")))
+    monkeypatch.setattr(synth, "generate_dataset", mock.Mock(side_effect=AssertionError("gen")))
+    out = tmp_path / ("report.json" if command == "eval" else "out")
+    assert cli.main(_argv(command, data, out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out.parent if command == 'eval' else out}: " \
+        "Permission denied" in err
+
+
+@pytest.mark.parametrize("command,name", [("gen", "S01_webpage.session"),
+                                          ("gen", "manifest.json"),
+                                          ("train", "history.jsonl"),
+                                          ("train", "checkpoint/weights.bin"),
+                                          ("eval", ""),
+                                          ("sweep", "supervised_lf1.0_seed0.json"),
+                                          ("sweep", "sweep.json")])
+def test_failed_write_exits_2_naming_the_path(workspace, tmp_path, capsys, command, name):
+    # a directory where the command writes a file
+    _, data, _ = workspace
+    out = tmp_path / ("report.json" if command == "eval" else "out")
+    (out / name).mkdir(parents=True)
+    assert cli.main(_argv(command, data, out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / name if name else out}: " in err
+    assert "internal error" not in err and "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_json_artifacts_have_one_format(workspace, tmp_path):
+    root, data, ckpt = workspace
+    assert cli.main(_argv("sweep", data, tmp_path / "sweep")) == 0
+    docs = [data / "manifest.json", root / "run" / "manifest.json", ckpt / "manifest.json",
+            tmp_path / "sweep" / "supervised_lf1.0_seed0.json", tmp_path / "sweep" / "sweep.json"]
+    for path in docs:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True), path
 
 
 def _train_diverging(tmp_path, capsys, session_len: str, stride: str) -> None:
@@ -447,7 +522,7 @@ class TestSweep:
         (tmp_path / "o").write_text("")
         assert cli.main(["sweep", "--pipeline", "supervised", "--data", str(data),
                          "--out", str(tmp_path / "o")]) == 2
-        assert "cannot create output directory" in capsys.readouterr().err
+        assert f"error: cannot write {tmp_path / 'o'}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
     def test_label_fraction_outside_unit_interval(self, workspace, tmp_path, capsys,

@@ -190,6 +190,52 @@ class TestContainer:
         assert dataio.q9(dataio.q9(x)) == dataio.q9(x)
 
 
+class TestWriter:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "a.session"
+        dataio.write_session(make_session(30), p)
+        old = p.read_bytes()
+
+        def chunks():
+            yield "#meta {}\n"
+            raise RuntimeError("mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            dataio.write_file(p, chunks())
+        assert p.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    def test_os_error_names_the_path(self, tmp_path):
+        (tmp_path / "report.json").mkdir()
+        with pytest.raises(ConfigError, match=f"cannot write {tmp_path / 'report.json'}: "
+                                              "Is a directory"):
+            dataio.write_file(tmp_path / "report.json", {"a": 1})
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "report.json"]
+
+    def test_contents(self, tmp_path):
+        doc = {"b": [1.5, {"d": None, "c": "x"}], "a": 2}
+        dataio.write_file(tmp_path / "d" / "doc.json", doc)
+        dataio.write_file(tmp_path / "rows.json", [doc])
+        dataio.write_file(tmp_path / "w.bin", iter([b"\x00", b"\xff"]))
+        assert (tmp_path / "d" / "doc.json").read_text() == json.dumps(doc, indent=1,
+                                                                       sort_keys=True)
+        assert (tmp_path / "rows.json").read_text() == json.dumps([doc], indent=1,
+                                                                  sort_keys=True)
+        assert (tmp_path / "w.bin").read_bytes() == b"\x00\xff"
+
+    def test_session_is_written_in_chunks(self, tmp_path):
+        # one PARSE_ROWS chunk at a time: a 300 s session is never one string
+        session = synth.generate_session(synth.SynthConfig(seed=0, session_len=300.0), 0, "text")
+        path = tmp_path / "s.session"
+        tracemalloc.start()
+        try:
+            dataio.write_session(session, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+
 def _text_q9(values) -> np.ndarray:
     """The quantizer's oracle: each value printed with `%.9g` and parsed back."""
     return np.array([float(dataio._F9 % x) for x in values], dtype=np.float64)

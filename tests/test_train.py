@@ -416,16 +416,3 @@ class TestPretext:
         assert all(k.startswith(("tf", "head.")) for k in names)
         assert "head.w" in names and "tf2.attn.wq" in names
         assert not any(k.startswith(("enc_", "cross_", "fusion")) for k in names)
-
-
-class TestArtifacts:
-    def test_write_artifacts_round_trip(self, sessions, tmp_path):
-        cfg = quick_cfg(max_epochs=1)
-        params, stats, history = train.supervised_train(sessions, cfg)
-        train.write_artifacts(tmp_path, params, stats, history, cfg,
-                              extra_manifest={"mode": "supervised"})
-        back, back_stats = model.load_checkpoint(tmp_path / "checkpoint")
-        assert back.checksum() == params.checksum()
-        lines = (tmp_path / "history.jsonl").read_text().splitlines()
-        assert len(lines) == len(history)
-        assert (tmp_path / "run.json").exists()
