@@ -300,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_ckpt", help="pretext checkpoint (finetune)")
     p.add_argument("--freeze", choices=train.FREEZE_MODES,
                    help="finetune freeze mode (default full)")
-    p.add_argument("--lr", type=float, help="default 3e-4")
-    p.add_argument("--weight-decay", dest="weight_decay", type=float,
-                   help="default 0.01")
     _add_training_args(p)
     p.set_defaults(func=cmd_train)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -475,13 +475,7 @@ def writable_dir(path) -> Path:
 def write_session(session: Session, path) -> None:
     """The session as a container file: each section's rows in `format_rows`'
     chunks, the label intervals through `fmt9`, all through `write_file`."""
-    meta = session.meta
-    head = "#meta " + json.dumps({
-        "subject_id": meta.subject_id, "task": meta.task,
-        "magnification": meta.magnification,
-        "screen_w": meta.screen_w, "screen_h": meta.screen_h,
-        "gaze_rate": meta.gaze_rate, "mouse_rate": meta.mouse_rate,
-    }, sort_keys=True)
+    head = "#meta " + json.dumps(asdict(session.meta), sort_keys=True)
     labels = "".join(f"{fmt9(iv.start)},{fmt9(iv.end)},{iv.label}\n" for iv in session.labels)
     write_file(path, chain([f"{head}\n#gaze\n{GAZE_HEADER}\n"],
                            format_rows(session.gaze.data),

@@ -126,7 +126,8 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
     or normalization statistics. Each subject is tested on the windows
     that `train.collect_windows` gives a classifier of cfg.input_mode; a
     subject without any is listed in `skipped` and left out of every fold.
-    All sessions must share one screen size.
+    All sessions must share one screen size. Fold k trains at seed
+    cfg.seed + k and validates on training subject cfg.val_subject_index + k.
     """
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
@@ -150,7 +151,8 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
     sessions = [s for s in sessions if s.meta.subject_id in folds]
     for fold_idx, (test_subject, test_windows) in enumerate(folds.items()):
         train_sessions = [s for s in sessions if s.meta.subject_id != test_subject]
-        fold_cfg = replace(cfg, seed=cfg.seed + fold_idx, val_subject_index=fold_idx)
+        fold_cfg = replace(cfg, seed=cfg.seed + fold_idx,
+                           val_subject_index=cfg.val_subject_index + fold_idx)
         if pipeline in ("supervised", "random"):
             params, stats, _ = train.supervised_train(
                 train_sessions, fold_cfg, permute_labels=(pipeline == "random"))

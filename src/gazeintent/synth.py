@@ -225,12 +225,15 @@ def generate_session(cfg: SynthConfig, subject_idx: int, task: str = "text") -> 
 
 def generate_dataset(cfg: SynthConfig, out_dir) -> list:
     """One session file per subject x {text, webpage} in the existing
-    directory `out_dir`; returns written paths."""
-    paths = []
-    for subject_idx in range(cfg.n_subjects):
-        for task in ("text", "webpage"):
-            session = generate_session(cfg, subject_idx, task)
-            path = Path(out_dir, f"{session.meta.subject_id}_{task}.session")
-            write_session(session, path)
-            paths.append(path)
-    return paths
+    directory `out_dir`; returns written paths. A `*.session` file there
+    that this run would not write raises ConfigError before any is written:
+    a directory holds one dataset."""
+    paths = {Path(out_dir, f"S{subject_idx:02d}_{task}.session"): (subject_idx, task)
+             for subject_idx in range(cfg.n_subjects) for task in ("text", "webpage")}
+    stray = sorted(p for p in Path(out_dir).glob("*.session") if p.is_file() and p not in paths)
+    if stray:
+        raise ConfigError(f"{stray[0]}: a session file this run would not write; "
+                          "one directory holds one dataset")
+    for path, (subject_idx, task) in paths.items():
+        write_session(generate_session(cfg, subject_idx, task), path)
+    return list(paths)

@@ -35,8 +35,6 @@ STAGES = ("pretext", "finetune", "supervised")
 
 @dataclass
 class TrainConfig:
-    lr: float = 3e-4
-    weight_decay: float = 0.01
     batch_size: int = 256
     max_epochs: int = 50
     patience: int = 5
@@ -52,9 +50,7 @@ class TrainConfig:
         if not (isinstance(self.label_fraction, (int, float)) and 0 < self.label_fraction <= 1):
             raise ConfigError("label_fraction must be in (0, 1]")
         dataio.check_fields(self, batch_size=1, max_epochs=1, stride=1, seed=0, patience=0,
-                            val_subject_index=0, weight_decay=0)
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr!r}")
+                            val_subject_index=0)
         if self.freeze not in FREEZE_MODES:
             raise ConfigError(f"unknown freeze mode {self.freeze!r}")
         if self.input_mode not in model.INPUT_MODES:
@@ -176,7 +172,8 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
 
 def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_train,
                 x_val: dict, y_val, loss_fn, cfg: TrainConfig, stage: str):
-    """Adam loop with early stopping on held-out-subject validation loss.
+    """Adam loop (`adam_step`'s own lr and weight decay) with early stopping
+    on held-out-subject validation loss.
 
     `x_*` map each stream to its model inputs, `y_*` hold one target row
     per window, and `loss_fn(output, targets)` gives the mean loss of a
@@ -209,8 +206,7 @@ def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_tra
                     zero_grads(params.tensors.values())
                     loss = shards.step(params, {k: v[idx] for k, v in x_train.items()},
                                        y_train[idx], loss_fn, Tape, backward)
-                    adam_step(trainable, collect_grads(trainable), state,
-                              lr=cfg.lr, weight_decay=cfg.weight_decay)
+                    adam_step(trainable, collect_grads(trainable), state)
                     losses.append(loss.item())
                 out = Tensor(shards.forward(params, x_val))
                 entry = {"stage": stage, "epoch": epoch, "train_loss": float(np.mean(losses)),
@@ -219,7 +215,7 @@ def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_tra
                     hits = softmax_lastaxis(out).data.argmax(axis=1) == y_val
                     entry["val_acc"] = int(hits.sum()) / len(y_val)
                 if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
-                    raise ConfigError(f"{stage} stage diverged in epoch {epoch} at lr {cfg.lr}: "
+                    raise ConfigError(f"{stage} stage diverged in epoch {epoch}: "
                                       f"train_loss {entry['train_loss']}, "
                                       f"val_loss {entry['val_loss']}")
                 history.append(entry)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazeintent import cli, dataio, model, shards, stream, synth, train
+from gazeintent import cli, dataio, model, numerics, shards, stream, synth, train
 from gazeintent.errors import ConfigError
 from test_dataio import line_edits, parse_gaze_row
 from test_model import edit_checkpoint
@@ -51,6 +52,26 @@ class TestGen:
                              "--session-len", "5", "--seed", "4"]) == 0
         for p in sorted((tmp_path / "a").glob("*.session")):
             assert sha(p) == sha(tmp_path / "b" / p.name)
+
+    def test_refuses_to_mix_datasets(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        gen = ["gen", "--out", str(out), "--session-len", "5"]
+
+        def sessions():
+            return {p.name: sha(p) for p in out.glob("*.session") if p.is_file()}
+
+        assert cli.main(gen + ["--subjects", "2", "--seed", "0"]) == 0
+        before = sessions()
+        assert len(before) == 4
+        # S01_* would join every later train, eval and sweep of the 1-subject dataset
+        assert cli.main(gen + ["--subjects", "1", "--seed", "1"]) == 2
+        assert f"error: {out / 'S01_text.session'}: " in capsys.readouterr().err
+        assert sessions() == before
+        assert json.loads((out / "manifest.json").read_text())["config"]["n_subjects"] == 2
+        # a rerun writes the same names; a directory is no session file
+        (out / "S07_text.session").mkdir()
+        assert cli.main(gen + ["--subjects", "2", "--seed", "0"]) == 0
+        assert sessions() == before
 
     def test_manifest_written(self, workspace):
         _, data, _ = workspace
@@ -236,8 +257,7 @@ def test_train_and_eval_options_unchanged():
     shared = {"-h", "--help", "--data", "--out", "--config", "--task", "--input-mode",
               "--seed", "--stride", "--batch-size", "--max-epochs", "--patience",
               "--label-fraction"}
-    assert option_strings("train") == shared | {"--mode", "--from", "--freeze", "--lr",
-                                                "--weight-decay"}
+    assert option_strings("train") == shared | {"--mode", "--from", "--freeze"}
     assert option_strings("eval") == shared | {"--pipeline"}
     assert option_strings("sweep") == option_strings("eval")
     assert option_strings("gen") == {"-h", "--help", "--config", "--out", "--seed",
@@ -268,11 +288,15 @@ BAD_CONFIGS = [
     ("gen", [], '{"dropout_burst_rate": -3.0}'),
     ("gen", [], '{"screen_w": 160}'),
     ("gen", [], '{"screen_w": 180}'),
+    ("train", [], '{"lr": 1e-3}'),
+    ("train", [], '{"weight_decay": 0}'),
 ]
 # simulated-reader values that are constants now: a config naming one is an unknown key
 READER_KEYS = ("fixation_ms_mean", "fixation_ms_std", "saccade_px_mean", "saccade_px_std",
                "scan_jump_px", "tracker_noise_px", "line_height_px", "margin_px",
                "viewport_gain", "mouse_gain", "columns", "read_seg_s", "scan_seg_s")
+# so are the optimizer's: adam_step's defaults are the one statement of them
+OPTIMIZER_KEYS = ("lr", "weight_decay")
 
 
 @pytest.mark.parametrize("command,options,config", BAD_CONFIGS)
@@ -291,9 +315,10 @@ def test_bad_config_exits_2_before_any_work(workspace, tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
-    named = [k for k in READER_KEYS if config and f'"{k}"' in config]
-    if named:
-        assert f"unknown config keys for SynthConfig: {named}" in err
+    for cls, keys in (("SynthConfig", READER_KEYS), ("TrainConfig", OPTIMIZER_KEYS)):
+        named = [k for k in keys if config and f'"{k}"' in config]
+        if named:
+            assert f"unknown config keys for {cls}: {named}" in err
 
 
 @pytest.mark.parametrize("key", READER_KEYS)
@@ -387,25 +412,25 @@ def test_json_artifacts_have_one_format(workspace, tmp_path):
         assert text == json.dumps(json.loads(text), indent=1, sort_keys=True), path
 
 
-def _train_diverging(tmp_path, capsys, session_len: str, stride: str) -> None:
+def _train_diverging(tmp_path, capsys, monkeypatch, session_len: str, stride: str) -> None:
     data, out = tmp_path / "data", tmp_path / "run"
+    monkeypatch.setattr(train, "adam_step", functools.partial(numerics.adam_step, lr=1e6))
     assert cli.main(["gen", "--out", str(data), "--subjects", "3",
                      "--session-len", session_len, "--seed", "0"]) == 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(["train", "--mode", "supervised", "--data", str(data),
-                         "--out", str(out), "--stride", stride, "--lr", "1e6",
-                         "--max-epochs", "3"]) == 2
+                         "--out", str(out), "--stride", stride, "--max-epochs", "3"]) == 2
     # the overflow is reported by the divergence check, not by numpy
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    assert "supervised stage diverged in epoch 0 at lr 1000000.0" in err
+    assert "supervised stage diverged in epoch 0: train_loss " in err
     assert "Warning" not in err
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_diverged_training_exits_2_without_artifacts(tmp_path, capsys):
-    _train_diverging(tmp_path, capsys, "6", "24")
+def test_diverged_training_exits_2_without_artifacts(tmp_path, capsys, monkeypatch):
+    _train_diverging(tmp_path, capsys, monkeypatch, "6", "24")
 
 
 needs_helpers = pytest.mark.skipif(
@@ -420,7 +445,7 @@ def test_diverged_training_with_a_helper_exits_2_without_warnings(tmp_path, caps
     used = []
     helpers = shards._helpers
     monkeypatch.setattr(shards, "_helpers", lambda n: used.append(n) or helpers(n))
-    _train_diverging(tmp_path, capsys, "15", "6")
+    _train_diverging(tmp_path, capsys, monkeypatch, "15", "6")
     assert max(used) == 1
 
 

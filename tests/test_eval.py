@@ -174,6 +174,18 @@ class TestLoso:
         assert [f.n_windows for f in rep.folds] == [len(w) for w in tested]
         assert all(w.m is not None and w.m.shape == w.g.shape for w in tested)
 
+    @pytest.mark.parametrize("index,validated", [(0, ["S01", "S02", "S00"]),
+                                                 (1, ["S02", "S00", "S01"])])
+    def test_fold_validates_on_offset_subject(self, sessions, monkeypatch, index, validated):
+        # fold k validates on training subject val_subject_index + k, as it trains at seed + k
+        seen = []
+        split = train.split_train_val
+        monkeypatch.setattr(train, "split_train_val", lambda sessions, cfg: (
+            seen.append((splits := split(sessions, cfg))[1][0].meta.subject_id) or splits))
+        cfg = train.TrainConfig(stride=24, batch_size=128, max_epochs=1, val_subject_index=index)
+        evaluate.loso_evaluate(sessions, "supervised", cfg)
+        assert seen == validated
+
     def test_random_pipeline_differs_from_supervised(self, sessions, report):
         cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)
         rnd = evaluate.loso_evaluate(sessions, "random", cfg)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -113,6 +114,12 @@ class TestConfigValidation:
     def test_bad_input_mode(self):
         with pytest.raises(ConfigError):
             quick_cfg(input_mode="gaze")
+
+    def test_fields_are_the_ones_a_run_sets(self):
+        # the optimizer's lr and weight decay are adam_step's defaults, not fields
+        assert [f.name for f in dataclasses.fields(train.TrainConfig)] == [
+            "batch_size", "max_epochs", "patience", "seed", "freeze", "input_mode", "stride",
+            "label_fraction", "val_subject_index"]
 
 
 @pytest.mark.parametrize("stage,mode", [("supervised_train", "labeled"), ("pretrain", "pretext")])
@@ -406,8 +413,7 @@ class TestPretext:
             idx = seen[0]
             loss = loss_fn(model.forward(reference, {k: v[idx] for k, v in x.items()}), y[idx])
         backward(loss, tape, params=trainable.values())
-        adam_step(trainable, collect_grads(trainable), AdamState.for_params(trainable),
-                  lr=cfg.lr, weight_decay=cfg.weight_decay)
+        adam_step(trainable, collect_grads(trainable), AdamState.for_params(trainable))
         for k in params.tensors:
             assert params.tensors[k].data.tobytes() == reference.tensors[k].data.tobytes(), k
 
