@@ -98,6 +98,9 @@ def cmd_train(args) -> int:
     cfg = _config(train.TrainConfig, args)
     if args.mode == "finetune" and not args.from_ckpt:
         raise ConfigError("finetune requires --from CKPT")
+    for option, value in (("--from", args.from_ckpt), ("--freeze", args.freeze)):
+        if args.mode != "finetune" and value is not None:
+            raise ConfigError(f"{option} applies only to --mode finetune")
     out = dataio.writable_dir(args.out)
     sessions, checksums = _load_sessions(args.data, args.task)
     if args.mode == "pretrain":
@@ -119,8 +122,10 @@ def cmd_train(args) -> int:
 
 
 def _eval_report(sessions, checksums: dict, pipeline: str, cfg, out) -> evaluate.F1Report:
-    """One LOSO evaluation, written to `out` as eval's report.json."""
+    """One LOSO evaluation, written to `out` as eval's report.json; its
+    config holds the freeze that the folds ran."""
     report = evaluate.loso_evaluate(sessions, pipeline, cfg)
+    cfg = replace(cfg, freeze=evaluate.PIPELINES[pipeline])
     cfg_hash = hashlib.sha256(
         json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
     dataio.write_file(out, {**report.to_json(), "config": asdict(cfg), "config_hash": cfg_hash,

@@ -12,7 +12,10 @@ from gazeintent import dataio, model, shards, train
 from gazeintent.errors import ConfigError, DataError
 from gazeintent.numerics import Tensor, softmax_lastaxis
 
-PIPELINES = ("supervised", "semi_partial", "semi_full", "random")
+# each pipeline and the freeze its folds train the classifier with; the
+# supervised and random pipelines train every tensor
+PIPELINES = {"supervised": "full", "semi_partial": "partial", "semi_full": "full",
+             "random": "full"}
 
 _log = logging.getLogger(__name__)
 
@@ -127,10 +130,12 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
     that `train.collect_windows` gives a classifier of cfg.input_mode; a
     subject without any is listed in `skipped` and left out of every fold.
     All sessions must share one screen size. Fold k trains at seed
-    cfg.seed + k and validates on training subject cfg.val_subject_index + k.
+    cfg.seed + k and validates on training subject cfg.val_subject_index + k;
+    cfg.freeze is replaced by the pipeline's (`PIPELINES`).
     """
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
+    cfg = replace(cfg, freeze=PIPELINES[pipeline])
     by_subject = train.split_by_subject(sessions)
     report = F1Report(pipeline=pipeline)
     # every fold's model is a classifier on cfg.input_mode's streams
@@ -158,9 +163,8 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
                 train_sessions, fold_cfg, permute_labels=(pipeline == "random"))
         else:
             pre_params, pre_stats, _ = train.pretrain(train_sessions, fold_cfg)
-            params, stats, _ = train.finetune_params(
-                pre_params, pre_stats, train_sessions,
-                replace(fold_cfg, freeze="partial" if pipeline == "semi_partial" else "full"))
+            params, stats, _ = train.finetune_params(pre_params, pre_stats, train_sessions,
+                                                     fold_cfg)
         pred, gold = predict_labels(params, stats, test_windows)
         counts_r, counts_s = _class_counts(pred, gold)
         f1_r, f1_s = _f1_from_counts(counts_r), _f1_from_counts(counts_s)

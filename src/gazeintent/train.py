@@ -3,9 +3,11 @@ partial or full fine-tuning for intent classification, plus the purely
 supervised baseline and the input-ablation configurations.
 
 `collect_windows` alone picks the windows a model reads, for training,
-validation and LOSO testing alike, and every stage runs the one
-`_train_loop`: a stage hands it model inputs, targets and a loss, and the
-loop gathers batches, validates and stops early.
+validation and LOSO testing alike. Every stage is one `_stage` call: the
+head kind picks the targets and loss (mouse velocity and MSE, or labels
+and weighted cross-entropy), and `_stage` hands model inputs, targets and
+that loss to `_train_loop`, which gathers batches, validates, stops early
+and updates exactly the tensors that require grad.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ def split_train_val(sessions, cfg: TrainConfig):
 
 
 HEAD_WINDOWS = {model.VELOCITY_HEAD: "pretext", model.CLASSIFIER_HEAD: "labeled"}
-COMPUTED_STATS = "computed on the training split"
 
 
 def collect_windows(sessions, cfg: TrainConfig, params: model.ModelParams) -> dataio.Windows:
@@ -116,43 +117,6 @@ def _subsample_labels(windows: dataio.Windows, fraction: float, seed: int) -> da
     return windows[np.sort(rng.choice(len(windows), size=keep, replace=False))]
 
 
-def stage_windows(sessions, cfg: TrainConfig, params: model.ModelParams):
-    """(training windows, validation windows) of the stage that trains
-    `params` (`collect_windows` of each split), before label subsampling.
-    An empty split raises DataError."""
-    splits = [collect_windows(split, cfg, params) for split in split_train_val(sessions, cfg)]
-    for name, windows in zip(("training", "validation"), splits):
-        if not windows:
-            raise DataError(f"no {HEAD_WINDOWS[params.head_kind]} windows in the {name} split")
-    return splits
-
-
-def _stage_windows(sessions, cfg: TrainConfig, params: model.ModelParams, stats=None):
-    """`stage_windows` with cfg.label_fraction of a classifier's training
-    windows kept, stats computed on the training windows unless given, and
-    both splits normalized. The sessions (and given stats) must share one
-    screen size. Returns (train windows, validation windows, stats, the
-    training split's windowize counts before label subsampling)."""
-    train_w, val_w = stage_windows(sessions, cfg, params)
-    counts = train_w.counts
-    screen = dataio.one_screen([s.meta for s in sessions] + ([] if stats is None else [stats]))
-    if params.head_kind == model.CLASSIFIER_HEAD:
-        train_w = _subsample_labels(train_w, cfg.label_fraction, cfg.seed)
-    if stats is None:
-        stats = dataio.compute_stats(train_w, screen)
-    return dataio.normalize(train_w, stats), dataio.normalize(val_w, stats), stats, counts
-
-
-def _model_inputs(splits, streams, stage: str, stats_source: str) -> list:
-    """`Windows.batch` of each split; a block that is not finite raises
-    DataError naming the stage and where its normalization stats came from."""
-    try:
-        return [w.batch(streams) for w in splits]
-    except DataError as e:
-        raise DataError(f"{stage} stage: {e} under the normalization stats "
-                        f"{stats_source}") from e
-
-
 class History(list):
     """A stage's epoch entries, plus `windows`: windowize's accounting of
     its training split before label subsampling (in train's manifest.json)."""
@@ -170,8 +134,8 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_train,
-                x_val: dict, y_val, loss_fn, cfg: TrainConfig, stage: str):
+def _train_loop(params: model.ModelParams, x_train: dict, y_train, x_val: dict, y_val,
+                loss_fn, cfg: TrainConfig, stage: str):
     """Adam loop (`adam_step`'s own lr and weight decay) with early stopping
     on held-out-subject validation loss.
 
@@ -182,58 +146,96 @@ def _train_loop(params: model.ModelParams, trainable_names, x_train: dict, y_tra
     the whole batch's output) before the Adam update; each epoch ends with
     one untaped, sharded forward of the whole validation split and one
     loss on its output, plus `val_acc` when the targets are class ids.
-    Only the tensors in `trainable_names` require gradients while the loop
-    runs, so the tape records no backward work for frozen ones. Steps and
-    validation run with numpy's overflow, invalid and divide warnings off;
-    an epoch whose train or validation loss is not finite raises
-    ConfigError instead.
-    Returns (best_params, history)."""
-    trainable = {k: params.tensors[k] for k in trainable_names}
-    frozen = [k for k, t in params.tensors.items() if k not in trainable and t.requires_grad]
-    for k in frozen:
-        params.tensors[k].requires_grad = False
+    Exactly the tensors that require grad are updated, and the tape
+    records no backward work for the others. Steps and validation run
+    with numpy's overflow, invalid and divide warnings off; an epoch whose
+    train or validation loss is not finite raises ConfigError instead.
+    Returns (best_params, history); best_params keeps params' flags."""
+    trainable = {k: t for k, t in params.tensors.items() if t.requires_grad}
     state = AdamState.for_params(trainable)
     rng = np.random.default_rng([cfg.seed, STAGES.index(stage)])
     classify = y_val.dtype.kind in "iu"
     history = []
     best_epoch = -1
-    try:
-        # a diverging stage overflows; the finite-loss check below reports it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for epoch in range(cfg.max_epochs):
-                losses = []
-                for idx in _epoch_batches(len(y_train), cfg.batch_size, rng):
-                    zero_grads(params.tensors.values())
-                    loss = shards.step(params, {k: v[idx] for k, v in x_train.items()},
-                                       y_train[idx], loss_fn, Tape, backward)
-                    adam_step(trainable, collect_grads(trainable), state)
-                    losses.append(loss.item())
-                out = Tensor(shards.forward(params, x_val))
-                entry = {"stage": stage, "epoch": epoch, "train_loss": float(np.mean(losses)),
-                         "val_loss": loss_fn(out, y_val).item()}
-                if classify:
-                    hits = softmax_lastaxis(out).data.argmax(axis=1) == y_val
-                    entry["val_acc"] = int(hits.sum()) / len(y_val)
-                if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
-                    raise ConfigError(f"{stage} stage diverged in epoch {epoch}: "
-                                      f"train_loss {entry['train_loss']}, "
-                                      f"val_loss {entry['val_loss']}")
-                history.append(entry)
-                if best_epoch < 0 or entry["val_loss"] < history[best_epoch]["val_loss"]:
-                    best = params.copy()
-                    best_epoch = epoch
-                elif epoch - best_epoch >= cfg.patience:
-                    break
-    finally:
-        for k in frozen:
-            params.tensors[k].requires_grad = True
-    for k in frozen:
-        best.tensors[k].requires_grad = True
+    # a diverging stage overflows; the finite-loss check below reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.max_epochs):
+            losses = []
+            for idx in _epoch_batches(len(y_train), cfg.batch_size, rng):
+                zero_grads(params.tensors.values())
+                loss = shards.step(params, {k: v[idx] for k, v in x_train.items()},
+                                   y_train[idx], loss_fn, Tape, backward)
+                adam_step(trainable, collect_grads(trainable), state)
+                losses.append(loss.item())
+            out = Tensor(shards.forward(params, x_val))
+            entry = {"stage": stage, "epoch": epoch, "train_loss": float(np.mean(losses)),
+                     "val_loss": loss_fn(out, y_val).item()}
+            if classify:
+                hits = softmax_lastaxis(out).data.argmax(axis=1) == y_val
+                entry["val_acc"] = int(hits.sum()) / len(y_val)
+            if not np.isfinite([entry["train_loss"], entry["val_loss"]]).all():
+                raise ConfigError(f"{stage} stage diverged in epoch {epoch}: "
+                                  f"train_loss {entry['train_loss']}, "
+                                  f"val_loss {entry['val_loss']}")
+            history.append(entry)
+            if best_epoch < 0 or entry["val_loss"] < history[best_epoch]["val_loss"]:
+                best = params.copy()
+                best_epoch = epoch
+            elif epoch - best_epoch >= cfg.patience:
+                break
     return best, history
 
 
 # ---------------------------------------------------------------------------
 # stages
+
+
+def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, stats=None,
+           stats_source: str = "computed on the training split", permute_labels: bool = False):
+    """Train `params` (updated in place) for one stage on `sessions`, with
+    a held-out subject for validation (`split_train_val`).
+
+    Each split's windows come from `collect_windows`; an empty split raises
+    DataError. A classifier keeps cfg.label_fraction of its training
+    windows and learns their labels (shuffled with `permute_labels`) by
+    class-weighted cross-entropy; a velocity head learns mouse velocity by
+    MSE. Both splits are normalized by `stats`, or by stats computed on the
+    training windows if none are given; the sessions and given stats must
+    share one screen size. A model input that is not finite raises
+    DataError naming the stage and `stats_source`, where the stats came
+    from. Returns (best_params, stats, History)."""
+    # two names, rebound below: a list of the splits would keep the
+    # unnormalized windows alive while the loop trains
+    train_w, val_w = (collect_windows(split, cfg, params)
+                      for split in split_train_val(sessions, cfg))
+    empty = [name for name, w in (("training", train_w), ("validation", val_w)) if not w]
+    if empty:
+        raise DataError(f"no {HEAD_WINDOWS[params.head_kind]} windows in the {empty[0]} split")
+    counts = train_w.counts
+    screen = dataio.one_screen([s.meta for s in sessions] + ([] if stats is None else [stats]))
+    classify = params.head_kind == model.CLASSIFIER_HEAD
+    if classify:
+        train_w = _subsample_labels(train_w, cfg.label_fraction, cfg.seed)
+    if stats is None:
+        stats = dataio.compute_stats(train_w, screen)
+    train_w, val_w = (dataio.normalize(w, stats) for w in (train_w, val_w))
+    if classify:
+        y_train, y_val = train_w.label, val_w.label
+        if permute_labels:
+            rng = np.random.default_rng([cfg.seed, 0x9e12])
+            y_train = y_train[rng.permutation(y_train.size)]
+        weights = Tensor(compute_class_weights(y_train))
+        loss_fn = lambda logits, y: weighted_cross_entropy(logits, y, weights)
+    else:
+        y_train, y_val = (w.vel_target.astype(np.float32) for w in (train_w, val_w))
+        loss_fn = lambda out, v: mse_loss(out, Tensor(v))
+    try:
+        x_train, x_val = (w.batch(params.config.streams) for w in (train_w, val_w))
+    except DataError as e:
+        raise DataError(f"{stage} stage: {e} under the normalization stats "
+                        f"{stats_source}") from e
+    best, history = _train_loop(params, x_train, y_train, x_val, y_val, loss_fn, cfg, stage)
+    return best, stats, History(history, counts)
 
 
 def pretrain(sessions, cfg: TrainConfig):
@@ -244,33 +246,9 @@ def pretrain(sessions, cfg: TrainConfig):
     if cfg.input_mode in ("mouse_only", "mouse_gaze_comp"):
         raise ConfigError("the pretext stage predicts mouse velocity from gaze; "
                           "mouse input modes are not allowed")
-    mcfg = model.ModelConfig(input_mode=cfg.input_mode)
-    params = model.init_params(mcfg, cfg.seed, head_kind=model.VELOCITY_HEAD)
-    train_w, val_w, stats, counts = _stage_windows(sessions, cfg, params)
-    x_train, x_val = _model_inputs((train_w, val_w), mcfg.streams, "pretext", COMPUTED_STATS)
-    best, history = _train_loop(
-        params, params.learnable_names(),
-        x_train, train_w.vel_target.astype(np.float32),
-        x_val, val_w.vel_target.astype(np.float32),
-        lambda out, v: mse_loss(out, Tensor(v)), cfg, "pretext")
-    return best, stats, History(history, counts)
-
-
-def _classifier_stage(params, stats, sessions, cfg: TrainConfig, stage: str,
-                      trainable_names, permute_labels: bool = False,
-                      stats_source: str = COMPUTED_STATS):
-    source = COMPUTED_STATS if stats is None else stats_source
-    train_w, val_w, stats, counts = _stage_windows(sessions, cfg, params, stats)
-    y_train = train_w.label
-    if permute_labels:
-        rng = np.random.default_rng([cfg.seed, 0x9e12])
-        y_train = y_train[rng.permutation(y_train.size)]
-    weights = Tensor(compute_class_weights(y_train))
-    x_train, x_val = _model_inputs((train_w, val_w), params.config.streams, stage, source)
-    best, history = _train_loop(
-        params, trainable_names, x_train, y_train, x_val, val_w.label,
-        lambda logits, y: weighted_cross_entropy(logits, y, weights), cfg, stage)
-    return best, stats, History(history, counts)
+    params = model.init_params(model.ModelConfig(input_mode=cfg.input_mode), cfg.seed,
+                               head_kind=model.VELOCITY_HEAD)
+    return _stage(params, sessions, cfg, "pretext")
 
 
 def partial_trainable_names(params: model.ModelParams) -> list:
@@ -286,8 +264,10 @@ def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig
     a copy; the caller's params are left untouched.
 
     cfg.freeze selects full (all parameters) or partial (transformer +
-    head only) updates. Mouse data is never consumed here. `stats_source`
-    says where `stats` came from, for the error a non-finite input raises.
+    head only) updates: the copy's frozen tensors stop requiring grad while
+    it trains, and require it again in the result. Mouse data is never
+    consumed here. `stats_source` says where `stats` came from, for the
+    error a non-finite input raises.
     """
     params = model.reinit_head(params, head_seed=cfg.seed + 1)
     if params.config.input_mode != cfg.input_mode:
@@ -295,10 +275,15 @@ def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig
                           f"!= requested {cfg.input_mode}")
     if "m" in params.config.streams:
         raise ConfigError("fine-tuning consumes gaze streams only")
-    trainable = (params.learnable_names() if cfg.freeze == "full"
-                 else partial_trainable_names(params))
-    return _classifier_stage(params, stats, sessions, cfg, "finetune", trainable,
-                             stats_source=stats_source)
+    trained = (params.learnable_names() if cfg.freeze == "full"
+               else partial_trainable_names(params))
+    frozen = [k for k in params.learnable_names() if k not in trained]
+    for k in frozen:
+        params.tensors[k].requires_grad = False
+    best, stats, history = _stage(params, sessions, cfg, "finetune", stats, stats_source)
+    for k in frozen:
+        best.tensors[k].requires_grad = True
+    return best, stats, history
 
 
 def finetune(checkpoint_path, sessions, cfg: TrainConfig):
@@ -310,7 +295,6 @@ def finetune(checkpoint_path, sessions, cfg: TrainConfig):
 
 def supervised_train(sessions, cfg: TrainConfig, permute_labels: bool = False):
     """Weighted-CE training from random init; supports all input ablations."""
-    mcfg = model.ModelConfig(input_mode=cfg.input_mode)
-    params = model.init_params(mcfg, cfg.seed, head_kind=model.CLASSIFIER_HEAD)
-    return _classifier_stage(params, None, sessions, cfg, "supervised",
-                             params.learnable_names(), permute_labels=permute_labels)
+    params = model.init_params(model.ModelConfig(input_mode=cfg.input_mode), cfg.seed,
+                               head_kind=model.CLASSIFIER_HEAD)
+    return _stage(params, sessions, cfg, "supervised", permute_labels=permute_labels)

@@ -140,6 +140,18 @@ class TestTrain:
         assert cli.main(["train", "--mode", "finetune", "--data", str(data),
                          "--out", "/tmp/nope"]) == 2
 
+    @pytest.mark.parametrize("mode", ["supervised", "pretrain"])
+    @pytest.mark.parametrize("option,value", [("--from", "/nonexistent"),
+                                              ("--freeze", "partial")])
+    def test_finetune_options_rejected_in_other_modes(self, workspace, tmp_path, capsys,
+                                                      mode, option, value):
+        _, data, _ = workspace
+        out = tmp_path / "run"
+        assert cli.main(["train", "--mode", mode, option, value, "--data", str(data),
+                         "--out", str(out), "--stride", "48", "--max-epochs", "1"]) == 2
+        assert f"error: {option} applies only to --mode finetune" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir(self, tmp_path):
         assert cli.main(["train", "--mode", "supervised",
                          "--data", str(tmp_path / "empty"),
@@ -193,7 +205,8 @@ class TestTrain:
         sessions, _ = cli._load_sessions(data, "text")
         head = model.VELOCITY_HEAD if mode == "pretrain" else model.CLASSIFIER_HEAD
         params = model.init_params(model.ModelConfig(), 0, head_kind=head)
-        want = train.stage_windows(sessions, train.TrainConfig(stride=12), params)[0].counts
+        cfg = train.TrainConfig(stride=12)
+        want = train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, params).counts
         assert json.loads((tmp_path / "run" / "manifest.json").read_text())["windows"] == want
 
     def test_unknown_task_filter(self, workspace, tmp_path):
@@ -230,6 +243,27 @@ class TestEval:
         assert [f["subject"] for f in doc["folds"]] == ["S00", "S01", "S02"]
         assert "config_hash" in doc and "input_checksums" in doc
         assert set(doc["mean"]) == {"f1_reading", "f1_scanning", "f1_overall"}
+
+    @pytest.mark.parametrize("pipeline,freeze", [("semi_partial", "partial"),
+                                                 ("supervised", "full")])
+    def test_report_config_states_the_freeze_its_folds_ran(self, workspace, tmp_path,
+                                                           pipeline, freeze):
+        # the pipeline sets the freeze, whatever the config names
+        _, data, _ = workspace
+        reports = []
+        for configured in train.FREEZE_MODES:
+            config = tmp_path / f"{configured}.json"
+            config.write_text(json.dumps({"freeze": configured}))
+            out = tmp_path / f"{configured}_report.json"
+            assert cli.main(["eval", "--pipeline", pipeline, "--config", str(config),
+                             "--data", str(data), "--out", str(out), "--task", "text",
+                             "--stride", "24", "--batch-size", "128", "--max-epochs", "1"]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        doc = json.loads(reports[0])
+        assert doc["config"]["freeze"] == freeze
+        assert doc["config_hash"] == hashlib.sha256(
+            json.dumps(doc["config"], sort_keys=True).encode()).hexdigest()
 
     @pytest.mark.parametrize("pipeline,code", [("supervised", 0), ("random", 0),
                                                ("semi_full", 2)])

@@ -150,8 +150,8 @@ class TestStageWindows:
         mcfg = model.ModelConfig(input_mode=input_mode)
         params = model.init_params(mcfg, 0, head_kind=head)
         with_mouse = "m" in mcfg.streams
-        got = train.stage_windows(sessions, cfg, params)
-        for windows, split in zip(got, train.split_train_val(sessions, cfg)):
+        for split in train.split_train_val(sessions, cfg):
+            windows = train.collect_windows(split, cfg, params)
             want = dataio.Windows.concat([dataio.windowize(s, cfg.stride, mode,
                                                            with_mouse=with_mouse)
                                           for s in split])
@@ -162,14 +162,13 @@ class TestStageWindows:
 
     def test_empty_split_rejected(self, sessions):
         cfg = quick_cfg()
-        params = model.init_params(model.ModelConfig(), 0, head_kind=model.CLASSIFIER_HEAD)
         train_sessions, _ = train.split_train_val(sessions, cfg)
         stripped = [copy.deepcopy(s) for s in sessions]
         for s in stripped:
             if s.meta.subject_id != train_sessions[0].meta.subject_id:
                 s.labels = []
         with pytest.raises(DataError, match="no labeled windows in the validation split"):
-            train.stage_windows(stripped, cfg, params)
+            train.supervised_train(stripped, cfg)
 
 
 def mixed_screen_sessions():
@@ -207,8 +206,7 @@ def test_early_stopping_returns_best_epoch():
         after_epoch.append(params.checksum())
         return Tensor(np.float32(len(after_epoch)))
 
-    best, history = train._train_loop(params, params.learnable_names(), x, y_train,
-                                      x, y_val, loss_fn, cfg, "pretext")
+    best, history = train._train_loop(params, x, y_train, x, y_val, loss_fn, cfg, "pretext")
     assert [h["epoch"] for h in history] == list(range(patience + 1))
     assert [h["val_loss"] for h in history] == [1.0, 2.0, 3.0]
     assert all("val_acc" not in h for h in history)
@@ -233,8 +231,8 @@ def test_val_loss_is_the_loss_of_the_whole_split(head):
     else:
         y_train, y_val = (rng.normal(size=(n, 2)).astype(np.float32) for n in (64, 1200))
         stage, loss_fn = "pretext", lambda out, v: mse_loss(out, Tensor(v))
-    best, history = train._train_loop(params, params.learnable_names(), x_train, y_train,
-                                      x_val, y_val, loss_fn, cfg, stage)
+    best, history = train._train_loop(params, x_train, y_train, x_val, y_val, loss_fn, cfg,
+                                      stage)
     whole = Tensor(shards.forward(best, x_val))
     assert history[0]["val_loss"] == loss_fn(whole, y_val).item()
 
@@ -399,14 +397,18 @@ class TestPretext:
         monkeypatch.setattr(train, "_epoch_batches", recorded)
         names = train.partial_trainable_names(params)
         reference = params.copy()
-        best, _ = train._train_loop(params, names, x, y, x, y, loss_fn, cfg, "finetune")
-        assert len(seen) == 1
+        # frozen as finetune_params freezes its copy
         frozen = [k for k in params.learnable_names() if k not in names]
+        for k in frozen:
+            params.tensors[k].requires_grad = False
+        best, _ = train._train_loop(params, x, y, x, y, loss_fn, cfg, "finetune")
+        assert len(seen) == 1
         assert len(frozen) == 34
         assert all(params.tensors[k].grad is None for k in frozen)
         assert all(params.tensors[k].grad is not None for k in names)
-        assert all(t.requires_grad == (k != "pos") for k, t in params.tensors.items())
-        assert all(t.requires_grad == (k != "pos") for k, t in best.tensors.items())
+        # the loop leaves the flags as it found them, on params and on the result
+        for p in (params, best):
+            assert all(t.requires_grad == (k in names) for k, t in p.tensors.items())
 
         trainable = {k: reference.tensors[k] for k in names}
         with Tape() as tape:
@@ -416,6 +418,22 @@ class TestPretext:
         adam_step(trainable, collect_grads(trainable), AdamState.for_params(trainable))
         for k in params.tensors:
             assert params.tensors[k].data.tobytes() == reference.tensors[k].data.tobytes(), k
+
+    def test_partial_finetune_restores_flags_and_leaves_caller_untouched(self, sessions,
+                                                                         pretrained):
+        params, stats, _, _ = pretrained
+        before = params.checksum()
+        cfg = quick_cfg(max_epochs=1, freeze="partial")
+        ft, _, _ = train.finetune_params(params, stats, sessions, cfg)
+        assert all(ft.tensors[k].requires_grad for k in ft.learnable_names())
+        assert not ft.tensors["pos"].requires_grad
+        # a stage that raises leaves the caller's flags and values as they were
+        channels = {**stats.channels, "c": (stats.channels["c"][0], np.array([1.0, 1e-300]))}
+        tiny = dataio.NormStats(stats.screen_w, stats.screen_h, channels, stats.vel)
+        with pytest.raises(DataError, match="not finite"):
+            train.finetune_params(params, tiny, sessions, cfg)
+        assert all(t.requires_grad == (k != "pos") for k, t in params.tensors.items())
+        assert params.checksum() == before
 
     def test_partial_trainable_names(self, pretrained):
         names = train.partial_trainable_names(pretrained[0])
