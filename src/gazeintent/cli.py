@@ -101,6 +101,11 @@ def cmd_train(args) -> int:
     for option, value in (("--from", args.from_ckpt), ("--freeze", args.freeze)):
         if args.mode != "finetune" and value is not None:
             raise ConfigError(f"{option} applies only to --mode finetune")
+    default = train.TrainConfig()
+    for name, reads in (("freeze", args.mode == "finetune"),
+                        ("label_fraction", args.mode != "pretrain")):
+        if not reads and getattr(cfg, name) != getattr(default, name):
+            raise ConfigError(f"config field {name} is not read by --mode {args.mode}")
     out = dataio.writable_dir(args.out)
     sessions, checksums = _load_sessions(args.data, args.task)
     if args.mode == "pretrain":

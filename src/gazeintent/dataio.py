@@ -717,7 +717,10 @@ def select_eye(gaze: GazeColumns) -> str:
 
 
 def eye_series(gaze: GazeColumns, eye: str):
-    """Return (x, y, missing) arrays for one eye; missing where either coord absent."""
+    """Return (x, y, missing) arrays for one eye, "left" or "right"; missing
+    where either coord absent."""
+    if eye not in ("left", "right"):
+        raise ConfigError(f"eye must be 'left' or 'right', got {eye!r}")
     x, y = (gaze.lx, gaze.ly) if eye == "left" else (gaze.rx, gaze.ry)
     # a sample with either coordinate absent counts as missing as a whole,
     # so interpolation and the exclusion mask agree
@@ -735,18 +738,16 @@ def interpolate_missing(values: np.ndarray, pos: np.ndarray | None = None):
     streaming engine passes global indices, so that a gap's left neighbour
     may lie before its window and the fill still equals the batch one.
 
-    Returns (filled, missing_mask); an all-missing row comes back
-    unchanged.
+    Returns the filled copy; an all-missing row comes back unchanged.
     """
     values = np.asarray(values, dtype=np.float64)
-    mask = np.isnan(values)
     if pos is None:
         pos = np.arange(values.shape[-1])
     filled = values.copy()
-    for row, miss in zip(np.atleast_2d(filled), np.atleast_2d(mask)):
+    for row, miss in zip(np.atleast_2d(filled), np.atleast_2d(np.isnan(values))):
         if miss.any() and not miss.all():
             row[miss] = np.interp(pos[miss], pos[~miss], row[~miss])
-    return filled, mask
+    return filled
 
 
 def compensate(g: np.ndarray, view: np.ndarray, magnification: float,
@@ -792,79 +793,65 @@ def _label_ids(labels: list, t: np.ndarray) -> np.ndarray:
     return np.where(hit, cls[j], -1)
 
 
-def _no_windows(with_mouse: bool, counts: dict) -> Windows:
-    out = Windows.from_rows([])
-    if with_mouse:
-        out.m = np.empty((0, 2, WINDOW_LEN))
-    out.counts = counts
-    return out
-
-
 def windowize(session: Session, stride: int, mode: str, *,
               eye: str | None = None, with_mouse: bool = False) -> Windows:
     """Slice a session into 24-step windows.
 
     mode "labeled": attach the annotation at each window's final time
-    point, dropping unannotated windows. mode "pretext": attach the mean
-    mouse velocity over the trailing 0.2 s and ignore labels. Windows
-    with strictly more than 50% missing source samples are dropped, and
-    so are windows the mouse record does not cover (the pretext span, and
-    the whole window when `with_mouse` asks for the mouse stream).
+    point. mode "pretext": attach the mean mouse velocity over the
+    trailing 0.2 s and ignore labels.
+
+    Each window position gets one fate, the first reason that applies, in
+    `COUNTS` order: dropped for strictly more than 50% missing source
+    samples; dropped as unannotated (labeled mode); dropped because the
+    mouse record, the closed interval from its first to its last sample,
+    does not cover the window (the pretext span, and the whole window when
+    `with_mouse` asks for the mouse stream); else kept. `counts` is the
+    bincount of those fates, and the kept positions come back as one
+    `Windows` container.
 
     Every per-window quantity is computed for all window starts at once,
     so the cost is linear in session length. Labels are found by binary
     search over the label intervals, which is exact because
     `parse_session` guarantees they do not overlap. Results equal, bit for
-    bit, a per-window loop over scalar references that the tests keep. The
-    kept windows come back as one `Windows` container whose `counts` say
-    why each other window position was dropped, the first reason in the
-    order above.
+    bit, a per-window loop over scalar references that the tests keep.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if mode not in ("labeled", "pretext"):
         raise ConfigError(f"unknown windowize mode {mode!r}")
-    gaze = session.gaze
-    n = len(gaze)
-    counts = dict.fromkeys(COUNTS, 0)
-    if n < WINDOW_LEN:
-        return _no_windows(with_mouse, counts)
-    eye = eye or select_eye(gaze)
+    gaze, meta = session.gaze, session.meta
+    n, t = len(gaze), gaze.t
+    starts = np.arange(0, n - WINDOW_LEN + 1, stride)
+    if eye is None:  # select_eye rejects an empty session; without a position any eye will do
+        eye = select_eye(gaze) if starts.size else "left"
     x, y, missing = eye_series(gaze, eye)
-    g, _ = interpolate_missing(np.stack([x, y]))
-    t = gaze.t
-    meta = session.meta
-    view = gaze.data[5:7]  # vx, vy
-    c = compensate(g, view, meta.magnification, meta.screen_w, meta.screen_h)
+    n_missing = np.concatenate(([0], np.cumsum(missing)))
+    t_end = t[starts + WINDOW_LEN - 1]
+    label = (_label_ids(session.labels, t_end) if mode == "labeled"
+             else np.full(starts.size, -1, dtype=np.int64))
 
     mouse_t, mouse_x, mouse_y = session.mouse.data
-    has_mouse = mouse_t.size > 0
-
-    starts = np.arange(0, n - WINDOW_LEN + 1, stride)
-    n_missing = np.concatenate(([0], np.cumsum(missing)))
-    enough = n_missing[starts + WINDOW_LEN] - n_missing[starts] <= MAX_MISSING
-    counts["dropped_missing"] = starts.size - int(np.count_nonzero(enough))
-    starts = starts[enough]
-    t_end = t[starts + WINDOW_LEN - 1]
-    if mode == "labeled":
-        label = _label_ids(session.labels, t_end)
-        keep = label >= 0
-        counts["dropped_unlabeled"] = starts.size - int(np.count_nonzero(keep))
-    elif has_mouse:
-        keep = ~((t_end - WINDOW_SPAN_S < mouse_t[0]) | (t_end > mouse_t[-1]))
-    else:
-        keep = np.zeros(starts.shape, dtype=bool)
+    lo, hi = (mouse_t[0], mouse_t[-1]) if mouse_t.size else (np.inf, -np.inf)
+    covered = np.ones(starts.size, dtype=bool)
+    if mode == "pretext":
+        covered &= (lo <= t_end - WINDOW_SPAN_S) & (t_end <= hi)
     if with_mouse:
-        if has_mouse:
-            keep &= (mouse_t[0] <= t[starts]) & (t_end <= mouse_t[-1])
-        else:
-            keep[:] = False
-    starts, t_end = starts[keep], t_end[keep]
-    counts["kept"] = starts.size
-    counts["dropped_no_mouse"] = keep.size - counts["dropped_unlabeled"] - starts.size
-    if starts.size == 0:
-        return _no_windows(with_mouse, counts)
+        covered &= (lo <= t[starts]) & (t_end <= hi)
 
+    fate = np.select([n_missing[starts + WINDOW_LEN] - n_missing[starts] > MAX_MISSING,
+                      (mode == "labeled") & (label < 0), ~covered], [1, 2, 3], 0)
+    counts = dict(zip(COUNTS, np.bincount(fate, minlength=len(COUNTS)).tolist()))
+    keep = fate == 0
+    starts, t_end, label = starts[keep], t_end[keep], label[keep]
+    if not starts.size:
+        return Windows(g=np.empty((0, 2, WINDOW_LEN)), c=np.empty((0, 2, WINDOW_LEN)),
+                       m=np.empty((0, 2, WINDOW_LEN)) if with_mouse else None,
+                       t_end=t_end, label=label, vel_target=np.empty((0, 2)),
+                       subject_id=np.empty(0, dtype=object), counts=counts)
+
+    g = interpolate_missing(np.stack([x, y]))
+    c = compensate(g, gaze.data[5:7], meta.magnification, meta.screen_w, meta.screen_h)
     idx = starts[:, None] + np.arange(WINDOW_LEN)
 
     def block(rows) -> np.ndarray:
@@ -878,14 +865,11 @@ def windowize(session: Session, stride: int, mode: str, *,
     if with_mouse:
         m = block((np.interp(t, mouse_t, mouse_x), np.interp(t, mouse_t, mouse_y)))
     vel = np.full((starts.size, 2), np.nan)
-    if mode == "labeled":
-        label = label[keep]
-    else:
+    if mode == "pretext":
         t_start = t_end - WINDOW_SPAN_S
         dt = t_end - t_start
         vel[:, 0] = (np.interp(t_end, mouse_t, mouse_x) - np.interp(t_start, mouse_t, mouse_x)) / dt
         vel[:, 1] = (np.interp(t_end, mouse_t, mouse_y) - np.interp(t_start, mouse_t, mouse_y)) / dt
-        label = np.full(starts.size, -1, dtype=np.int64)
     return Windows(g=block(g), c=block(c), m=m, t_end=t_end, label=label, vel_target=vel,
                    subject_id=np.full(starts.size, meta.subject_id, dtype=object),
                    counts=counts)

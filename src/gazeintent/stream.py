@@ -126,8 +126,7 @@ class StreamingEngine:
         g = win[:2]
         if np.isnan(g[0]).any():       # a window without a gap needs no fill
             pos[0] = self._evicted[0]
-            g, _ = dataio.interpolate_missing(np.column_stack((self._evicted[1], g)), pos)
-            g = g[:, 1:]
+            g = dataio.interpolate_missing(np.column_stack((self._evicted[1], g)), pos)[:, 1:]
         c = dataio.compensate(g, win[2:4], self.magnification,
                               self.stats.screen_w, self.stats.screen_h)
         return dataio.Windows(g=g[None], c=c[None], t_end=win[4, -1:], label=np.array([-1]),

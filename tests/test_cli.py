@@ -152,6 +152,24 @@ class TestTrain:
         assert f"error: {option} applies only to --mode finetune" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode,field,option,value", [
+        ("supervised", "freeze", "--config", '{"freeze": "partial"}'),
+        ("pretrain", "freeze", "--config", '{"freeze": "partial"}'),
+        ("pretrain", "label_fraction", "--label-fraction", "0.1"),
+    ], ids=["supervised-freeze", "pretrain-freeze", "pretrain-label_fraction"])
+    def test_config_fields_rejected_where_the_mode_never_reads_them(
+            self, workspace, tmp_path, capsys, mode, field, option, value):
+        _, data, _ = workspace
+        if option == "--config":
+            (tmp_path / "config.json").write_text(value)
+            value = str(tmp_path / "config.json")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--mode", mode, option, value, "--data", str(data),
+                         "--out", str(out), "--stride", "48", "--max-epochs", "1"]) == 2
+        assert (f"error: config field {field} is not read by --mode {mode}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_data_dir(self, tmp_path):
         assert cli.main(["train", "--mode", "supervised",
                          "--data", str(tmp_path / "empty"),

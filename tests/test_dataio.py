@@ -336,27 +336,29 @@ class TestEyeSelection:
 
 class TestInterpolation:
     def test_interior_gap_is_linear(self):
-        filled, mask = dataio.interpolate_missing(
-            np.array([1.0, np.nan, np.nan, 4.0]))
+        arr = np.array([1.0, np.nan, np.nan, 4.0])
+        filled = dataio.interpolate_missing(arr)
         np.testing.assert_allclose(filled, [1.0, 2.0, 3.0, 4.0])
-        assert mask.tolist() == [False, True, True, False]
+        assert np.isnan(arr).tolist() == [False, True, True, False]  # the input is left as it was
 
     def test_edges_use_nearest(self):
-        filled, _ = dataio.interpolate_missing(
+        filled = dataio.interpolate_missing(
             np.array([np.nan, 5.0, 7.0, np.nan, np.nan]))
         np.testing.assert_allclose(filled, [5.0, 5.0, 7.0, 7.0, 7.0])
 
     def test_all_missing_passthrough(self):
-        filled, mask = dataio.interpolate_missing(np.array([np.nan, np.nan]))
+        arr = np.array([np.nan, np.nan])
+        filled = dataio.interpolate_missing(arr)
         assert np.isnan(filled).all()
-        assert mask.all()
+        assert np.isnan(arr).all()
 
     @given(st.lists(st.one_of(st.none(), st.floats(-100, 100)),
                     min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_fill_properties(self, vals):
         arr = np.array([np.nan if v is None else v for v in vals])
-        filled, mask = dataio.interpolate_missing(arr)
+        filled = dataio.interpolate_missing(arr)
+        mask = np.isnan(arr)
         if mask.all():
             return
         valid = arr[~np.isnan(arr)]
@@ -551,6 +553,15 @@ class TestWindowize:
         with pytest.raises(ConfigError):
             dataio.windowize(make_session(48), 1, "windowed", eye="left")
 
+    @pytest.mark.parametrize("eye", ["Left", "RIGHT", "both", ""])
+    def test_unknown_eye_rejected(self, eye):
+        session = make_session(48)
+        message = f"eye must be 'left' or 'right', got {eye!r}"
+        with pytest.raises(ConfigError, match=message):
+            dataio.eye_series(session.gaze, eye)
+        with pytest.raises(ConfigError, match=message):
+            dataio.windowize(session, 1, "labeled", eye=eye)
+
     def test_count_against_brute_force(self):
         rng = np.random.default_rng(11)
         for trial in range(50):
@@ -662,8 +673,8 @@ def reference_windows(session, stride, mode, eye, with_mouse):
     Returns (g, c, m, vel_target, t_end, label) tuples."""
     W = dataio.WINDOW_LEN
     x, y, missing = dataio.eye_series(session.gaze, eye)
-    x, _ = dataio.interpolate_missing(x)
-    y, _ = dataio.interpolate_missing(y)
+    x = dataio.interpolate_missing(x)
+    y = dataio.interpolate_missing(y)
     t = np.array([s.t for s in session.gaze])
     vx = np.array([s.vx for s in session.gaze])
     vy = np.array([s.vy for s in session.gaze])
