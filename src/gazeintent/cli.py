@@ -222,6 +222,9 @@ def _read_feed(source, screen: tuple, magnification: float):
         prev_t = float(values[-1, 0])
 
 
+AUTO_EYE_ROWS = 120  # rows of a live feed (1 s) that `infer --eye auto` reads before streaming
+
+
 def cmd_infer(args) -> int:
     ckpt = Path(args.ckpt)
     if not (ckpt / "manifest.json").exists():
@@ -236,21 +239,25 @@ def cmd_infer(args) -> int:
         magnification = session.meta.magnification
     # the engine checks the magnification before a feed row is checked
     # against it; an `auto` eye is set once the samples are known
-    engine = stream.StreamingEngine.from_checkpoint(
-        ckpt, magnification, eye="left" if args.eye == "auto" else args.eye, stride=args.stride)
+    eye = {} if args.eye == "auto" else {"eye": args.eye}
+    engine = stream.StreamingEngine.from_checkpoint(ckpt, magnification, stride=args.stride, **eye)
     if session is not None:
         # the checkpoint's stats normalize by the screen they were made on
         dataio.one_screen([session.meta, engine.stats])
-        chunks = [session.gaze]
+        chunks = iter([session.gaze])
     else:
         screen = (engine.stats.screen_w, engine.stats.screen_h)
         chunks = _read_feed(args.input, screen, magnification)
-        if args.eye == "auto":
-            # the batch rule reads the first ceil(10%) of the whole feed (7 x 0 if empty)
-            data = [np.empty((7, 0))] + [c.data for c in chunks]
-            chunks = [dataio.GazeColumns(np.concatenate(data, axis=1))]
+    eye_rows = None
     if args.eye == "auto":
-        engine.eye = dataio.select_eye(chunks[0])
+        # a live feed is held back for its first AUTO_EYE_ROWS rows (a row a chunk) only;
+        # other input is read whole, for the batch rule's first ceil(10%) (7 x 0 if empty)
+        live = args.input == "-"
+        held = [c.data for c in (islice(chunks, AUTO_EYE_ROWS) if live else chunks)]
+        head = dataio.GazeColumns(np.concatenate([np.empty((7, 0))] + held, axis=1))
+        eye_rows = len(head) if live else dataio.calibration_rows(len(head))
+        engine.eye = dataio.select_eye(head, eye_rows)
+        chunks = chain([head], chunks)
     n = 0
     for sample in chain.from_iterable(chunks):
         decision = engine.push(sample)
@@ -262,8 +269,8 @@ def cmd_infer(args) -> int:
     if engine.count == 0:
         raise DataError("empty session")
     print(f"emitted {n} decisions", file=sys.stderr)
-    print(json.dumps({"pushes": engine.count, "decisions": n, "silent": engine.silent_counts()}),
-          file=sys.stderr)
+    print(json.dumps({"pushes": engine.count, "decisions": n, "silent": engine.silent_counts(),
+                      "eye": engine.eye, "eye_rows": eye_rows}), file=sys.stderr)
     return 0
 
 
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help=".session file, CSV feed file, or '-' for stdin")
     p.add_argument("--stride", type=int, default=6, help="emission stride")
-    p.add_argument("--eye", default="auto", choices=("auto", "left", "right"))
+    p.add_argument("--eye", default="auto", choices=("auto", *dataio.EYES))
     p.add_argument("--magnification", type=float, default=1.0,
                    help="lens factor for raw feeds (session files carry their own)")
     p.set_defaults(func=cmd_infer)

@@ -185,6 +185,9 @@ class GazeSample:
     vy: float
 
 
+EYES = {"left": ("lx", "ly"), "right": ("rx", "ry")}  # (x, y) fields of a GazeSample, GazeColumns
+
+
 @dataclass
 class MouseSample:
     t: float
@@ -703,30 +706,39 @@ def parse_session(path) -> Session:
 # preprocessing
 
 
-def select_eye(gaze: GazeColumns) -> str:
-    """Eye with the lower missing ratio over the first ceil(10%) of samples."""
+def calibration_rows(n: int) -> int:
+    """The samples of an n-sample session that `select_eye` reads by default."""
+    return math.ceil(0.1 * n)
+
+
+def select_eye(gaze: GazeColumns, n: int | None = None) -> str:
+    """Eye with the fewest missing samples over the first `n` samples (by
+    default the first ceil(10%), `calibration_rows`); on a tie, the first
+    of `EYES`, the left one."""
     if not len(gaze):
         raise DataError("empty session")
-    n = math.ceil(0.1 * len(gaze))
-    head = gaze[:n]
-    left_missing = np.count_nonzero(eye_series(head, "left")[2])
-    right_missing = np.count_nonzero(eye_series(head, "right")[2])
-    if left_missing == n and right_missing == n:
+    head = gaze[:calibration_rows(len(gaze)) if n is None else n]
+    missing = {eye: np.count_nonzero(eye_series(head, eye)[2]) for eye in EYES}
+    if min(missing.values()) == len(head):
         raise DataError("both eyes fully missing in the calibration span")
-    return "left" if left_missing <= right_missing else "right"
+    return min(missing, key=missing.get)
+
+
+def eye_fields(eye: str) -> tuple:
+    """The (x, y) field names of an eye, a key of `EYES`."""
+    if not isinstance(eye, str) or eye not in EYES:
+        raise ConfigError(f"eye must be {' or '.join(map(repr, EYES))}, got {eye!r}")
+    return EYES[eye]
 
 
 def eye_series(gaze: GazeColumns, eye: str):
-    """Return (x, y, missing) arrays for one eye, "left" or "right"; missing
-    where either coord absent."""
-    if eye not in ("left", "right"):
-        raise ConfigError(f"eye must be 'left' or 'right', got {eye!r}")
-    x, y = (gaze.lx, gaze.ly) if eye == "left" else (gaze.rx, gaze.ry)
+    """Return (x, y, missing) arrays for one eye; missing where either
+    coordinate is absent."""
+    x, y = (getattr(gaze, f) for f in eye_fields(eye))
     # a sample with either coordinate absent counts as missing as a whole,
     # so interpolation and the exclusion mask agree
     missing = np.isnan(x) | np.isnan(y)
-    x = np.where(missing, np.nan, x)
-    y = np.where(missing, np.nan, y)
+    x, y = (np.where(missing, np.nan, v) for v in (x, y))
     return x, y, missing
 
 

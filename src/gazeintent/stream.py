@@ -1,9 +1,12 @@
 """Gaze-only streaming inference: sliding-window classification over a
 live feed.
 
-The engine keeps only raw samples in its ring buffers (NaN where the eye
-is missing) and prepares each window when it emits, with the gap fill
-and compensation `dataio.windowize` uses. A gap that has closed by the
+The engine reads its eye's fields through `dataio.eye_fields` on every
+push, so an eye set after construction is checked too; as in
+`dataio.eye_series`, a sample missing either coordinate is missing. It
+keeps only raw samples in its ring buffers (NaN where the eye is
+missing) and prepares each window when it emits, with the gap fill and
+compensation `dataio.windowize` uses. A gap that has closed by the
 emission point is filled linearly, so that window is byte-identical to
 the batch window ending at the same sample. A gap still open at the
 emission point is nearest-filled with the last valid value, which can
@@ -40,7 +43,7 @@ class StreamingEngine:
     """Single-producer engine over one gaze feed; consumes no mouse data."""
 
     def __init__(self, params: model.ModelParams, stats: dataio.NormStats,
-                 magnification: float, eye: str = "left", stride: int = 6):
+                 magnification: float, eye: str = next(iter(dataio.EYES)), stride: int = 6):
         if params is None or stats is None:
             raise ConfigError("engine requires a loaded checkpoint with normalization stats")
         if params.head_kind != model.CLASSIFIER_HEAD:
@@ -49,8 +52,7 @@ class StreamingEngine:
             raise ConfigError("streaming inference is gaze-only")
         if not np.isfinite(magnification) or magnification < 1:
             raise ConfigError(f"magnification must be a finite number >= 1, got {magnification}")
-        if eye not in ("left", "right"):
-            raise ConfigError(f"eye must be 'left' or 'right', got {eye!r}")
+        dataio.eye_fields(eye)
         if stride < 1:
             raise ConfigError("stride must be >= 1")
         self.params = params
@@ -61,12 +63,12 @@ class StreamingEngine:
         self.reset()
 
     @classmethod
-    def from_checkpoint(cls, path, magnification: float, eye: str = "left",
-                        stride: int = 6) -> "StreamingEngine":
+    def from_checkpoint(cls, path, magnification: float, **options) -> "StreamingEngine":
+        """The engine of a saved checkpoint; `options` are `eye` and `stride`."""
         params, stats = model.load_checkpoint(path)
         if stats is None:
             raise DataError(f"checkpoint at {path} carries no normalization stats")
-        return cls(params, stats, magnification, eye=eye, stride=stride)
+        return cls(params, stats, magnification, **options)
 
     def reset(self) -> None:
         """Clear buffers and counters; the model and stats are retained."""
@@ -85,10 +87,8 @@ class StreamingEngine:
         i = self.count % W
         if not np.isnan(self._ring[0, i]):
             self._evicted = (self.count - W, self._ring[:2, i].copy())
-        if self.eye == "left":
-            x, y = sample.lx, sample.ly
-        else:
-            x, y = sample.rx, sample.ry
+        fx, fy = dataio.eye_fields(self.eye)   # checked here too: `eye` may be set at any time
+        x, y = getattr(sample, fx), getattr(sample, fy)
         if x is None or y is None:
             x = y = np.nan
         self._ring[:, i] = (x, y, sample.vx, sample.vy, sample.t)

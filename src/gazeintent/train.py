@@ -55,8 +55,7 @@ class TrainConfig:
                             val_subject_index=0)
         if self.freeze not in FREEZE_MODES:
             raise ConfigError(f"unknown freeze mode {self.freeze!r}")
-        if self.input_mode not in model.INPUT_MODES:
-            raise ConfigError(f"unknown input_mode {self.input_mode!r}")
+        model.ModelConfig(input_mode=self.input_mode)   # raises its unknown input_mode error
 
 
 def compute_class_weights(labels) -> np.ndarray:

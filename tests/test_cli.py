@@ -660,7 +660,8 @@ class TestInfer:
         assert counts == {"pushes": pushes, "decisions": n,
                           "silent": {"warmup": dataio.WINDOW_LEN - 1,
                                      "stride": pushes - dataio.WINDOW_LEN + 1 - points,
-                                     "missing": points - n}}
+                                     "missing": points - n},
+                          "eye": "left", "eye_rows": None}
 
     def test_session_on_another_screen_exits_3(self, workspace, tmp_path, capsys):
         # the checkpoint's stats were made on 1920 x 1080 sessions
@@ -717,9 +718,9 @@ class TestInfer:
         return cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", "left",
                          "--magnification", str(magnification)])
 
-    def test_feed_eye_auto_uses_batch_rule(self, workspace, capsys, monkeypatch, tmp_path):
+    def test_feed_eye_auto_uses_batch_rule(self, workspace, capsys, tmp_path):
         # left eye missing over the first ceil(10%) of samples: auto picks
-        # the right eye on the feed exactly as on the session file
+        # the right eye on a feed file exactly as on the session file
         _, data, ckpt = workspace
         session = dataio.parse_session(data / "S01_text.session")
         head = slice(0, -(-len(session.gaze) // 10))
@@ -735,10 +736,42 @@ class TestInfer:
         assert out["auto"] == out["right"] != out["left"]
 
         rows, mag = self._feed_rows(path)
-        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
-        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", "auto",
+        feed = tmp_path / "feed.csv"
+        feed.write_text("\n".join(rows) + "\n")
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(feed), "--eye", "auto",
                          "--magnification", str(mag)]) == 0
         assert capsys.readouterr().out == out["right"]
+
+    def test_live_feed_eye_auto_reads_its_first_rows(self, workspace, capsys, monkeypatch,
+                                                     tmp_path):
+        # right eye missing in rows 0-49, left in rows 50-119: over the first
+        # ceil(10%) = 96 rows the left eye misses fewer (46 < 50), over the
+        # first AUTO_EYE_ROWS = 120 the right one does (50 < 70)
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        assert math.ceil(0.1 * len(rows)) == 96 and cli.AUTO_EYE_ROWS == 120
+        for i in range(120):
+            t, _, _, _, _, vx, vy = rows[i].split(",")
+            left, right = ("960,540", ",") if i < 50 else (",", "960,540")
+            rows[i] = ",".join((t, left, right, vx, vy))
+        feed = tmp_path / "feed.csv"
+        feed.write_text("\n".join(rows) + "\n")
+
+        def infer(source, eye, feed_rows=rows):
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(feed_rows) + "\n"))
+            assert cli.main(["infer", "--ckpt", str(ckpt), "--input", source, "--eye", eye,
+                             "--magnification", str(mag)]) == 0
+            captured = capsys.readouterr()
+            summary = json.loads(captured.err.splitlines()[-1])
+            return captured.out, (summary["eye"], summary["eye_rows"])
+
+        out, chosen = infer(str(feed), "auto")
+        assert chosen == ("left", 96) and out == infer(str(feed), "left")[0]
+        out, chosen = infer("-", "auto")
+        assert chosen == ("right", 120) and out == infer("-", "right")[0]
+        assert out != infer("-", "left")[0]
+        # a feed that ends first: the rule reads the rows seen
+        assert infer("-", "auto", rows[:100])[1] == ("left", 100)
 
     @pytest.mark.parametrize("eye", ["auto", "left", "right"])
     @pytest.mark.parametrize("via", ["file", "stdin", "session"])
@@ -760,22 +793,23 @@ class TestInfer:
         captured = capsys.readouterr()
         assert captured.out == "" and "error: empty session" in captured.err
 
-    def test_live_feed_decision_arrives_before_the_feed_ends(self, workspace):
-        # stdout is a pipe, where Python buffers output unless it is flushed
-        _, data, ckpt = workspace
-        rows, mag = self._feed_rows(data / "S01_text.session")
+    @staticmethod
+    def _first_decision_before_eof(ckpt, rows, *options):
+        """Feed `rows` to `infer --input -` through a pipe that stays open,
+        and assert that a decision line arrives on stdout, also a pipe, where
+        Python buffers output unless it is flushed."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         proc = subprocess.Popen(
             [sys.executable, "-m", "gazeintent.cli", "infer", "--ckpt", str(ckpt),
-             "--input", "-", "--eye", "left", "--magnification", str(mag)],
+             "--input", "-", *options],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             env=env, text=True)
         try:
-            proc.stdin.write("\n".join(rows[:200]) + "\n")
+            proc.stdin.write("\n".join(rows) + "\n")
             proc.stdin.flush()   # the feed stays open
             ready, _, _ = select.select([proc.stdout], [], [], 30)
-            assert ready, "no decision within 30 s of 200 fed rows"
+            assert ready, f"no decision within 30 s of {len(rows)} fed rows"
             assert "p_reading" in json.loads(proc.stdout.readline())
         finally:
             proc.stdin.close()
@@ -784,6 +818,19 @@ class TestInfer:
             finally:
                 proc.kill()
                 proc.stdout.close()
+
+    def test_live_feed_decision_arrives_before_the_feed_ends(self, workspace):
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S01_text.session")
+        self._first_decision_before_eof(ckpt, rows[:200], "--eye", "left",
+                                        "--magnification", str(mag))
+
+    def test_live_feed_is_live_under_the_default_options(self, workspace):
+        # `--eye auto` holds back the first AUTO_EYE_ROWS rows only, not the feed
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S00_text.session")
+        assert len(rows) > 600
+        self._first_decision_before_eof(ckpt, rows[:600], "--magnification", str(mag))
 
     def test_feed_header_line_skipped(self, workspace, capsys, monkeypatch):
         _, data, ckpt = workspace

@@ -157,28 +157,26 @@ class TestBatchEquivalence:
 @st.composite
 def gappy_sessions(draw):
     """Sessions of 24..300 samples whose eyes drop out in bursts of up to 40
-    samples, so that some gaps start before a window and close inside it."""
+    samples, so that some gaps start before a window and close inside it. A
+    burst blanks both coordinates of an eye, or x alone, or y alone."""
     W = dataio.WINDOW_LEN
     q = dataio.q9
     n = draw(st.integers(W, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     meta = dataio.SessionMeta("S00", "text", draw(st.sampled_from([1.0, 1.5, 3.0])),
                               1000.0, 800.0)
-    missing = np.zeros((2, n), dtype=bool)
+    missing = np.zeros((4, n), dtype=bool)   # rows lx, ly, rx, ry
     for eye in range(2):
-        for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                                     st.integers(1, 40)), max_size=6)):
-            missing[eye, start:start + length] = True
+        for start, length, coords in draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(1, 40),
+                st.sampled_from([[0, 1], [0], [1]])), max_size=6)):
+            missing[[2 * eye + c for c in coords], start:start + length] = True
     walk = np.clip(np.cumsum(rng.normal(0, 20, size=(n, 4)), axis=0) + [500, 400, 500, 400],
                    0, [1000, 800, 1000, 800])
     vmax = (1 - 1 / meta.magnification) * np.array([1000.0, 800.0])
     gaze = []
     for i in range(n):
-        lx, ly, rx, ry = (q(float(v)) for v in walk[i])
-        if missing[0, i]:
-            lx = ly = None
-        if missing[1, i]:
-            rx = ry = None
+        lx, ly, rx, ry = (None if missing[k, i] else q(float(walk[i, k])) for k in range(4))
         gaze.append(dataio.GazeSample(t=q(i / dataio.GAZE_RATE), lx=lx, ly=ly, rx=rx, ry=ry,
                                       vx=q(rng.uniform(0, vmax[0])),
                                       vy=q(rng.uniform(0, vmax[1]))))
@@ -207,7 +205,7 @@ class TestOnePath:
         emitted = []
         last_valid = last_idx = None
         for i, s in enumerate(session.gaze):
-            xy = (s.lx, s.ly) if eye == "left" else (s.rx, s.ry)
+            xy = tuple(getattr(s, f) for f in dataio.eye_fields(eye))
             if None not in xy:
                 last_valid, last_idx = xy, i
             if engine.push(s) is None:
@@ -261,6 +259,17 @@ class TestValidation:
             stream.StreamingEngine(params, stats, 2.0, eye="middle")
         with pytest.raises(ConfigError):
             stream.StreamingEngine(params, stats, 2.0, stride=0)
+
+    def test_eye_checked_where_it_is_set(self, trained):
+        # the right eye is missing throughout: an eye read as the right one
+        # would leave the engine silent instead of failing
+        params, stats, _, _ = trained
+        engine = stream.StreamingEngine(params, stats, 2.0, stride=1)
+        engine.eye = "Left"
+        with pytest.raises(ConfigError, match="eye must be 'left' or 'right', got 'Left'"):
+            engine.push(dataio.GazeSample(t=0.0, lx=500.0, ly=400.0, rx=None, ry=None,
+                                          vx=10.0, vy=5.0))
+        assert engine.count == 0
 
     def test_checkpoint_without_stats_rejected(self, trained, tmp_path):
         params, _, _, _ = trained
