@@ -67,6 +67,15 @@ def _config(cls, args):
                            if getattr(args, f.name, None) is not None})
 
 
+def _reject_unread(cfg: train.TrainConfig, reader: str, **unread: bool) -> None:
+    """A field that `unread` marks True, set away from its default, is a
+    ConfigError: `reader` never reads it."""
+    default = train.TrainConfig()
+    for name, is_unread in unread.items():
+        if is_unread and getattr(cfg, name) != getattr(default, name):
+            raise ConfigError(f"config field {name} is not read by {reader}")
+
+
 def _load_sessions(data_dir, task: str = "all"):
     """(sessions, sha256 of each file by path) of a directory's .session
     files, keeping only `task`'s sessions unless it is "all"."""
@@ -101,11 +110,8 @@ def cmd_train(args) -> int:
     for option, value in (("--from", args.from_ckpt), ("--freeze", args.freeze)):
         if args.mode != "finetune" and value is not None:
             raise ConfigError(f"{option} applies only to --mode finetune")
-    default = train.TrainConfig()
-    for name, reads in (("freeze", args.mode == "finetune"),
-                        ("label_fraction", args.mode != "pretrain")):
-        if not reads and getattr(cfg, name) != getattr(default, name):
-            raise ConfigError(f"config field {name} is not read by --mode {args.mode}")
+    _reject_unread(cfg, f"--mode {args.mode}", freeze=args.mode != "finetune",
+                   label_fraction=args.mode == "pretrain")
     out = dataio.writable_dir(args.out)
     sessions, checksums = _load_sessions(args.data, args.task)
     if args.mode == "pretrain":
@@ -127,19 +133,19 @@ def cmd_train(args) -> int:
 
 
 def _eval_report(sessions, checksums: dict, pipeline: str, cfg, out) -> evaluate.F1Report:
-    """One LOSO evaluation, written to `out` as eval's report.json; its
-    config holds the freeze that the folds ran."""
+    """One LOSO evaluation, written to `out` as eval's report.json with the
+    config its folds ran and that config's hash."""
     report = evaluate.loso_evaluate(sessions, pipeline, cfg)
-    cfg = replace(cfg, freeze=evaluate.PIPELINES[pipeline])
-    cfg_hash = hashlib.sha256(
-        json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
-    dataio.write_file(out, {**report.to_json(), "config": asdict(cfg), "config_hash": cfg_hash,
+    config = asdict(report.config)
+    cfg_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+    dataio.write_file(out, {**report.to_json(), "config": config, "config_hash": cfg_hash,
                             "input_checksums": checksums})
     return report
 
 
 def cmd_eval(args) -> int:
     cfg = _config(train.TrainConfig, args)
+    _reject_unread(cfg, "eval: --pipeline sets it", freeze=True)
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():
         raise ConfigError(f"cannot write {out}: --out must be a file path in an existing directory")
@@ -157,6 +163,7 @@ def cmd_sweep(args) -> int:
     pipeline) in sweep.json and a table."""
     base = _config(train.TrainConfig,
                    argparse.Namespace(**{**vars(args), "seed": None, "label_fraction": None}))
+    _reject_unread(base, "sweep: --pipeline sets it", freeze=True)
     fractions = list(dict.fromkeys(args.label_fraction or [base.label_fraction]))
     pipelines = list(dict.fromkeys(args.pipeline))
     seeds = list(dict.fromkeys(args.seed or [base.seed]))
@@ -259,18 +266,23 @@ def cmd_infer(args) -> int:
         engine.eye = dataio.select_eye(head, eye_rows)
         chunks = chain([head], chunks)
     n = 0
-    for sample in chain.from_iterable(chunks):
-        decision = engine.push(sample)
-        if decision is not None:
-            n += 1
-            # flushed, so a live feed's reader gets each decision when it is made
-            print(json.dumps({"t": decision.t_end, "label": decision.label,
-                              "p_reading": decision.p_reading}), flush=True)
+    try:
+        for sample in chain.from_iterable(chunks):
+            decision = engine.push(sample)
+            if decision is not None:
+                n += 1
+                # flushed, so a live feed's reader gets each decision when it is made
+                print(json.dumps({"t": decision.t_end, "label": decision.label,
+                                  "p_reading": decision.p_reading}), flush=True)
+    finally:
+        # also before the error of a bad row that ends a run after a push
+        if engine.count:
+            print(f"emitted {n} decisions", file=sys.stderr)
+            print(json.dumps({"pushes": engine.count, "decisions": n,
+                              "silent": engine.silent_counts(), "eye": engine.eye,
+                              "eye_rows": eye_rows}), file=sys.stderr)
     if engine.count == 0:
         raise DataError("empty session")
-    print(f"emitted {n} decisions", file=sys.stderr)
-    print(json.dumps({"pushes": engine.count, "decisions": n, "silent": engine.silent_counts(),
-                      "eye": engine.eye, "eye_rows": eye_rows}), file=sys.stderr)
     return 0
 
 

@@ -764,8 +764,9 @@ def interpolate_missing(values: np.ndarray, pos: np.ndarray | None = None):
 
 def compensate(g: np.ndarray, view: np.ndarray, magnification: float,
                screen_w: float, screen_h: float) -> np.ndarray:
-    """Vectorized `remap_to_screen`: gaze rows (x, y) with viewport rows
-    (vx, vy) back into content coordinates, clamped to the screen. The
+    """Gaze rows (x, y) with viewport rows (vx, vy) back into content
+    coordinates, clamped to the screen: the one statement of gaze
+    compensation, for batch windows, the stream and `remap_to_screen`. The
     clamp gives `np.clip`'s bytes without its Python wrapper, NaN and
     infinities included; a clamped -0.0 becomes +0.0 at every size, where
     `np.clip` keeps it beyond 8,192 elements."""
@@ -775,15 +776,13 @@ def compensate(g: np.ndarray, view: np.ndarray, magnification: float,
 
 
 def remap_to_screen(px: float, py: float, vx: float, vy: float, meta: SessionMeta):
-    """Compensate a physical-screen gaze point back into content coordinates."""
-    m = meta.magnification
-    if m < 1:
-        raise ConfigError(f"magnification must be >= 1, got {m}")
-    cx = vx + px / m
-    cy = vy + py / m
-    cx = min(max(cx, 0.0), meta.screen_w)
-    cy = min(max(cy, 0.0), meta.screen_h)
-    return cx, cy
+    """Compensate a physical-screen gaze point back into content
+    coordinates: `compensate` on one sample."""
+    if meta.magnification < 1:
+        raise ConfigError(f"magnification must be >= 1, got {meta.magnification}")
+    cx, cy = compensate(np.array([[px], [py]]), np.array([[vx], [vy]]), meta.magnification,
+                        meta.screen_w, meta.screen_h)[:, 0]
+    return float(cx), float(cy)
 
 
 def _label_ids(labels: list, t: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Metrics, the leave-one-subject-out harness, and the permuted-label
-sanity baseline."""
+sanity baseline. `loso_evaluate` alone makes a LOSO report: the config
+its folds ran, and per fold the F1s and both classes' confusion counts."""
 
 from __future__ import annotations
 
@@ -20,44 +21,34 @@ PIPELINES = {"supervised": "full", "semi_partial": "partial", "semi_full": "full
 _log = logging.getLogger(__name__)
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-
-def confusion(pred, gold, positive: int) -> ConfusionCounts:
-    pred = np.asarray(pred)
-    gold = np.asarray(gold)
-    return ConfusionCounts(
-        tp=int(((pred == positive) & (gold == positive)).sum()),
-        fp=int(((pred == positive) & (gold != positive)).sum()),
-        fn=int(((pred != positive) & (gold == positive)).sum()),
-        tn=int(((pred != positive) & (gold != positive)).sum()),
-    )
-
-
-def _f1_from_counts(c: ConfusionCounts) -> float:
-    if c.tp + c.fn == 0:
-        # class absent from gold: a vacuous 100 unless it was predicted
-        return 100.0 if c.tp + c.fp == 0 else 0.0
-    return 100.0 * 2 * c.tp / (2 * c.tp + c.fp + c.fn)
-
-
-def _class_counts(pred, gold) -> tuple:
-    """(reading, scanning) confusion counts of equal-length, non-empty inputs."""
+def class_counts(pred, gold) -> tuple:
+    """(reading, scanning) confusion counts {tp, fp, fn, tn} of equal-length,
+    non-empty class-id inputs, read off one 2x2 matrix m[gold, pred]; an
+    id other than READING or SCANNING raises DataError."""
     pred = np.asarray(pred)
     gold = np.asarray(gold)
     if pred.size == 0 or pred.size != gold.size:
         raise DataError("f1_per_class requires equal-length, non-empty inputs")
-    return tuple(confusion(pred, gold, cls) for cls in (dataio.READING, dataio.SCANNING))
+    ids = np.union1d(pred, gold)
+    if not np.isin(ids, (dataio.READING, dataio.SCANNING)).all():
+        raise DataError(f"class ids must be {dataio.READING} or {dataio.SCANNING}, "
+                        f"got {ids.tolist()}")
+    m = np.bincount((2 * gold + pred).astype(np.intp), minlength=4).reshape(2, 2)
+    # scanning's matrix is reading's with both classes swapped
+    return tuple({"tp": int(k[0, 0]), "fp": int(k[1, 0]), "fn": int(k[0, 1]), "tn": int(k[1, 1])}
+                 for k in (m, m[::-1, ::-1]))
+
+
+def _f1_from_counts(c: dict) -> float:
+    if c["tp"] + c["fn"] == 0:
+        # class absent from gold: a vacuous 100 unless it was predicted
+        return 100.0 if c["tp"] + c["fp"] == 0 else 0.0
+    return 100.0 * 2 * c["tp"] / (2 * c["tp"] + c["fp"] + c["fn"])
 
 
 def f1_per_class(pred, gold):
     """Per-class F1 in percent, classes (reading, scanning)."""
-    return tuple(_f1_from_counts(c) for c in _class_counts(pred, gold))
+    return tuple(_f1_from_counts(c) for c in class_counts(pred, gold))
 
 
 def macro_f1(f1_reading: float, f1_scanning: float) -> float:
@@ -72,43 +63,37 @@ class FoldResult:
     f1_scanning: float
     f1_overall: float
     n_windows: int
-    counts_reading: ConfusionCounts
-    counts_scanning: ConfusionCounts
+    counts_reading: dict
+    counts_scanning: dict
 
 
 @dataclass
 class F1Report:
+    """A pipeline's LOSO folds under `config`, the TrainConfig they ran
+    (with the pipeline's freeze), and the subjects left out of every fold."""
     pipeline: str
+    config: train.TrainConfig
     folds: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
 
-    @property
-    def f1_reading(self) -> float:
-        return float(np.mean([f.f1_reading for f in self.folds]))
-
-    @property
-    def f1_scanning(self) -> float:
-        return float(np.mean([f.f1_scanning for f in self.folds]))
+    def means(self) -> dict:
+        """Each F1 of a fold, averaged over the folds."""
+        return {k: float(np.mean([getattr(f, k) for f in self.folds]))
+                for k in ("f1_reading", "f1_scanning", "f1_overall")}
 
     @property
     def f1_overall(self) -> float:
-        return float(np.mean([f.f1_overall for f in self.folds]))
+        return self.means()["f1_overall"]
 
     def to_json(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "folds": [{**asdict(f)} for f in self.folds],
-            "skipped_subjects": self.skipped,
-            "mean": {"f1_reading": self.f1_reading,
-                     "f1_scanning": self.f1_scanning,
-                     "f1_overall": self.f1_overall},
-        }
+        return {"pipeline": self.pipeline, "folds": [asdict(f) for f in self.folds],
+                "skipped_subjects": self.skipped, "mean": self.means()}
 
     def table(self) -> str:
         lines = [f"{'Fold':<8}{'Reading F1':>12}{'Scanning F1':>13}{'Overall F1':>12}"]
-        for f in self.folds:
-            lines.append(f"{f.subject:<8}{f.f1_reading:>12.2f}{f.f1_scanning:>13.2f}{f.f1_overall:>12.2f}")
-        lines.append(f"{'mean':<8}{self.f1_reading:>12.2f}{self.f1_scanning:>13.2f}{self.f1_overall:>12.2f}")
+        rows = [(f.subject, f.f1_reading, f.f1_scanning, f.f1_overall) for f in self.folds]
+        for name, f1_r, f1_s, f1 in rows + [("mean", *self.means().values())]:
+            lines.append(f"{name:<8}{f1_r:>12.2f}{f1_s:>13.2f}{f1:>12.2f}")
         return "\n".join(lines)
 
 
@@ -130,20 +115,18 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
     that `train.collect_windows` gives a classifier of cfg.input_mode; a
     subject without any is listed in `skipped` and left out of every fold.
     All sessions must share one screen size. Fold k trains at seed
-    cfg.seed + k and validates on training subject cfg.val_subject_index + k;
-    cfg.freeze is replaced by the pipeline's (`PIPELINES`).
+    cfg.seed + k and validates on training subject cfg.val_subject_index + k.
+    Every fold runs cfg with the pipeline's freeze (`PIPELINES`), and the
+    report's `config` is that TrainConfig.
     """
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     cfg = replace(cfg, freeze=PIPELINES[pipeline])
     by_subject = train.split_by_subject(sessions)
-    report = F1Report(pipeline=pipeline)
-    # every fold's model is a classifier on cfg.input_mode's streams
-    classifier = model.ModelParams(model.ModelConfig(input_mode=cfg.input_mode),
-                                   model.CLASSIFIER_HEAD)
+    report = F1Report(pipeline=pipeline, config=cfg)
     folds = {}
     for subject in sorted(by_subject):
-        windows = train.collect_windows(by_subject[subject], cfg, classifier)
+        windows = train.collect_windows(by_subject[subject], cfg, model.CLASSIFIER_HEAD)
         if windows:
             folds[subject] = windows
         else:
@@ -165,13 +148,8 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
             pre_params, pre_stats, _ = train.pretrain(train_sessions, fold_cfg)
             params, stats, _ = train.finetune_params(pre_params, pre_stats, train_sessions,
                                                      fold_cfg)
-        pred, gold = predict_labels(params, stats, test_windows)
-        counts_r, counts_s = _class_counts(pred, gold)
-        f1_r, f1_s = _f1_from_counts(counts_r), _f1_from_counts(counts_s)
-        report.folds.append(FoldResult(
-            subject=test_subject,
-            f1_reading=f1_r, f1_scanning=f1_s, f1_overall=macro_f1(f1_r, f1_s),
-            n_windows=len(test_windows),
-            counts_reading=counts_r, counts_scanning=counts_s,
-        ))
+        counts = class_counts(*predict_labels(params, stats, test_windows))
+        f1_r, f1_s = (_f1_from_counts(c) for c in counts)
+        report.folds.append(FoldResult(test_subject, f1_r, f1_s, macro_f1(f1_r, f1_s),
+                                       len(test_windows), *counts))
     return report

@@ -96,15 +96,14 @@ def split_train_val(sessions, cfg: TrainConfig):
 HEAD_WINDOWS = {model.VELOCITY_HEAD: "pretext", model.CLASSIFIER_HEAD: "labeled"}
 
 
-def collect_windows(sessions, cfg: TrainConfig, params: model.ModelParams) -> dataio.Windows:
-    """The windows of `sessions` that `params` reads, unnormalized:
-    pretext windows for a velocity head, labeled windows for a classifier
-    head, with mouse positions when the model's streams hold "m". Only
-    `params`' config and head kind are read, so a model may be described
-    without tensors."""
-    with_mouse = "m" in params.config.streams
+def collect_windows(sessions, cfg: TrainConfig, head_kind: str) -> dataio.Windows:
+    """The windows of `sessions` that a model of cfg.input_mode with a
+    `head_kind` head reads, unnormalized: pretext windows for a velocity
+    head, labeled windows for a classifier head, with mouse positions when
+    the input mode's streams hold "m"."""
+    with_mouse = "m" in model.ModelConfig(input_mode=cfg.input_mode).streams
     return dataio.Windows.concat([
-        dataio.windowize(s, cfg.stride, HEAD_WINDOWS[params.head_kind], with_mouse=with_mouse)
+        dataio.windowize(s, cfg.stride, HEAD_WINDOWS[head_kind], with_mouse=with_mouse)
         for s in sessions])
 
 
@@ -205,7 +204,7 @@ def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, st
     from. Returns (best_params, stats, History)."""
     # two names, rebound below: a list of the splits would keep the
     # unnormalized windows alive while the loop trains
-    train_w, val_w = (collect_windows(split, cfg, params)
+    train_w, val_w = (collect_windows(split, cfg, params.head_kind)
                       for split in split_train_val(sessions, cfg))
     empty = [name for name, w in (("training", train_w), ("validation", val_w)) if not w]
     if empty:
@@ -242,11 +241,11 @@ def pretrain(sessions, cfg: TrainConfig):
 
     Returns (params_with_velocity_head, stats, history).
     """
-    if cfg.input_mode in ("mouse_only", "mouse_gaze_comp"):
+    config = model.ModelConfig(input_mode=cfg.input_mode)
+    if "m" in config.streams:
         raise ConfigError("the pretext stage predicts mouse velocity from gaze; "
                           "mouse input modes are not allowed")
-    params = model.init_params(model.ModelConfig(input_mode=cfg.input_mode), cfg.seed,
-                               head_kind=model.VELOCITY_HEAD)
+    params = model.init_params(config, cfg.seed, head_kind=model.VELOCITY_HEAD)
     return _stage(params, sessions, cfg, "pretext")
 
 

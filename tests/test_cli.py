@@ -214,17 +214,16 @@ class TestTrain:
         _, data, _ = workspace
         calls = []
         collect = train.collect_windows
-        monkeypatch.setattr(train, "collect_windows", lambda sessions, cfg, params: calls.append(
-            train.HEAD_WINDOWS[params.head_kind]) or collect(sessions, cfg, params))
+        monkeypatch.setattr(train, "collect_windows", lambda sessions, cfg, head_kind: calls.append(
+            train.HEAD_WINDOWS[head_kind]) or collect(sessions, cfg, head_kind))
         assert cli.main(["train", "--mode", mode, "--data", str(data),
                          "--out", str(tmp_path / "run"), "--stride", "12",
                          "--max-epochs", "1", "--task", "text"]) == 0
         assert calls == [windows, windows]
         sessions, _ = cli._load_sessions(data, "text")
         head = model.VELOCITY_HEAD if mode == "pretrain" else model.CLASSIFIER_HEAD
-        params = model.init_params(model.ModelConfig(), 0, head_kind=head)
         cfg = train.TrainConfig(stride=12)
-        want = train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, params).counts
+        want = train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, head).counts
         assert json.loads((tmp_path / "run" / "manifest.json").read_text())["windows"] == want
 
     def test_unknown_task_filter(self, workspace, tmp_path):
@@ -266,16 +265,16 @@ class TestEval:
                                                  ("supervised", "full")])
     def test_report_config_states_the_freeze_its_folds_ran(self, workspace, tmp_path,
                                                            pipeline, freeze):
-        # the pipeline sets the freeze, whatever the config names
+        # the pipeline sets the freeze; a config may name only its default
         _, data, _ = workspace
+        config = tmp_path / "full.json"
+        config.write_text(json.dumps({"freeze": train.TrainConfig().freeze}))
         reports = []
-        for configured in train.FREEZE_MODES:
-            config = tmp_path / f"{configured}.json"
-            config.write_text(json.dumps({"freeze": configured}))
-            out = tmp_path / f"{configured}_report.json"
-            assert cli.main(["eval", "--pipeline", pipeline, "--config", str(config),
-                             "--data", str(data), "--out", str(out), "--task", "text",
-                             "--stride", "24", "--batch-size", "128", "--max-epochs", "1"]) == 0
+        for name, opts in (("default", []), ("full", ["--config", str(config)])):
+            out = tmp_path / f"{name}_report.json"
+            assert cli.main(["eval", "--pipeline", pipeline, "--data", str(data),
+                             "--out", str(out), "--task", "text", "--stride", "24",
+                             "--batch-size", "128", "--max-epochs", "1"] + opts) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         doc = json.loads(reports[0])
@@ -417,6 +416,22 @@ _TRAINING = ["--task", "text", "--stride", "48", "--batch-size", "128", "--max-e
 def _argv(command, data, out) -> list:
     inputs = [] if command == "gen" else ["--data", str(data)] + _TRAINING
     return [command] + _WRITING[command] + inputs + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("pipeline", ["supervised", "semi_partial"])
+def test_freeze_in_config_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                  command, pipeline):
+    # --pipeline sets the freeze, as train rejects a field that its mode never reads
+    _, data, _ = workspace
+    monkeypatch.setattr(cli, "_load_sessions", mock.Mock(side_effect=AssertionError("read")))
+    (tmp_path / "cfg.json").write_text('{"freeze": "partial", "max_epochs": 1, "stride": 24}')
+    argv = _argv(command, data, tmp_path / "out") + ["--config", str(tmp_path / "cfg.json")]
+    argv[argv.index("supervised")] = pipeline
+    assert cli.main(argv) == 2
+    assert (f"error: config field freeze is not read by {command}: --pipeline sets it"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", list(_WRITING))
@@ -832,6 +847,25 @@ class TestInfer:
         assert len(rows) > 600
         self._first_decision_before_eof(ckpt, rows[:600], "--magnification", str(mag))
 
+    @pytest.mark.parametrize("eye", ["auto", "left"])
+    def test_summary_printed_when_a_bad_row_ends_a_run_that_streamed(
+            self, workspace, capsys, monkeypatch, eye):
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S00_text.session")
+        rows[400] = "1,2"
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows) + "\n"))
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", "-", "--eye", eye,
+                         "--magnification", str(mag)]) == 3
+        captured = capsys.readouterr()
+        n = len(captured.out.splitlines())
+        *summary, error = captured.err.splitlines()
+        assert error == "error: feed line 401: expected 7 fields, got 2"
+        assert summary[0] == f"emitted {n} decisions" and n > 0
+        counts = json.loads(summary[1])
+        assert (counts["pushes"], counts["decisions"]) == (400, n)
+        assert counts["eye_rows"] == (cli.AUTO_EYE_ROWS if eye == "auto" else None)
+        assert counts["eye"] in dataio.EYES
+
     def test_feed_header_line_skipped(self, workspace, capsys, monkeypatch):
         _, data, ckpt = workspace
         rows, mag = self._feed_rows(data / "S01_text.session")
@@ -1008,7 +1042,8 @@ def test_infer_fuzz_random_bytes(workspace, feed_prefix, via, data, eye):
 def reference_feed(ckpt, lines, magnification):
     """What `infer --eye left` prints for a feed, from the per-row reference
     parser of the session tests and the range rules written out per row:
-    the decision lines before the first bad row, and that row's error."""
+    the decision lines before the first bad row, and the stderr lines of
+    its error: the summary once a row was pushed, then the error."""
     engine = stream.StreamingEngine.from_checkpoint(ckpt, magnification, eye="left")
     w, h = engine.stats.screen_w, engine.stats.screen_h
     vmax = (w * (1 - 1 / magnification), h * (1 - 1 / magnification))
@@ -1026,7 +1061,10 @@ def reference_feed(ckpt, lines, magnification):
                 if not (-1e-9 <= v <= hi + 1e-9):
                     raise ValueError(f"viewport {name} {v} outside [0, {hi}]")
         except ValueError as e:
-            return out, f"error: feed line {lineno}: {e}"
+            summary = [f"emitted {len(out)} decisions", json.dumps(
+                {"pushes": engine.count, "decisions": len(out), "silent": engine.silent_counts(),
+                 "eye": "left", "eye_rows": None})] if engine.count else []
+            return out, summary + [f"error: feed line {lineno}: {e}"]
         prev_t = s.t
         decision = engine.push(s)
         if decision is not None:
@@ -1058,4 +1096,4 @@ def test_feed_equals_row_reference(workspace, data):
         if want_err is None:
             assert code == 0, err.getvalue()
         else:
-            assert code == 3 and err.getvalue().splitlines() == [want_err], (source, chunk)
+            assert code == 3 and err.getvalue().splitlines() == want_err, (source, chunk)

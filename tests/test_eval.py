@@ -18,8 +18,9 @@ class TestConfusion:
     def test_hand_case(self):
         pred = [0, 0, 1, 1, 0]
         gold = [0, 1, 1, 0, 0]
-        c = evaluate.confusion(pred, gold, positive=0)
-        assert (c.tp, c.fp, c.fn, c.tn) == (2, 1, 1, 1)
+        reading, scanning = evaluate.class_counts(pred, gold)
+        assert reading == {"tp": 2, "fp": 1, "fn": 1, "tn": 1}
+        assert scanning == {"tp": 1, "fp": 1, "fn": 1, "tn": 2}
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(0)
@@ -27,13 +28,19 @@ class TestConfusion:
             n = int(rng.integers(1, 60))
             pred = rng.integers(0, 2, n)
             gold = rng.integers(0, 2, n)
-            for cls in (0, 1):
-                c = evaluate.confusion(pred, gold, cls)
+            for cls, c in zip((0, 1), evaluate.class_counts(pred, gold)):
                 tp = sum(1 for p, g in zip(pred, gold) if p == cls and g == cls)
                 fp = sum(1 for p, g in zip(pred, gold) if p == cls and g != cls)
                 fn = sum(1 for p, g in zip(pred, gold) if p != cls and g == cls)
                 tn = n - tp - fp - fn
-                assert (c.tp, c.fp, c.fn, c.tn) == (tp, fp, fn, tn)
+                assert c == {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+    @pytest.mark.parametrize("pred,gold", [([0, 2], [0, 1]), ([0, 1], [-1, 1]),
+                                           ([0.5, 1], [0, 1]), ([0, 1], [np.nan, 1])])
+    def test_class_id_other_than_0_or_1_rejected(self, pred, gold):
+        # before, such an id counted as a negative of both classes
+        with pytest.raises(DataError, match="class ids must be 0 or 1"):
+            evaluate.class_counts(pred, gold)
 
 
 class TestF1:
@@ -100,9 +107,23 @@ class TestLoso:
         for f in report.folds:
             assert f.f1_overall == pytest.approx(
                 evaluate.macro_f1(f.f1_reading, f.f1_scanning))
-            total = (f.counts_reading.tp + f.counts_reading.fp
-                     + f.counts_reading.fn + f.counts_reading.tn)
-            assert total == f.n_windows > 0
+            for counts in (f.counts_reading, f.counts_scanning):
+                assert sum(counts.values()) == f.n_windows > 0
+            assert (f.counts_reading["tp"], f.counts_reading["fn"]) == \
+                (f.counts_scanning["tn"], f.counts_scanning["fp"])
+
+    @pytest.mark.parametrize("pipeline", ["semi_partial", "supervised"])
+    def test_report_config_is_the_config_its_folds_ran(self, sessions, monkeypatch, pipeline):
+        ran = []
+        stage = train._stage
+        monkeypatch.setattr(train, "_stage", lambda params, sessions, cfg, *a, **k: (
+            ran.append(cfg) or stage(params, sessions, cfg, *a, **k)))
+        cfg = train.TrainConfig(stride=24, batch_size=128, max_epochs=1, freeze="partial")
+        rep = evaluate.loso_evaluate(sessions, pipeline, dataclasses.replace(cfg, seed=3))
+        assert rep.config.freeze == evaluate.PIPELINES[pipeline]
+        assert rep.config == dataclasses.replace(cfg, seed=3, freeze=rep.config.freeze)
+        assert {c.freeze for c in ran} == {rep.config.freeze}
+        assert len(ran) == 3 * (2 if pipeline.startswith("semi") else 1)
 
     def test_mean_is_average_of_folds(self, report):
         assert report.f1_overall == pytest.approx(
@@ -199,7 +220,7 @@ class TestPredictLabels:
     def test_gold_labels_passed_through(self, sessions):
         cfg = train.TrainConfig(stride=12, batch_size=128, max_epochs=1)
         params, stats, _ = train.supervised_train(sessions, cfg)
-        wins = train.collect_windows(sessions[:1], cfg, params)
+        wins = train.collect_windows(sessions[:1], cfg, params.head_kind)
         pred, gold = evaluate.predict_labels(params, stats, wins)
         assert pred.shape == gold.shape == (len(wins),)
         np.testing.assert_array_equal(gold, [w.label for w in wins])

@@ -134,7 +134,8 @@ def test_step_functions_called_through_train_module(sessions, monkeypatch, stage
     cfg = quick_cfg(max_epochs=1, batch_size=64)
     params, _, _ = getattr(train, stage)(sessions, cfg)
     assert train.HEAD_WINDOWS[params.head_kind] == mode
-    n = len(train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg, params))
+    n = len(train.collect_windows(train.split_train_val(sessions, cfg)[0], cfg,
+                                  params.head_kind))
     assert calls == dict.fromkeys(("zero_grads", "backward", "adam_step"), -(-n // 64))
     assert -(-n // 64) > 1
 
@@ -147,11 +148,9 @@ class TestStageWindows:
     ])
     def test_head_and_streams_pick_the_windows(self, sessions, head, input_mode, mode):
         cfg = quick_cfg(input_mode=input_mode)
-        mcfg = model.ModelConfig(input_mode=input_mode)
-        params = model.init_params(mcfg, 0, head_kind=head)
-        with_mouse = "m" in mcfg.streams
+        with_mouse = "m" in model.ModelConfig(input_mode=input_mode).streams
         for split in train.split_train_val(sessions, cfg):
-            windows = train.collect_windows(split, cfg, params)
+            windows = train.collect_windows(split, cfg, head)
             want = dataio.Windows.concat([dataio.windowize(s, cfg.stride, mode,
                                                            with_mouse=with_mouse)
                                           for s in split])
@@ -262,7 +261,7 @@ class TestSupervised:
         val_subject = train._pick_val_subject(train.split_by_subject(sessions),
                                               cfg.val_subject_index)
         train_w = train.collect_windows(
-            [s for s in sessions if s.meta.subject_id != val_subject], cfg, params)
+            [s for s in sessions if s.meta.subject_id != val_subject], cfg, params.head_kind)
         expected = dataio.compute_stats(train_w, sessions[0].meta)
         for key in expected.channels:
             np.testing.assert_array_equal(stats.channels[key][0],
