@@ -32,8 +32,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _load_config(path, cls):
-    """Instantiate a config dataclass from a JSON file, rejecting unknown keys."""
+def _load_config(path, cls) -> dict:
+    """The fields that a JSON config file names, rejecting keys that are not `cls` fields."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
@@ -45,7 +45,7 @@ def _load_config(path, cls):
     unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-    return cls(**doc)
+    return doc
 
 
 def _write_manifest(out_dir, command: str, config, inputs: dict, artifacts: list, **extra):
@@ -59,21 +59,17 @@ def _write_manifest(out_dir, command: str, config, inputs: dict, artifacts: list
     })
 
 
-def _config(cls, args):
-    """`cls` from the --config file (or its defaults), with every field that a
-    same-named option gives on the command line replaced, checked as built."""
-    cfg = _load_config(args.config, cls) if args.config else cls()
-    return replace(cfg, **{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-                           if getattr(args, f.name, None) is not None})
-
-
-def _reject_unread(cfg: train.TrainConfig, reader: str, **unread: bool) -> None:
-    """A field that `unread` marks True, set away from its default, is a
-    ConfigError: `reader` never reads it."""
-    default = train.TrainConfig()
-    for name, is_unread in unread.items():
-        if is_unread and getattr(cfg, name) != getattr(default, name):
+def _config(cls, args, reader: str = "", unread=()):
+    """`cls` from the fields that the --config file names, each one that a
+    same-named option gives replaced, checked as built. A field in `unread`
+    that the file or an option names is a ConfigError: `reader` never reads it."""
+    file_fields = _load_config(args.config, cls) if args.config else {}
+    options = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+               if getattr(args, f.name, None) is not None}
+    for name in unread:
+        if name in file_fields or name in options:
             raise ConfigError(f"config field {name} is not read by {reader}")
+    return replace(cls(**file_fields), **options)
 
 
 def _load_sessions(data_dir, task: str = "all"):
@@ -104,14 +100,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config(train.TrainConfig, args)
+    unread = {"supervised": ["freeze"], "pretrain": ["freeze", "label_fraction"], "finetune": []}
+    cfg = _config(train.TrainConfig, args, f"--mode {args.mode}", unread[args.mode])
     if args.mode == "finetune" and not args.from_ckpt:
         raise ConfigError("finetune requires --from CKPT")
-    for option, value in (("--from", args.from_ckpt), ("--freeze", args.freeze)):
-        if args.mode != "finetune" and value is not None:
-            raise ConfigError(f"{option} applies only to --mode finetune")
-    _reject_unread(cfg, f"--mode {args.mode}", freeze=args.mode != "finetune",
-                   label_fraction=args.mode == "pretrain")
+    if args.mode != "finetune" and args.from_ckpt is not None:
+        raise ConfigError("--from applies only to --mode finetune")
     out = dataio.writable_dir(args.out)
     sessions, checksums = _load_sessions(args.data, args.task)
     if args.mode == "pretrain":
@@ -144,8 +138,7 @@ def _eval_report(sessions, checksums: dict, pipeline: str, cfg, out) -> evaluate
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(train.TrainConfig, args)
-    _reject_unread(cfg, "eval: --pipeline sets it", freeze=True)
+    cfg = _config(train.TrainConfig, args, "eval: --pipeline sets it", ["freeze"])
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():
         raise ConfigError(f"cannot write {out}: --out must be a file path in an existing directory")
@@ -161,12 +154,10 @@ def cmd_sweep(args) -> int:
     """eval over every (label fraction, pipeline, seed) cell: one report per
     cell, plus the mean and std of f1_overall over seeds per (fraction,
     pipeline) in sweep.json and a table."""
-    base = _config(train.TrainConfig,
-                   argparse.Namespace(**{**vars(args), "seed": None, "label_fraction": None}))
-    _reject_unread(base, "sweep: --pipeline sets it", freeze=True)
-    fractions = list(dict.fromkeys(args.label_fraction or [base.label_fraction]))
+    base = _config(train.TrainConfig, args, "sweep: --pipeline sets it", ["freeze"])
+    fractions = list(dict.fromkeys(args.label_fractions or [base.label_fraction]))
     pipelines = list(dict.fromkeys(args.pipeline))
-    seeds = list(dict.fromkeys(args.seed or [base.seed]))
+    seeds = list(dict.fromkeys(args.seeds or [base.seed]))
     cells = {(fraction, seed): replace(base, label_fraction=fraction, seed=seed)
              for fraction in fractions for seed in seeds}
     out = dataio.writable_dir(args.out)
@@ -291,20 +282,21 @@ def cmd_infer(args) -> int:
 
 def _add_training_args(p, many: bool = False) -> None:
     """The data and TrainConfig options that train, eval and sweep share;
-    with `many`, --seed and --label-fraction take one or more values."""
+    with `many`, --seed and --label-fraction take one or more values, kept in
+    `seeds` and `label_fractions`, which name no config field."""
     nargs = "+" if many else None
     p.add_argument("--data", required=True, help="directory of .session files")
     p.add_argument("--config", help="TrainConfig JSON file")
     p.add_argument("--task", default="all", choices=("all", "text", "webpage"))
     p.add_argument("--input-mode", dest="input_mode", choices=model.INPUT_MODES,
                    help="input ablation (default gaze_plus_comp)")
-    p.add_argument("--seed", type=int, nargs=nargs)
+    p.add_argument("--seed", dest="seeds" if many else "seed", type=int, nargs=nargs)
     p.add_argument("--stride", type=int, help="window stride in samples (default 6)")
     p.add_argument("--batch-size", dest="batch_size", type=int, help="default 256")
     p.add_argument("--max-epochs", dest="max_epochs", type=int, help="default 50")
     p.add_argument("--patience", type=int, help="early-stop patience (default 5)")
-    p.add_argument("--label-fraction", dest="label_fraction", type=float, nargs=nargs,
-                   help="fraction of training labels kept (default 1.0)")
+    p.add_argument("--label-fraction", dest="label_fractions" if many else "label_fraction",
+                   type=float, nargs=nargs, help="fraction of training labels kept (default 1.0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gazeintent import cli, dataio, model, numerics, shards, stream, synth, train
-from gazeintent.errors import ConfigError
+from gazeintent import cli, dataio, evaluate, model, numerics, shards, stream, synth, train
+from gazeintent.errors import ConfigError, DataError
 from test_dataio import line_edits, parse_gaze_row
 from test_model import edit_checkpoint
 
@@ -149,16 +149,26 @@ class TestTrain:
         out = tmp_path / "run"
         assert cli.main(["train", "--mode", mode, option, value, "--data", str(data),
                          "--out", str(out), "--stride", "48", "--max-epochs", "1"]) == 2
-        assert f"error: {option} applies only to --mode finetune" in capsys.readouterr().err
+        # --freeze names a config field; --from names none
+        message = ("config field freeze is not read by --mode " + mode if option == "--freeze"
+                   else "--from applies only to --mode finetune")
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode,field,option,value", [
         ("supervised", "freeze", "--config", '{"freeze": "partial"}'),
         ("pretrain", "freeze", "--config", '{"freeze": "partial"}'),
         ("pretrain", "label_fraction", "--label-fraction", "0.1"),
-    ], ids=["supervised-freeze", "pretrain-freeze", "pretrain-label_fraction"])
+        ("supervised", "freeze", "--config", '{"freeze": "full"}'),
+        ("pretrain", "freeze", "--config", '{"freeze": "full"}'),
+        ("pretrain", "label_fraction", "--label-fraction", "1.0"),
+        ("pretrain", "label_fraction", "--config", '{"label_fraction": 1.0}'),
+    ], ids=["supervised-freeze", "pretrain-freeze", "pretrain-label_fraction",
+            "supervised-default-freeze", "pretrain-default-freeze",
+            "pretrain-default-label_fraction", "pretrain-default-label_fraction-config"])
     def test_config_fields_rejected_where_the_mode_never_reads_them(
             self, workspace, tmp_path, capsys, mode, field, option, value):
+        # a named field is refused also when it names the default
         _, data, _ = workspace
         if option == "--config":
             (tmp_path / "config.json").write_text(value)
@@ -264,23 +274,24 @@ class TestEval:
     @pytest.mark.parametrize("pipeline,freeze", [("semi_partial", "partial"),
                                                  ("supervised", "full")])
     def test_report_config_states_the_freeze_its_folds_ran(self, workspace, tmp_path,
-                                                           pipeline, freeze):
-        # the pipeline sets the freeze; a config may name only its default
+                                                           capsys, pipeline, freeze):
+        # the pipeline sets the freeze; a config may not name it, not even its default
         _, data, _ = workspace
-        config = tmp_path / "full.json"
-        config.write_text(json.dumps({"freeze": train.TrainConfig().freeze}))
-        reports = []
-        for name, opts in (("default", []), ("full", ["--config", str(config)])):
-            out = tmp_path / f"{name}_report.json"
-            assert cli.main(["eval", "--pipeline", pipeline, "--data", str(data),
-                             "--out", str(out), "--task", "text", "--stride", "24",
-                             "--batch-size", "128", "--max-epochs", "1"] + opts) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
-        doc = json.loads(reports[0])
-        assert doc["config"]["freeze"] == freeze
+        argv = ["eval", "--pipeline", pipeline, "--data", str(data), "--task", "text",
+                "--stride", "24", "--batch-size", "128", "--max-epochs", "1"]
+        out = tmp_path / "report.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_bytes())
+        assert doc["config"]["freeze"] == freeze == evaluate.PIPELINES[pipeline]
         assert doc["config_hash"] == hashlib.sha256(
             json.dumps(doc["config"], sort_keys=True).encode()).hexdigest()
+        config = tmp_path / "full.json"
+        config.write_text(json.dumps({"freeze": train.TrainConfig().freeze}))
+        named = tmp_path / "named_report.json"
+        assert cli.main(argv + ["--out", str(named), "--config", str(config)]) == 2
+        assert ("error: config field freeze is not read by eval: --pipeline sets it"
+                in capsys.readouterr().err)
+        assert not named.exists()
 
     @pytest.mark.parametrize("pipeline,code", [("supervised", 0), ("random", 0),
                                                ("semi_full", 2)])
@@ -422,16 +433,19 @@ def _argv(command, data, out) -> list:
 @pytest.mark.parametrize("pipeline", ["supervised", "semi_partial"])
 def test_freeze_in_config_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
                                                   command, pipeline):
-    # --pipeline sets the freeze, as train rejects a field that its mode never reads
+    # --pipeline sets the freeze, as train rejects a field that its mode never reads;
+    # a config that names the default freeze names it too
     _, data, _ = workspace
     monkeypatch.setattr(cli, "_load_sessions", mock.Mock(side_effect=AssertionError("read")))
-    (tmp_path / "cfg.json").write_text('{"freeze": "partial", "max_epochs": 1, "stride": 24}')
-    argv = _argv(command, data, tmp_path / "out") + ["--config", str(tmp_path / "cfg.json")]
-    argv[argv.index("supervised")] = pipeline
-    assert cli.main(argv) == 2
-    assert (f"error: config field freeze is not read by {command}: --pipeline sets it"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
+    for freeze in train.FREEZE_MODES:
+        (tmp_path / "cfg.json").write_text(json.dumps({"freeze": freeze, "max_epochs": 1,
+                                                       "stride": 24}))
+        argv = _argv(command, data, tmp_path / "out") + ["--config", str(tmp_path / "cfg.json")]
+        argv[argv.index("supervised")] = pipeline
+        assert cli.main(argv) == 2
+        assert (f"error: config field freeze is not read by {command}: --pipeline sets it"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", list(_WRITING))
@@ -571,7 +585,7 @@ def test_config_json_fuzz(tmp_path_factory, cls, data):
     root = tmp_path_factory.mktemp("cfg")
     (root / "cfg.json").write_text(json.dumps(doc))
     try:
-        cfg = cli._load_config(root / "cfg.json", cls)
+        cfg = cls(**cli._load_config(root / "cfg.json", cls))
     except ConfigError:
         return
     if cls is synth.SynthConfig:
@@ -579,6 +593,74 @@ def test_config_json_fuzz(tmp_path_factory, cls, data):
                                          data.draw(st.sampled_from(["text", "webpage"])))
         dataio.write_session(session, root / "s.session")
         assert dataio.parse_session(root / "s.session").gaze == session.gaze
+
+
+# a valid value of each TrainConfig field, its default among them
+TRAIN_VALUES = {name: st.just(getattr(train.TrainConfig(), name)) | values for name, values in {
+    "batch_size": st.integers(1, 512), "max_epochs": st.integers(1, 60),
+    "patience": st.integers(0, 9), "seed": st.integers(0, 2**40),
+    "freeze": st.sampled_from(train.FREEZE_MODES), "input_mode": st.sampled_from(model.INPUT_MODES),
+    "stride": st.integers(1, 60), "label_fraction": st.floats(0, 1, exclude_min=True),
+    "val_subject_index": st.integers(0, 5)}.items()}
+# the option that names each field; train alone has --freeze, and no option names
+# val_subject_index
+FIELD_OPTIONS = {"input_mode": "--input-mode", "seed": "--seed", "stride": "--stride",
+                 "batch_size": "--batch-size", "max_epochs": "--max-epochs",
+                 "patience": "--patience", "label_fraction": "--label-fraction",
+                 "freeze": "--freeze"}
+# each command (a train mode apart), and the fields that it never reads
+UNREAD = {"train supervised": ["freeze"], "train pretrain": ["freeze", "label_fraction"],
+          "train finetune": [], "eval": ["freeze"], "sweep": ["freeze"]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(list(UNREAD)))
+def test_named_field_exits_2_exactly_when_the_command_never_reads_it(
+        tmp_path_factory, data, command):
+    # valid values named in the config file, as options, or both; the run
+    # stops where it would read the sessions
+    root = tmp_path_factory.mktemp("named")
+    argv = command.replace("train ", "train --mode ").split()
+    file_fields, option_fields = {}, {}
+    for name, values in TRAIN_VALUES.items():
+        ways = ["", "file"]
+        if name in FIELD_OPTIONS and (name != "freeze" or argv[0] == "train"):
+            ways += ["option", "both"]
+        way = data.draw(st.sampled_from(ways), label=name)
+        if way in ("file", "both"):
+            file_fields[name] = data.draw(values, label=f"{name} in the file")
+        if way in ("option", "both"):
+            option_fields[name] = data.draw(values, label=f"{name} as an option")
+            argv += [FIELD_OPTIONS[name], str(option_fields[name])]
+    (root / "cfg.json").write_text(json.dumps(file_fields))
+    if command == "train finetune":
+        argv += ["--from", str(root / "ckpt")]
+    elif argv[0] != "train":
+        argv += ["--pipeline", data.draw(st.sampled_from(list(evaluate.PIPELINES)))]
+    out = root / ("report.json" if command == "eval" else "out")
+    argv += ["--data", str(root / "data"), "--out", str(out), "--config", str(root / "cfg.json")]
+    built = []  # every TrainConfig made, in order
+    post_init = train.TrainConfig.__post_init__
+
+    def record(cfg):
+        post_init(cfg)
+        built.append(cfg)
+
+    stop = mock.Mock(side_effect=DataError("stopped before the sessions are read"))
+    with mock.patch.object(cli, "_load_sessions", stop), \
+            mock.patch.object(train.TrainConfig, "__post_init__", record), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    named = [name for name in UNREAD[command] if name in file_fields or name in option_fields]
+    if named:
+        reader = (f"--mode {argv[2]}" if argv[0] == "train"
+                  else f"{command}: --pipeline sets it")
+        assert code == 2 and not stop.called
+        assert f"error: config field {named[0]} is not read by {reader}" in err.getvalue()
+    else:
+        # sweep's one cell is the last config made
+        assert code == 3 and stop.called, err.getvalue()
+        assert built[-1] == replace(train.TrainConfig(**file_fields), **option_fields)
 
 
 class TestSweep:
