@@ -11,12 +11,12 @@ value a float or an array of floats has once written and parsed back.
 A parsed `Session` stores its gaze and mouse records as float64 columns
 (`GazeColumns`: t, lx, ly, rx, ry, vx, vy with NaN for a missing eye
 coordinate; `MouseColumns`: t, mx, my) and its label intervals as a short
-list. `parse_session` builds each section's columns in fixed PARSE_ROWS
-chunks, one `float` per field, so a long session never holds all of its
-fields as Python objects at once. Each row rule is written once, as a
-predicate on a whole block of rows with its message; the first bad row
-gets the message of the first rule it breaks. A live feed's rows pass the
-same gaze rules (`parse_gaze_rows`) as a session file's.
+list. `parse_session` converts a section in fixed PARSE_ROWS chunks, one
+`float` per field, never holding all of its fields as Python objects.
+Each row rule of `#gaze`, `#mouse` and `#labels` (an empty mouse or label
+number breaks one) is written once, as a predicate on a whole block of
+rows with its message; the first bad row gets the message of the first
+rule it breaks. A live feed's gaze rows pass the same rules as a file's.
 
 `windowize` cuts a session into 24-step windows and returns them as a
 `Windows` container: one contiguous float64 (N, 2, 24) block per stream
@@ -490,22 +490,6 @@ def write_session(session: Session, path) -> None:
 # -- section parsing
 
 
-def _parse_label_row(fields: list, prev: LabelInterval | None) -> LabelInterval:
-    if len(fields) != 3:
-        raise ValueError("expected 3 fields")
-    if fields[2] not in LABELS:
-        raise ValueError(f"unknown label {fields[2]!r}")
-    row = [float(fields[0]), float(fields[1])]
-    for v in row:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v}")
-    if row[0] >= row[1]:
-        raise ValueError("empty label interval")
-    if prev is not None and row[0] < prev.end:
-        raise ValueError("overlapping label intervals")
-    return LabelInterval(*row, fields[2])
-
-
 def _sections(lines: list):
     """Data rows of each section as runs (first, stop) of indices into
     `lines` (line 0 is the meta line), and the (line number, message) of
@@ -655,11 +639,32 @@ def _parse_mouse_rows(rows: list):
     is not one); every number finite; t rising strictly. Returns what
     `parse_gaze_rows` returns, with an (n, 3) block."""
     v, empty = _numbers(rows, 3)
-    if empty.any():   # `float` rejects an empty field: parsing stops there
-        v = v[:int(empty.any(axis=1).argmax())]
-    rules = [_finite_rule(v, empty[:len(v)]), _rising_rule(v[:, :1], None)]
+    rules = [(empty, lambda k, j: _float_fault([""])), _finite_rule(v, empty),
+             _rising_rule(v[:, :1], None)]
     return v, _first_fault(rows, len(v), rules, lambda fields: (
         "expected 3 fields" if len(fields) != 3 else _float_fault(fields)))
+
+
+def _parse_label_rows(rows: list):
+    """Label rows `start,end,label` of a session file through every label
+    row rule, in this order: 3 fields; a label of LABELS; start and end each
+    a number `float` accepts (an empty field is not one); both finite; start
+    before end; start not before the end of the row before. Returns the
+    `LabelInterval`s and what `_first_fault` returns."""
+    split = [row.rpartition(",") for row in rows]   # the label split off the two numbers
+    v, empty = _numbers([head for head, _, _ in split], 2)
+    names = [name for _, _, name in split[:len(v)]]
+    (start, end), overlap = v.T, np.zeros((len(v), 1), dtype=bool)
+    overlap[1:, 0] = start[1:] < end[:-1]
+    rules = [(np.array([name not in LABELS for name in names], dtype=bool)[:, None],
+              lambda k, j: f"unknown label {names[k]!r}"),
+             (empty, lambda k, j: _float_fault([""])), _finite_rule(v, empty),
+             (~(start < end)[:, None], lambda k, j: "empty label interval"),
+             (overlap, lambda k, j: "overlapping label intervals")]
+    labels = [LabelInterval(a, b, name) for (a, b), name in zip(v.tolist(), names)]
+    return labels, _first_fault(rows, len(v), rules, lambda fields: (
+        "expected 3 fields" if len(fields) != 3 else f"unknown label {fields[2]!r}"
+        if fields[2] not in LABELS else _float_fault(fields[:2])))
 
 
 def parse_session(path) -> Session:
@@ -680,25 +685,18 @@ def parse_session(path) -> Session:
         raise DataError(f"{path}:1: malformed meta: {e}") from e
 
     runs, fault = _sections(lines)
-    faults = [fault] if fault else []
     rows = {name: list(chain.from_iterable(lines[a:b] for a, b in r))
             for name, r in runs.items()}
-    gaze, gaze_fault = parse_gaze_rows(rows["#gaze"], None, (meta.screen_w, meta.screen_h),
-                                       meta.magnification)
-    mouse, mouse_fault = _parse_mouse_rows(rows["#mouse"])
-    for name, fault in (("#gaze", gaze_fault), ("#mouse", mouse_fault)):
-        if fault is not None:
-            faults.append((_line_number(runs[name], fault[0]), fault[1]))
-    labels = []
-    for k, row in enumerate(rows["#labels"]):
-        try:
-            labels.append(_parse_label_row(row.split(","), labels[-1] if labels else None))
-        except ValueError as e:
-            faults.append((_line_number(runs["#labels"], k), str(e)))
-            break
+    parsed = {"#gaze": parse_gaze_rows(rows["#gaze"], None, (meta.screen_w, meta.screen_h),
+                                       meta.magnification),
+              "#mouse": _parse_mouse_rows(rows["#mouse"]),
+              "#labels": _parse_label_rows(rows["#labels"])}
+    faults = [fault] if fault else []
+    faults += [(_line_number(runs[name], f[0]), f[1]) for name, (_, f) in parsed.items() if f]
     if faults:
         lineno, message = min(faults)
         raise DataError(f"{path}:{lineno}: {message}")
+    (gaze, _), (mouse, _), (labels, _) = parsed.values()
     return Session(meta, GazeColumns(gaze.T), MouseColumns(mouse.T), labels)
 
 

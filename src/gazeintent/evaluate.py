@@ -28,7 +28,7 @@ def class_counts(pred, gold) -> tuple:
     pred = np.asarray(pred)
     gold = np.asarray(gold)
     if pred.size == 0 or pred.size != gold.size:
-        raise DataError("f1_per_class requires equal-length, non-empty inputs")
+        raise DataError("class_counts requires equal-length, non-empty inputs")
     ids = np.union1d(pred, gold)
     if not np.isin(ids, (dataio.READING, dataio.SCANNING)).all():
         raise DataError(f"class ids must be {dataio.READING} or {dataio.SCANNING}, "

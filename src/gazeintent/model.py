@@ -5,8 +5,7 @@ checkpoint serialization. The architecture is fixed: a `ModelConfig`
 chooses only which input streams the model reads.
 
 `layout` is the one description of a model's tensors: `init_params` draws
-along it, `param_count` sums it, and a checkpoint's manifest entries are
-derived from it on save and on load.
+along it, and a checkpoint's manifest entries follow it on save and load.
 """
 
 from __future__ import annotations
@@ -152,11 +151,6 @@ def layout(cfg: ModelConfig):
         yield from linear(f"tf{li}.ffn2", cfg.ffn_hidden, d)
     yield from linear("head", d, 2)
     yield "pos", (cfg.window, d), "sinusoid"
-
-
-def param_count(cfg: ModelConfig) -> int:
-    """Learnable parameter count (positional table excluded)."""
-    return sum(math.prod(shape) for _, shape, init in layout(cfg) if init != "sinusoid")
 
 
 def _init_tensor(rng, shape: tuple, init) -> Tensor:

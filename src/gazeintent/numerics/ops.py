@@ -36,7 +36,7 @@ def _im2col(xd: np.ndarray, K: int) -> np.ndarray:
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Temporal convolution with odd kernel width and same-length zero padding.
 
-    x: (C_in, T) or (B, C_in, T); kernels: (C_out, C_in, K); bias: (C_out,).
+    x: (B, C_in, T); kernels: (C_out, C_in, K); bias: (C_out,).
     Output has the same temporal length T.
 
     Computed as one GEMM over an im2col matrix (`_im2col`; Chellapilla et
@@ -44,9 +44,6 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     kernel gradient. The output is a (B, C_out, T) view of a (B, T, C_out)
     buffer.
     """
-    if x.data.ndim == 2:
-        res = conv1d(x.reshape((1,) + x.data.shape), kernels, bias)
-        return res.reshape(res.data.shape[1:])
     xd, wd = x.data, kernels.data
     if xd.ndim != 3 or wd.ndim != 3:
         raise ShapeError(f"conv1d expects (B,C_in,T) and (C_out,C_in,K), got {xd.shape}, {wd.shape}")

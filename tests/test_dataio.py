@@ -1146,6 +1146,20 @@ def _equals_row_reference(tmp_path_factory, session, data):
     assert list(back.gaze) == gaze and list(back.mouse) == mouse
 
 
+# one label row broken by each label rule, given its fields and those of the row before
+LABEL_FAULTS = {
+    "unknown": lambda f, prev: [f[0], f[1], "skimming"],
+    "leading_space": lambda f, prev: [f[0], f[1], " reading"],
+    "empty_start": lambda f, prev: ["", f[1], f[2]],
+    "nan": lambda f, prev: ["nan", f[1], f[2]],
+    "bad_number": lambda f, prev: ["1.2.3", f[1], f[2]],
+    "start_not_before_end": lambda f, prev: [f[1], f[1], f[2]],
+    "overlap": lambda f, prev: [prev[0], f[1], f[2]],
+    "two_fields": lambda f, prev: [f[0], f[2]],
+    "four_fields": lambda f, prev: f + ["1"],
+}
+
+
 @pytest.fixture(scope="module")
 def long_session_lines(tmp_path_factory):
     """A 60 s session file (7,200 gaze rows: several PARSE_ROWS chunks)."""
@@ -1186,11 +1200,54 @@ class TestBulkParser:
         else:
             fields[0] = dataio.fmt9(float(lines[i - 1].split(",")[0]) - 1e-3)
         lines[i] = ",".join(fields)
+        self._check_fault(tmp_path, lines, i, None)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    @pytest.mark.parametrize("fault,row", [
+        (fault, row) for fault in LABEL_FAULTS for row in ("first", "middle", "last")
+        if (fault, row) != ("overlap", "first")])   # the first interval has none before it
+    def test_label_fault_in_chunks_matches_reference(self, tmp_path, long_session_lines,
+                                                     fault, row, chunk):
+        lines = list(long_session_lines)
+        first, stop = lines.index("#labels") + 2, len(lines)
+        assert stop - first == 22
+        i = {"first": first, "middle": (first + stop) // 2, "last": stop - 1}[row]
+        lines[i] = ",".join(LABEL_FAULTS[fault](lines[i].split(","), lines[i - 1].split(",")))
+        self._check_fault(tmp_path, lines, i, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("field", [0, 2])
+    @pytest.mark.parametrize("row", ["first", "middle", "last"])
+    def test_empty_mouse_field_in_chunks_matches_reference(self, tmp_path, long_session_lines,
+                                                           row, field, chunk):
+        lines = list(long_session_lines)
+        first, stop = lines.index("#mouse") + 2, lines.index("#labels")
+        i = {"first": first, "middle": (first + stop) // 2, "last": stop - 1}[row]
+        fields = lines[i].split(",")
+        fields[field] = ""
+        lines[i] = ",".join(fields)
+        got = self._check_fault(tmp_path, lines, i, chunk)
+        assert got[1].endswith("could not convert string to float: ''")
+
+    def test_gaze_fault_wins_over_a_later_label_fault(self, tmp_path, long_session_lines):
+        lines = list(long_session_lines)
+        gaze_at, label_at = lines.index("#gaze") + 5, lines.index("#labels") + 3
+        lines[gaze_at] = lines[gaze_at].replace(",", ",,", 1)
+        lines[label_at] = lines[label_at].rpartition(",")[0] + ",skimming"
+        got = self._check_fault(tmp_path, lines, gaze_at, None)
+        assert got[1].endswith("expected 7 fields, got 8")
+
+    @staticmethod
+    def _check_fault(tmp_path, lines, i, chunk):
+        """The parse of `lines` fails at line i + 1, with `PARSE_ROWS` at
+        `chunk` (None: the default), exactly as the reference's does."""
         path = tmp_path / "s.session"
         path.write_text("\n".join(lines) + "\n")
-        got = _outcome(dataio.parse_session, path)
+        with mock.patch.object(dataio, "PARSE_ROWS", chunk or dataio.PARSE_ROWS):
+            got = _outcome(dataio.parse_session, path)
         assert got[0] == "DataError" and f"s.session:{i + 1}: " in got[1]
         assert got == _outcome(reference_parse, path)
+        return got
 
     def test_parse_memory_bounded_by_file_size(self, tmp_path):
         # a 300 s session: the parse holds one chunk's fields as Python

@@ -78,9 +78,9 @@ class TestF1:
         assert evaluate.f1_per_class([0, 1], [0, 0])[1] == 0.0
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="class_counts requires equal-length, non-empty"):
             evaluate.f1_per_class([], [])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="class_counts requires equal-length, non-empty"):
             evaluate.f1_per_class([0], [0, 1])
 
     @pytest.mark.parametrize("f1_r, f1_s, expected", [

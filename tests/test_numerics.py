@@ -191,16 +191,16 @@ class TestMatmul:
 
 class TestConv1d:
     def test_identity_kernel(self):
-        x = Tensor([[1.0, 2.0, 3.0, 4.0]])
+        x = Tensor([[[1.0, 2.0, 3.0, 4.0]]])
         k = Tensor(np.array([[[0.0, 1.0, 0.0]]], dtype=np.float32))
         out = conv1d(x, k, Tensor([0.0]))
         np.testing.assert_allclose(out.data, x.data)
 
     def test_box_kernel_zero_pad(self):
-        x = Tensor([[1.0, 2.0, 3.0]])
+        x = Tensor([[[1.0, 2.0, 3.0]]])
         k = Tensor(np.ones((1, 1, 3), dtype=np.float32))
         out = conv1d(x, k, Tensor([0.0]))
-        np.testing.assert_allclose(out.data, [[3.0, 6.0, 5.0]])
+        np.testing.assert_allclose(out.data, [[[3.0, 6.0, 5.0]]])
 
     def test_against_sliding_window_oracle(self):
         rng = np.random.default_rng(1)
@@ -212,18 +212,18 @@ class TestConv1d:
         for o in range(3):
             for t in range(24):
                 expected[o, t] = (w[o] * xp[:, t:t + 3]).sum() + b[o]
-        out = conv1d(t64(x), t64(w), t64(b))
-        np.testing.assert_allclose(out.data, expected, atol=1e-6)
+        out = conv1d(t64(x[None]), t64(w), t64(b))
+        np.testing.assert_allclose(out.data, expected[None], atol=1e-6)
 
     def test_preserves_length(self):
         for T in (1, 5, 24):
-            out = conv1d(Tensor(np.zeros((2, T))), Tensor(np.zeros((4, 2, 3))),
+            out = conv1d(Tensor(np.zeros((1, 2, T))), Tensor(np.zeros((4, 2, 3))),
                          Tensor(np.zeros(4)))
-            assert out.shape == (4, T)
+            assert out.shape == (1, 4, T)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.zeros((2, 0))), Tensor(np.zeros((4, 2, 3))),
+            conv1d(Tensor(np.zeros((1, 2, 0))), Tensor(np.zeros((4, 2, 3))),
                    Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
@@ -233,12 +233,9 @@ class TestConv1d:
         x, w, b = leaves(K * 10 + T, dtype, (2, 3, T), (4, 3, K), (4,))
         assert probe_gradcheck(conv1d, [x, w, b], dtype) <= tol
 
-    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
-    @pytest.mark.parametrize("K", [1, 5])
-    def test_squeezed_input_gradient(self, K, dtype, tol):
-        x, w, b = leaves(K, dtype, (3, 6), (2, 3, K), (2,))
-        assert conv1d(x, w, b).shape == (2, 6)
-        assert probe_gradcheck(conv1d, [x, w, b], dtype) <= tol
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeError, match=r"expects \(B,C_in,T\).*\(3, 6\)"):
+            conv1d(Tensor(np.zeros((3, 6))), Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros(2)))
 
     @pytest.mark.parametrize("K,T", [(1, 5), (3, 1), (3, 24), (5, 2), (7, 3)])
     def test_matches_composite_reference(self, K, T):
