@@ -233,6 +233,18 @@ class TestConv1d:
         x, w, b = leaves(K * 10 + T, dtype, (2, 3, T), (4, 3, K), (4,))
         assert probe_gradcheck(conv1d, [x, w, b], dtype) <= tol
 
+    @pytest.mark.parametrize("dtype,tol", GRAD_TOLERANCES)
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_squeezed_input_gradient(self, K, dtype, tol):
+        # a (C_in, T) input gets its batch axis from the caller; the gradient
+        # still reaches the squeezed leaf through the reshape
+        def squeezed_conv1d(x, w, b):
+            return conv1d(x.reshape(1, *x.shape), w, b).reshape(w.shape[0], x.shape[1])
+
+        x, w, b = leaves(K, dtype, (3, 6), (2, 3, K), (2,))
+        assert squeezed_conv1d(x, w, b).shape == (2, 6)
+        assert probe_gradcheck(squeezed_conv1d, [x, w, b], dtype) <= tol
+
     def test_unbatched_input_rejected(self):
         with pytest.raises(ShapeError, match=r"expects \(B,C_in,T\).*\(3, 6\)"):
             conv1d(Tensor(np.zeros((3, 6))), Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros(2)))
