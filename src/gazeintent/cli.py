@@ -202,8 +202,10 @@ def _read_feed(source, screen: tuple, magnification: float):
     """`GazeColumns` chunks of a CSV feed, skipping blank lines and the header.
     Rows pass the gaze row rules of a session file, on the screen (w, h)
     at `magnification`; a bad row raises DataError with its line number,
-    after a chunk of the rows before it. A file is checked PARSE_ROWS lines
-    at a time, stdin a line at a time so that a live feed is never held back."""
+    after a chunk of the rows before it; a feed states no magnification, so
+    a viewport fault names the option that set it. A file is checked
+    PARSE_ROWS lines at a time, stdin a line at a time so that a live feed
+    is never held back."""
     lines = enumerate(_iter_feed_lines(source), start=1)
     size = 1 if source == "-" else dataio.PARSE_ROWS
     prev_t = None
@@ -216,7 +218,10 @@ def _read_feed(source, screen: tuple, magnification: float):
         values, fault = dataio.parse_gaze_rows(rows, prev_t, screen, magnification)
         yield dataio.GazeColumns(values[:len(rows) if fault is None else fault[0]].T)
         if fault is not None:
-            raise DataError(f"feed line {linenos[fault[0]]}: {fault[1]}")
+            index, message = fault
+            if message.startswith("viewport "):
+                message += f" at --magnification {magnification}"
+            raise DataError(f"feed line {linenos[index]}: {message}")
         prev_t = float(values[-1, 0])
 
 

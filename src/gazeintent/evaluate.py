@@ -5,6 +5,7 @@ its folds ran, and per fold the F1s and both classes' confusion counts."""
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass, field, replace, asdict
 
 import numpy as np
@@ -13,10 +14,14 @@ from gazeintent import dataio, model, shards, train
 from gazeintent.errors import ConfigError, DataError
 from gazeintent.numerics import Tensor, softmax_lastaxis
 
-# each pipeline and the freeze its folds train the classifier with; the
-# supervised and random pipelines train every tensor
-PIPELINES = {"supervised": "full", "semi_partial": "partial", "semi_full": "full",
-             "random": "full"}
+# each pipeline's recipe for a LOSO fold: whether a velocity `pretext` stage
+# comes first, the `freeze` of the classifier stage, and whether that stage
+# learns permuted labels (`permute_labels`, the sanity baseline)
+Pipeline = namedtuple("Pipeline", "pretext freeze permute_labels")
+PIPELINES = {"supervised": Pipeline(False, "full", False),
+             "semi_partial": Pipeline(True, "partial", False),
+             "semi_full": Pipeline(True, "full", False),
+             "random": Pipeline(False, "full", True)}
 
 _log = logging.getLogger(__name__)
 
@@ -109,19 +114,20 @@ def predict_labels(params: model.ModelParams, stats, windows):
 def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
     """Hold out each subject in turn; train on the rest, test on the held-out.
 
-    Semi pipelines pretrain on the training subjects' unlabeled windows
+    A pretext stage pretrains on the training subjects' unlabeled windows
     inside every fold, so the test subject never leaks into pretraining
     or normalization statistics. Each subject is tested on the windows
     that `train.collect_windows` gives a classifier of cfg.input_mode; a
     subject without any is listed in `skipped` and left out of every fold.
     All sessions must share one screen size. Fold k trains at seed
     cfg.seed + k and validates on training subject cfg.val_subject_index + k.
-    Every fold runs cfg with the pipeline's freeze (`PIPELINES`), and the
-    report's `config` is that TrainConfig.
+    Every fold runs the pipeline's row of `PIPELINES` with cfg under the
+    row's freeze, and the report's `config` is that TrainConfig.
     """
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
-    cfg = replace(cfg, freeze=PIPELINES[pipeline])
+    row = PIPELINES[pipeline]
+    cfg = replace(cfg, freeze=row.freeze)
     by_subject = train.split_by_subject(sessions)
     report = F1Report(pipeline=pipeline, config=cfg)
     folds = {}
@@ -141,13 +147,12 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
         train_sessions = [s for s in sessions if s.meta.subject_id != test_subject]
         fold_cfg = replace(cfg, seed=cfg.seed + fold_idx,
                            val_subject_index=cfg.val_subject_index + fold_idx)
-        if pipeline in ("supervised", "random"):
-            params, stats, _ = train.supervised_train(
-                train_sessions, fold_cfg, permute_labels=(pipeline == "random"))
+        if row.pretext:
+            params, stats, _ = train.pretrain(train_sessions, fold_cfg)
+            params, stats, _ = train.finetune_params(params, stats, train_sessions, fold_cfg)
         else:
-            pre_params, pre_stats, _ = train.pretrain(train_sessions, fold_cfg)
-            params, stats, _ = train.finetune_params(pre_params, pre_stats, train_sessions,
-                                                     fold_cfg)
+            params, stats, _ = train.supervised_train(train_sessions, fold_cfg,
+                                                      permute_labels=row.permute_labels)
         counts = class_counts(*predict_labels(params, stats, test_windows))
         f1_r, f1_s = (_f1_from_counts(c) for c in counts)
         report.folds.append(FoldResult(test_subject, f1_r, f1_s, macro_f1(f1_r, f1_s),

@@ -382,16 +382,10 @@ def load_checkpoint(path):
 
 def reinit_head(params: ModelParams, head_seed: int) -> ModelParams:
     """Copy of `params` keeping the backbone, with a freshly initialized
-    classifier head: the head of `init_params(params.config, head_seed)`.
-    Only the head is drawn; the generator skips the uniform draws of the
-    tensors before it (one PCG64 output per value)."""
-    rng = np.random.default_rng(head_seed)
+    classifier head: the head of `init_params(params.config, head_seed)`."""
     out = params.copy()
-    for name, shape, init in layout(params.config):
-        if name.startswith("head."):
-            out.tensors[name] = _init_tensor(rng, shape, init)
-        elif isinstance(init, int):
-            rng.bit_generator.advance(math.prod(shape))
+    fresh = init_params(params.config, head_seed)
+    out.tensors.update((k, t) for k, t in fresh.tensors.items() if k.startswith("head."))
     out.head_kind = CLASSIFIER_HEAD
     return out
 

@@ -282,7 +282,7 @@ class TestEval:
         out = tmp_path / "report.json"
         assert cli.main(argv + ["--out", str(out)]) == 0
         doc = json.loads(out.read_bytes())
-        assert doc["config"]["freeze"] == freeze == evaluate.PIPELINES[pipeline]
+        assert doc["config"]["freeze"] == freeze == evaluate.PIPELINES[pipeline].freeze
         assert doc["config_hash"] == hashlib.sha256(
             json.dumps(doc["config"], sort_keys=True).encode()).hexdigest()
         config = tmp_path / "full.json"
@@ -988,6 +988,21 @@ class TestInfer:
         for line in captured.out.splitlines():
             json.loads(line, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
 
+    def test_feed_viewport_fault_names_the_magnification_option(self, workspace, tmp_path,
+                                                               capsys):
+        # a feed states no magnification: a 2x session's rows read at the
+        # default 1x fail the viewport rule, and the error names the option
+        _, data, ckpt = workspace
+        rows, mag = self._feed_rows(data / "S00_text.session")
+        assert mag > 1
+        feed = tmp_path / "S00_text.csv"
+        feed.write_text("\n".join([dataio.GAZE_HEADER] + rows) + "\n")
+        assert cli.main(["infer", "--ckpt", str(ckpt), "--input", str(feed),
+                         "--eye", "left"]) == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: feed line ") and " viewport " in err
+        assert err.endswith("outside [0, 0.0] at --magnification 1.0")
+
     def test_out_of_order_feed_timestamps(self, workspace, capsys, monkeypatch):
         _, data, ckpt = workspace
         rows, mag = self._feed_rows(data / "S01_text.session")
@@ -1141,7 +1156,8 @@ def reference_feed(ckpt, lines, magnification):
                     raise ValueError(f"coordinate {c} out of range [0, {dim}]")
             for v, name, hi in ((s.vx, "x", vmax[0]), (s.vy, "y", vmax[1])):
                 if not (-1e-9 <= v <= hi + 1e-9):
-                    raise ValueError(f"viewport {name} {v} outside [0, {hi}]")
+                    raise ValueError(f"viewport {name} {v} outside [0, {hi}] "
+                                     f"at --magnification {magnification}")
         except ValueError as e:
             summary = [f"emitted {len(out)} decisions", json.dumps(
                 {"pushes": engine.count, "decisions": len(out), "silent": engine.silent_counts(),

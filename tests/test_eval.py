@@ -120,10 +120,11 @@ class TestLoso:
             ran.append(cfg) or stage(params, sessions, cfg, *a, **k)))
         cfg = train.TrainConfig(stride=24, batch_size=128, max_epochs=1, freeze="partial")
         rep = evaluate.loso_evaluate(sessions, pipeline, dataclasses.replace(cfg, seed=3))
-        assert rep.config.freeze == evaluate.PIPELINES[pipeline]
+        row = evaluate.PIPELINES[pipeline]
+        assert rep.config.freeze == row.freeze
         assert rep.config == dataclasses.replace(cfg, seed=3, freeze=rep.config.freeze)
         assert {c.freeze for c in ran} == {rep.config.freeze}
-        assert len(ran) == 3 * (2 if pipeline.startswith("semi") else 1)
+        assert len(ran) == 3 * (2 if row.pretext else 1)
 
     def test_mean_is_average_of_folds(self, report):
         assert report.f1_overall == pytest.approx(

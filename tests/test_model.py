@@ -430,7 +430,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("mode", model.INPUT_MODES)
     def test_reinit_head_equals_init_params_head(self, mode):
-        # the head is drawn after skipping the backbone's uniform draws
+        # the head is the one init_params draws at head_seed
         cfg = model.ModelConfig(input_mode=mode)
         p = model.init_params(cfg, seed=0, head_kind=model.VELOCITY_HEAD)
         ft = model.reinit_head(p, head_seed=7)

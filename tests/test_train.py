@@ -9,6 +9,7 @@ from gazeintent import dataio, model, shards, synth, train
 from gazeintent.errors import ConfigError, DataError
 from gazeintent.numerics import (AdamState, Tape, Tensor, adam_step, backward,
                                  collect_grads, mse_loss, weighted_cross_entropy)
+from test_cli import UNREAD
 
 
 @pytest.fixture(scope="module")
@@ -439,3 +440,42 @@ class TestPretext:
         assert all(k.startswith(("tf", "head.")) for k in names)
         assert "head.w" in names and "tf2.attn.wq" in names
         assert not any(k.startswith(("enc_", "cross_", "fusion")) for k in names)
+
+
+class TestUnreadFields:
+    """The config fields `train` refuses under a mode (test_cli.UNREAD,
+    the table of cli.cmd_train) leave what that mode trains unchanged,
+    while a fine-tune reads each of them."""
+
+    # a value of each refused field other than its default
+    NAMED = {"freeze": "partial", "label_fraction": 0.5}
+    STAGES = {"train supervised": train.supervised_train, "train pretrain": train.pretrain}
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        cfg = synth.SynthConfig(n_subjects=3, session_len=8.0, seed=0)
+        return [synth.generate_session(cfg, i, "text") for i in range(3)]
+
+    @staticmethod
+    def trained(stage, sessions, cfg):
+        params, stats, history = stage(sessions, cfg)
+        return params.checksum(), stats.to_json(), list(history), history.windows
+
+    @pytest.mark.parametrize("command", sorted(STAGES))
+    def test_refused_fields_change_nothing(self, tiny, command):
+        cfg = quick_cfg(stride=24, max_epochs=1)
+        named = dataclasses.replace(cfg, **{k: self.NAMED[k] for k in UNREAD[command]})
+        assert named != cfg
+        stage = self.STAGES[command]
+        assert self.trained(stage, tiny, named) == self.trained(stage, tiny, cfg)
+
+    def test_finetune_reads_every_refused_field(self, tiny):
+        assert UNREAD["train finetune"] == []
+        cfg = quick_cfg(stride=24, max_epochs=1)
+        params, stats, _ = train.pretrain(tiny, cfg)
+        base = train.finetune_params(params, stats, tiny, cfg)[0].checksum()
+        refused = {k for command in self.STAGES for k in UNREAD[command]}
+        assert refused == set(self.NAMED)
+        for k in sorted(refused):
+            named = dataclasses.replace(cfg, **{k: self.NAMED[k]})
+            assert train.finetune_params(params, stats, tiny, named)[0].checksum() != base, k
