@@ -625,6 +625,7 @@ def parse_gaze_rows(rows: list, prev_t: float | None, screen: tuple, magnificati
         _rising_rule(v[:, :1], prev_t),
         ((coords < 0) | (coords > dims),
          lambda k, j: f"coordinate {float(coords[k, j])} out of range [0, {dims[j]}]"),
+        # cli._read_feed keys on this message's "viewport " prefix
         ((view < -_VIEW_SLACK) | (view > np.add(vmax, _VIEW_SLACK)),
          lambda k, j: f"viewport {'xy'[j]} {float(view[k, j])} outside [0, {vmax[j]}]"),
     ]

@@ -149,7 +149,8 @@ def loso_evaluate(sessions, pipeline: str, cfg: train.TrainConfig) -> F1Report:
                            val_subject_index=cfg.val_subject_index + fold_idx)
         if row.pretext:
             params, stats, _ = train.pretrain(train_sessions, fold_cfg)
-            params, stats, _ = train.finetune_params(params, stats, train_sessions, fold_cfg)
+            params, stats, _ = train.finetune_params(params, stats, train_sessions, fold_cfg,
+                                                     permute_labels=row.permute_labels)
         else:
             params, stats, _ = train.supervised_train(train_sessions, fold_cfg,
                                                       permute_labels=row.permute_labels)

@@ -153,20 +153,6 @@ def layout(cfg: ModelConfig):
     yield "pos", (cfg.window, d), "sinusoid"
 
 
-def _init_tensor(rng, shape: tuple, init) -> Tensor:
-    """One tensor of `layout`; a fan-in init draws its values from `rng`."""
-    if init == "sinusoid":
-        data = sinusoidal_table(*shape)
-    elif init == "zeros":
-        data = np.zeros(shape, dtype=np.float32)
-    elif init == "ones":
-        data = np.ones(shape, dtype=np.float32)
-    else:
-        bound = 1.0 / math.sqrt(init)
-        data = rng.uniform(-bound, bound, size=shape)
-    return Tensor(data.astype(np.float32, copy=False), requires_grad=init != "sinusoid")
-
-
 def init_params(cfg: ModelConfig, seed: int, head_kind: str = CLASSIFIER_HEAD) -> ModelParams:
     """Deterministic initialization along `layout`: uniform fan-in scaling,
     zero biases, unit layer-norm gains."""
@@ -175,7 +161,17 @@ def init_params(cfg: ModelConfig, seed: int, head_kind: str = CLASSIFIER_HEAD) -
     rng = np.random.default_rng(seed)
     params = ModelParams(cfg, head_kind)
     for name, shape, init in layout(cfg):
-        params.tensors[name] = _init_tensor(rng, shape, init)
+        if init == "sinusoid":
+            data = sinusoidal_table(*shape)
+        elif init == "zeros":
+            data = np.zeros(shape, dtype=np.float32)
+        elif init == "ones":
+            data = np.ones(shape, dtype=np.float32)
+        else:
+            bound = 1.0 / math.sqrt(init)
+            data = rng.uniform(-bound, bound, size=shape)
+        params.tensors[name] = Tensor(data.astype(np.float32, copy=False),
+                                      requires_grad=init != "sinusoid")
     return params
 
 

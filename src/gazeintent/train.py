@@ -257,9 +257,10 @@ def partial_trainable_names(params: model.ModelParams) -> list:
 
 
 def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig,
-                    stats_source: str = "of the pretext stage"):
+                    stats_source: str = "of the pretext stage", permute_labels: bool = False):
     """Swap the pretext head of `params` for a fresh classifier and fine-tune
-    a copy; the caller's params are left untouched.
+    a copy (on shuffled labels with `permute_labels`); the caller's params
+    are left untouched.
 
     cfg.freeze selects full (all parameters) or partial (transformer +
     head only) updates: the copy's frozen tensors stop requiring grad while
@@ -278,7 +279,8 @@ def finetune_params(params: model.ModelParams, stats, sessions, cfg: TrainConfig
     frozen = [k for k in params.learnable_names() if k not in trained]
     for k in frozen:
         params.tensors[k].requires_grad = False
-    best, stats, history = _stage(params, sessions, cfg, "finetune", stats, stats_source)
+    best, stats, history = _stage(params, sessions, cfg, "finetune", stats, stats_source,
+                                  permute_labels=permute_labels)
     for k in frozen:
         best.tensors[k].requires_grad = True
     return best, stats, history

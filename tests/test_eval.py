@@ -124,7 +124,7 @@ class TestLoso:
         assert rep.config.freeze == row.freeze
         assert rep.config == dataclasses.replace(cfg, seed=3, freeze=rep.config.freeze)
         assert {c.freeze for c in ran} == {rep.config.freeze}
-        assert len(ran) == 3 * (2 if row.pretext else 1)
+        assert len(ran) == 3 * {"semi_partial": 2, "supervised": 1}[pipeline]
 
     def test_mean_is_average_of_folds(self, report):
         assert report.f1_overall == pytest.approx(
@@ -215,6 +215,20 @@ class TestLoso:
         sup_f1s = [f.f1_overall for f in report.folds]
         rnd_f1s = [f.f1_overall for f in rnd.folds]
         assert sup_f1s != rnd_f1s
+
+    @pytest.mark.parametrize("pretext", [False, True])
+    def test_row_permutation_reaches_its_classifier_stage(self, sessions, monkeypatch, pretext):
+        ran = []
+        stage = train._stage
+        monkeypatch.setattr(train, "_stage", lambda params, sessions, cfg, name, *a, **k: (
+            ran.append((name, k.get("permute_labels", False)))
+            or stage(params, sessions, cfg, name, *a, **k)))
+        monkeypatch.setitem(evaluate.PIPELINES, "permuted",
+                            evaluate.Pipeline(pretext, "full", True))
+        cfg = train.TrainConfig(stride=24, batch_size=128, max_epochs=1)
+        evaluate.loso_evaluate(sessions, "permuted", cfg)
+        fold = [("pretext", False), ("finetune", True)] if pretext else [("supervised", True)]
+        assert ran == fold * 3
 
 
 class TestPredictLabels:
