@@ -256,8 +256,9 @@ def cmd_infer(args) -> int:
         # a live feed is held back for its first AUTO_EYE_ROWS rows (a row a chunk) only;
         # other input is read whole, for the batch rule's first ceil(10%) (7 x 0 if empty)
         live = args.input == "-"
-        held = [c.data for c in (islice(chunks, AUTO_EYE_ROWS) if live else chunks)]
-        head = dataio.GazeColumns(np.concatenate([np.empty((7, 0))] + held, axis=1))
+        read = islice(chunks, AUTO_EYE_ROWS) if live else chunks
+        head = dataio.GazeColumns(np.concatenate([np.empty((7, 0))] + [c.data for c in read],
+                                                 axis=1))
         eye_rows = len(head) if live else dataio.calibration_rows(len(head))
         engine.eye = dataio.select_eye(head, eye_rows)
         chunks = chain([head], chunks)

@@ -240,7 +240,9 @@ class _Columns:
         return self._record(self.data[:, i].tolist())
 
     def __iter__(self):
-        return map(self._record, self.data.T.tolist())
+        # PARSE_ROWS records' Python floats at a time, not the whole recording's
+        for a in range(0, len(self), PARSE_ROWS):
+            yield from map(self._record, self.data[:, a:a + PARSE_ROWS].T.tolist())
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and np.array_equal(self.data, other.data,
@@ -410,12 +412,13 @@ class Windows:
                          vel_target=self.vel_target[i] if hv else None,
                          m=self.m[i] if hm else None)
 
-    def batch(self, streams) -> dict:
-        """The model input: each named stream as a float32 block. A block
-        that is not finite as float32 (a value past its range or NaN) raises
-        DataError naming the stream; the cast's overflow warning is off."""
+    def batch(self, keys) -> dict:
+        """The model data: each named block (a stream, or `vel_target`) as
+        float32. A block that is not finite as float32 (a value past its
+        range or NaN) raises DataError naming it; the cast's overflow
+        warning is off."""
         with np.errstate(over="ignore"):
-            out = {k: getattr(self, k).astype(np.float32) for k in streams}
+            out = {k: getattr(self, k).astype(np.float32) for k in keys}
         for k, block in out.items():
             if not np.isfinite(block).all():
                 raise DataError(f"model input stream {k} is not finite as float32")
@@ -877,9 +880,12 @@ def windowize(session: Session, stride: int, mode: str, *,
     vel = np.full((starts.size, 2), np.nan)
     if mode == "pretext":
         t_start = t_end - WINDOW_SPAN_S
-        dt = t_end - t_start
-        vel[:, 0] = (np.interp(t_end, mouse_t, mouse_x) - np.interp(t_start, mouse_t, mouse_x)) / dt
-        vel[:, 1] = (np.interp(t_end, mouse_t, mouse_y) - np.interp(t_start, mouse_t, mouse_y)) / dt
+        # a span that rounds to 0 s or a mouse step past float64 gives a
+        # target that is not finite; `Windows.batch` reports it, not numpy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k, pos in enumerate((mouse_x, mouse_y)):
+                vel[:, k] = np.interp(t_end, mouse_t, pos) - np.interp(t_start, mouse_t, pos)
+            vel /= (t_end - t_start)[:, None]
     return Windows(g=block(g), c=block(c), m=m, t_end=t_end, label=label, vel_target=vel,
                    subject_id=np.full(starts.size, meta.subject_id, dtype=object),
                    counts=counts)

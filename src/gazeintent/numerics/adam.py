@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gazeintent.errors import ShapeError
-from gazeintent.numerics.tensor import Tensor
+
+LR = 3e-4             # the learning rate of every training stage
+WEIGHT_DECAY = 0.01   # decoupled: applied to the parameter, outside the moment estimates
 
 
 @dataclass
@@ -25,13 +27,9 @@ class AdamState:
         return state
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, *,
-              lr: float = 3e-4, weight_decay: float = 0.01) -> None:
-    """One in-place update step over a named parameter dict.
-
-    Weight decay is decoupled: applied directly to the parameter,
-    outside the moment estimates.
-    """
+def adam_step(params: dict, grads: dict, state: AdamState) -> None:
+    """One in-place update step over a named parameter dict, at LR with
+    WEIGHT_DECAY."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     t = state.t
@@ -51,15 +49,15 @@ def adam_step(params: dict, grads: dict, state: AdamState, *,
         v_hat = v / bc2
         # in place: a parameter keeps its buffer across steps, so the heap a
         # step frees is laid out the same way at the next one
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
+        p.data -= LR * (m_hat / (np.sqrt(v_hat) + eps) + WEIGHT_DECAY * p.data)
 
 
-def zero_grads(params) -> None:
-    tensors = params.values() if isinstance(params, dict) else params
+def zero_grads(tensors) -> None:
     for p in tensors:
         p.grad = None
 
 
 def collect_grads(params: dict) -> dict:
     """Gradient per named parameter; zeros for parameters the loss never touched."""
-    return {name: p.grad_or_zero() for name, p in params.items()}
+    return {name: np.zeros_like(p.data) if p.grad is None else p.grad
+            for name, p in params.items()}

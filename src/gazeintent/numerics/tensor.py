@@ -179,12 +179,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def grad_or_zero(self) -> np.ndarray:
-        """Gradient after backward; zero for parameters unreachable from the loss."""
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
-
     # ---- op plumbing ---------------------------------------------------
 
     @staticmethod
@@ -228,12 +222,8 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = Tensor._coerce(other, self)
-        sa = self.data.shape if self.requires_grad else None
-        sb = b.data.shape if b.requires_grad else None
-        return Tensor._result(self.data - b.data, (self, b), lambda g: [
-            None if sa is None else _unbroadcast(g, sa),
-            None if sb is None else _unbroadcast(-g, sb)])
+        # IEEE 754 negation is exact, so this is a - b bit for bit, gradients too
+        return self + -Tensor._coerce(other, self)
 
     def __neg__(self):
         return Tensor._result(-self.data, (self,), lambda g: [-g])

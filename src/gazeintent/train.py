@@ -51,8 +51,9 @@ class TrainConfig:
         # before the field rule, so that NaN also reads "must be in (0, 1]"
         if not (isinstance(self.label_fraction, (int, float)) and 0 < self.label_fraction <= 1):
             raise ConfigError("label_fraction must be in (0, 1]")
-        dataio.check_fields(self, batch_size=1, max_epochs=1, stride=1, seed=0, patience=0,
-                            val_subject_index=0)
+        # windowize steps through window starts as numpy int64
+        dataio.check_fields(self, batch_size=1, max_epochs=1, stride=(1, np.iinfo(np.int64).max),
+                            seed=0, patience=0, val_subject_index=0)
         if self.freeze not in FREEZE_MODES:
             raise ConfigError(f"unknown freeze mode {self.freeze!r}")
         model.ModelConfig(input_mode=self.input_mode)   # raises its unknown input_mode error
@@ -134,7 +135,7 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list:
 
 def _train_loop(params: model.ModelParams, x_train: dict, y_train, x_val: dict, y_val,
                 loss_fn, cfg: TrainConfig, stage: str):
-    """Adam loop (`adam_step`'s own lr and weight decay) with early stopping
+    """Adam loop (`numerics.adam`'s LR and WEIGHT_DECAY) with early stopping
     on held-out-subject validation loss.
 
     `x_*` map each stream to its model inputs, `y_*` hold one target row
@@ -199,11 +200,11 @@ def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, st
     class-weighted cross-entropy; a velocity head learns mouse velocity by
     MSE. Both splits are normalized by `stats`, or by stats computed on the
     training windows if none are given; the sessions and given stats must
-    share one screen size. A model input that is not finite raises
-    DataError naming the stage and `stats_source`, where the stats came
-    from. Returns (best_params, stats, History)."""
-    # two names, rebound below: a list of the splits would keep the
-    # unnormalized windows alive while the loop trains
+    share one screen size. The model inputs and velocity targets pass
+    `Windows.batch`: one that is not finite raises DataError naming the
+    stage and `stats_source`, where the stats came from. While the loop
+    trains, only that float32 data and the labels stay alive.
+    Returns (best_params, stats, History)."""
     train_w, val_w = (collect_windows(split, cfg, params.head_kind)
                       for split in split_train_val(sessions, cfg))
     empty = [name for name, w in (("training", train_w), ("validation", val_w)) if not w]
@@ -216,7 +217,7 @@ def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, st
         train_w = _subsample_labels(train_w, cfg.label_fraction, cfg.seed)
     if stats is None:
         stats = dataio.compute_stats(train_w, screen)
-    train_w, val_w = (dataio.normalize(w, stats) for w in (train_w, val_w))
+    keys = params.config.streams
     if classify:
         y_train, y_val = train_w.label, val_w.label
         if permute_labels:
@@ -225,13 +226,16 @@ def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, st
         weights = Tensor(compute_class_weights(y_train))
         loss_fn = lambda logits, y: weighted_cross_entropy(logits, y, weights)
     else:
-        y_train, y_val = (w.vel_target.astype(np.float32) for w in (train_w, val_w))
+        keys += ("vel_target",)
         loss_fn = lambda out, v: mse_loss(out, Tensor(v))
     try:
-        x_train, x_val = (w.batch(params.config.streams) for w in (train_w, val_w))
+        x_train, x_val = (dataio.normalize(w, stats).batch(keys) for w in (train_w, val_w))
     except DataError as e:
         raise DataError(f"{stage} stage: {e} under the normalization stats "
                         f"{stats_source}") from e
+    del train_w, val_w
+    if not classify:
+        y_train, y_val = x_train.pop("vel_target"), x_val.pop("vel_target")
     best, history = _train_loop(params, x_train, y_train, x_val, y_val, loss_fn, cfg, stage)
     return best, stats, History(history, counts)
 

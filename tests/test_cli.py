@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -357,7 +356,7 @@ BAD_CONFIGS = [
 READER_KEYS = ("fixation_ms_mean", "fixation_ms_std", "saccade_px_mean", "saccade_px_std",
                "scan_jump_px", "tracker_noise_px", "line_height_px", "margin_px",
                "viewport_gain", "mouse_gain", "columns", "read_seg_s", "scan_seg_s")
-# so are the optimizer's: adam_step's defaults are the one statement of them
+# so are the optimizer's: numerics.adam's LR and WEIGHT_DECAY are the one statement of them
 OPTIMIZER_KEYS = ("lr", "weight_decay")
 
 
@@ -381,6 +380,17 @@ def test_bad_config_exits_2_before_any_work(workspace, tmp_path, capsys, command
         named = [k for k in keys if config and f'"{k}"' in config]
         if named:
             assert f"unknown config keys for {cls}: {named}" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_stride_past_int64_exits_2_naming_it(workspace, tmp_path, capsys, command):
+    # windowize's numpy range once ended it in an IndexError (exit 4)
+    _, data, _ = workspace
+    run = ["--mode", "supervised"] if command == "train" else ["--pipeline", "supervised"]
+    assert cli.main([command, *run, "--stride", str(2**63), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert f"error: stride must be in [1, {2**63 - 1}], got {2**63}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", READER_KEYS)
@@ -495,7 +505,7 @@ def test_json_artifacts_have_one_format(workspace, tmp_path):
 
 def _train_diverging(tmp_path, capsys, monkeypatch, session_len: str, stride: str) -> None:
     data, out = tmp_path / "data", tmp_path / "run"
-    monkeypatch.setattr(train, "adam_step", functools.partial(numerics.adam_step, lr=1e6))
+    monkeypatch.setattr(numerics.adam, "LR", 1e6)
     assert cli.main(["gen", "--out", str(data), "--subjects", "3",
                      "--session-len", session_len, "--seed", "0"]) == 0
     with warnings.catch_warnings(record=True) as caught:

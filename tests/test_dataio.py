@@ -46,6 +46,21 @@ def make_session(n=120, magnification=2.0, missing_idx=(), label="reading",
     return dataio.Session(meta, gaze, mice, labels)
 
 
+VELOCITY_FAULTS = ("collapsed_span", "mouse_overflow")
+
+
+def break_velocity(session, fault: str) -> None:
+    """Edit a session in place so that its pretext velocities are not
+    finite. "collapsed_span": sample k at 1e16 + 1e8 k s, where
+    t_end - 0.2 == t_end; "mouse_overflow": every mouse x step 3.4e308 px,
+    past float64."""
+    if fault == "collapsed_span":
+        for record in (session.gaze, session.mouse):
+            record.t[:] = 1e16 + 1e8 * np.round(record.t * dataio.GAZE_RATE)
+    else:
+        session.mouse.mx[:] = np.where(np.arange(len(session.mouse)) % 2, 1.7e308, -1.7e308)
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
         session = make_session(48, missing_idx=(5, 6))
@@ -62,6 +77,21 @@ class TestContainer:
         dataio.write_session(session, tmp_path / "a")
         dataio.write_session(session, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_columns_iterate_in_blocks(self):
+        # records are made PARSE_ROWS rows at a time: the first one does not
+        # wait for the whole recording as Python floats (288 B a row)
+        n = 20 * dataio.PARSE_ROWS
+        gaze = dataio.GazeColumns(np.arange(7.0 * n).reshape(7, n))
+        tracemalloc.start()
+        try:
+            first = next(iter(gaze))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dataio.PARSE_ROWS * 288
+        assert first == gaze[0]
+        assert list(gaze) == [gaze[i] for i in range(n)]
 
     def test_error_carries_line_number(self, tmp_path):
         session = make_session(48)
@@ -540,6 +570,16 @@ class TestWindowize:
             expected = mouse_velocity(session.mouse, w.t_end - 0.2, w.t_end)
             np.testing.assert_allclose(w.vel_target, expected)
             assert w.label is None
+
+    @pytest.mark.parametrize("fault", VELOCITY_FAULTS)
+    def test_velocity_that_is_not_finite_warns_nothing(self, fault):
+        session = make_session(240)
+        break_velocity(session, fault)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            wins = dataio.windowize(session, 6, "pretext", eye="left")
+        assert wins.counts["kept"] == len(wins) > 0
+        assert not np.isfinite(wins.vel_target).all()
 
     def test_pretext_without_mouse_coverage_dropped(self):
         session = make_session(120, mouse=False)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from gazeintent import model
 from gazeintent.errors import ShapeError
+from gazeintent.numerics import adam
 from gazeintent.numerics import (
     AdamState,
     Tape,
@@ -461,9 +462,20 @@ class TestSumGradients:
     """`+` and `-` compute no gradient for a parent that requires none."""
 
     def _grads(self, op, a, b):
-        with Tape():
+        """(a.grad, b.grad) after a backward of op(a, b) seeded with ones,
+        checking that each recorded op returns a gradient exactly for the
+        parents that have somewhere to take it."""
+        a.grad = b.grad = None
+        with Tape() as tape:
             out = op(a, b)
-        return out._node.backward(np.ones(out.shape, dtype=out.dtype))
+        for node in tape._nodes:
+            def checked(g, fn=node.backward, targets=node.targets):
+                grads = fn(g)
+                assert [pg is None for pg in grads] == [t is None for t in targets]
+                return grads
+            node.backward = checked
+        tape.backward(out, np.ones(out.shape, dtype=out.dtype))
+        return a.grad, b.grad
 
     def test_add_skips_constant_parent(self):
         h, = leaves(16, np.float32, (3, 24, 8))
@@ -606,16 +618,18 @@ class TestAdam:
         adam_step(p, {"p": np.zeros(1, dtype=np.float32)}, state)
         assert p["p"].data[0] == pytest.approx(1.0 - 3e-4 * 0.01, rel=1e-6)
 
-    def test_first_step_magnitude(self):
+    def test_first_step_magnitude(self, monkeypatch):
+        monkeypatch.setattr(adam, "WEIGHT_DECAY", 0.0)
         p = {"p": Tensor(np.zeros(4), dtype=np.float64, requires_grad=True)}
         state = AdamState.for_params(p)
-        adam_step(p, {"p": np.ones(4)}, state, weight_decay=0.0)
+        adam_step(p, {"p": np.ones(4)}, state)
         np.testing.assert_allclose(-p["p"].data, 3e-4, rtol=1e-4)
 
-    def test_identity_without_decay_or_grad(self):
+    def test_identity_without_decay_or_grad(self, monkeypatch):
+        monkeypatch.setattr(adam, "WEIGHT_DECAY", 0.0)
         p = {"p": Tensor(np.array([2.5, -1.0]), dtype=np.float64, requires_grad=True)}
         state = AdamState.for_params(p)
-        adam_step(p, {"p": np.zeros(2)}, state, weight_decay=0.0)
+        adam_step(p, {"p": np.zeros(2)}, state)
         np.testing.assert_array_equal(p["p"].data, [2.5, -1.0])
 
     def test_step_counter_increments(self):
@@ -683,7 +697,7 @@ def classifier_step(b: int):
         return loss, tape
 
     def full_step():
-        zero_grads(trainable)
+        zero_grads(trainable.values())
         loss, tape = forward()
         backward(loss, tape, params=trainable.values())
         adam_step(trainable, collect_grads(trainable), state)
@@ -729,7 +743,7 @@ class TestTapeMemory:
     def test_step_keeps_only_what_backward_reads(self, step):
         trainable, forward, full_step = step
         full_step()
-        zero_grads(trainable)
+        zero_grads(trainable.values())
         gc.collect()
         tracemalloc.start()
         try:

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from gazeintent.errors import ConfigError, DataError
 from gazeintent.numerics import (AdamState, Tape, Tensor, adam_step, backward,
                                  collect_grads, mse_loss, weighted_cross_entropy)
 from test_cli import UNREAD
+from test_dataio import VELOCITY_FAULTS, break_velocity
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +119,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quick_cfg(input_mode="gaze")
 
+    def test_stride_is_an_int64(self):
+        # windowize steps through window starts as numpy int64
+        assert quick_cfg(stride=2**63 - 1).stride == 2**63 - 1
+        with pytest.raises(ConfigError, match=rf"stride must be in \[1, {2**63 - 1}\], "
+                                              rf"got {2**63}"):
+            quick_cfg(stride=2**63)
+
     def test_fields_are_the_ones_a_run_sets(self):
-        # the optimizer's lr and weight decay are adam_step's defaults, not fields
+        # the optimizer's lr and weight decay are numerics.adam constants, not fields
         assert [f.name for f in dataclasses.fields(train.TrainConfig)] == [
             "batch_size", "max_epochs", "patience", "seed", "freeze", "input_mode", "stride",
             "label_fraction", "val_subject_index"]
@@ -364,6 +374,39 @@ class TestPretext:
                                                 "finite as float32 under the normalization "
                                                 "stats of the pretext stage"):
                 train.finetune_params(params, tiny, sessions, quick_cfg(max_epochs=1))
+
+    @pytest.mark.parametrize("fault", VELOCITY_FAULTS)
+    def test_target_that_is_not_finite_names_the_stage(self, sessions, fault):
+        # a velocity target is model data: it passes the inputs' finite check
+        hostile = [copy.deepcopy(s) for s in sessions]
+        for s in hostile:
+            break_velocity(s, fault)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="pretext stage: model input stream vel_target "
+                                                "is not finite as float32 under the "
+                                                "normalization stats computed on the "
+                                                "training split"):
+                train.pretrain(hostile, quick_cfg(max_epochs=1))
+
+    def test_only_model_data_lives_while_the_loop_trains(self, sessions, monkeypatch):
+        made = []
+        for owner, name in ((train, "collect_windows"), (dataio, "normalize")):
+            def kept(*args, _fn=getattr(owner, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                made.append(weakref.ref(out))
+                return out
+            monkeypatch.setattr(owner, name, kept)
+        loop = train._train_loop
+
+        def check_then_loop(*args):
+            gc.collect()
+            assert [ref() for ref in made] == [None] * 4
+            return loop(*args)
+
+        monkeypatch.setattr(train, "_train_loop", check_then_loop)
+        train.pretrain(sessions, quick_cfg(max_epochs=1))
+        assert len(made) == 4
 
     def test_finetune_input_mode_mismatch_rejected(self, sessions, pretrained):
         with pytest.raises(ConfigError, match="input_mode"):
