@@ -229,9 +229,6 @@ AUTO_EYE_ROWS = 120  # rows of a live feed (1 s) that `infer --eye auto` reads b
 
 
 def cmd_infer(args) -> int:
-    ckpt = Path(args.ckpt)
-    if not (ckpt / "manifest.json").exists():
-        raise ConfigError(f"no checkpoint at {ckpt}")
     if args.input != "-" and not Path(args.input).exists():
         raise DataError(f"no such input file: {args.input}")
 
@@ -242,8 +239,8 @@ def cmd_infer(args) -> int:
         magnification = session.meta.magnification
     # the engine checks the magnification before a feed row is checked
     # against it; an `auto` eye is set once the samples are known
-    eye = {} if args.eye == "auto" else {"eye": args.eye}
-    engine = stream.StreamingEngine.from_checkpoint(ckpt, magnification, stride=args.stride, **eye)
+    options = {"stride": args.stride, **({} if args.eye == "auto" else {"eye": args.eye})}
+    engine = stream.StreamingEngine.from_checkpoint(args.ckpt, magnification, **options)
     if session is not None:
         # the checkpoint's stats normalize by the screen they were made on
         dataio.one_screen([session.meta, engine.stats])

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -420,12 +420,17 @@ class Windows:
         with np.errstate(over="ignore"):
             out = {k: getattr(self, k).astype(np.float32) for k in keys}
         for k, block in out.items():
-            if not np.isfinite(block).all():
-                raise DataError(f"model input stream {k} is not finite as float32")
+            _check_finite(k, block)
         return out
 
     def __repr__(self) -> str:
         return f"Windows(n={len(self)}, m={self.m is not None})"
+
+
+def _check_finite(key: str, block: np.ndarray) -> None:
+    """The DataError of a model data block (stream `key`) that is not finite."""
+    if not np.isfinite(block).all():
+        raise DataError(f"model input stream {key} is not finite as float32")
 
 
 def _as_windows(windows) -> Windows:
@@ -780,8 +785,6 @@ def compensate(g: np.ndarray, view: np.ndarray, magnification: float,
 def remap_to_screen(px: float, py: float, vx: float, vy: float, meta: SessionMeta):
     """Compensate a physical-screen gaze point back into content
     coordinates: `compensate` on one sample."""
-    if meta.magnification < 1:
-        raise ConfigError(f"magnification must be >= 1, got {meta.magnification}")
     cx, cy = compensate(np.array([[px], [py]]), np.array([[vx], [vy]]), meta.magnification,
                         meta.screen_w, meta.screen_h)[:, 0]
     return float(cx), float(cy)
@@ -901,12 +904,25 @@ class NormStats:
 
     Keys: "g", "c", optionally "m" -> (mean[2], std[2]); "vel" -> (mean[2], std[2])
     in normalized screen units per second. Also carries the screen dims the
-    normalization divides by.
+    normalization divides by. However made, stats hold one rule, or raise
+    DataError naming the key and field: the screen size is positive numbers,
+    each mean and std two finite numbers (a float64 array), each std positive.
     """
     screen_w: float
     screen_h: float
-    channels: dict = field(default_factory=dict)
+    channels: dict
     vel: tuple | None = None
+
+    def __post_init__(self):
+        w, h = self.screen_w, self.screen_h
+        if not (_real(w) and _real(h) and w > 0 and h > 0):
+            raise DataError(f"stats: screen size must be positive numbers, got {w!r} x {h!r}")
+        self.channels = {k: (_pair(mu, f"stats.channels.{k}: mean"),
+                             _pair(sd, f"stats.channels.{k}: std", positive=True))
+                         for k, (mu, sd) in self.channels.items()}
+        if self.vel is not None:
+            mu, sd = self.vel
+            self.vel = (_pair(mu, "stats.vel: mean"), _pair(sd, "stats.vel: std", positive=True))
 
     def to_json(self) -> dict:
         d = {"screen_w": self.screen_w, "screen_h": self.screen_h,
@@ -917,38 +933,25 @@ class NormStats:
 
     @classmethod
     def from_json(cls, d: dict) -> "NormStats":
-        """Inverse of `to_json`; raises ValueError naming the key and field it
-        rejects unless the screen size and every std are positive and every
-        mean and std is a pair of finite numbers."""
-        w, h = d["screen_w"], d["screen_h"]
-        if not (_real(w) and _real(h) and w > 0 and h > 0):
-            raise ValueError(f"stats: screen size must be positive numbers, got {w!r} x {h!r}")
-        stats = cls(screen_w=w, screen_h=h)
-        for k, (mu, sd) in d["channels"].items():
-            stats.channels[k] = (_pair(mu, f"stats.channels.{k}: mean"),
-                                 _pair(sd, f"stats.channels.{k}: std", positive=True))
-        if d.get("vel") is not None:
-            stats.vel = (_pair(d["vel"][0], "stats.vel: mean"),
-                         _pair(d["vel"][1], "stats.vel: std", positive=True))
-        return stats
+        """Inverse of `to_json`; `d` that is not an object raises DataError."""
+        if not isinstance(d, dict):
+            raise DataError(f"stats must be an object, got {d!r:.100}")
+        return cls(d["screen_w"], d["screen_h"], d["channels"], d.get("vel"))
 
 
 def _pair(values, what: str, positive: bool = False) -> np.ndarray:
     a = np.array(values, dtype=np.float64)
     if a.shape != (2,) or not np.isfinite(a).all() or (positive and not (a > 0).all()):
-        raise ValueError(f"{what} must be two finite{' positive' * positive} numbers, "
-                         f"got {values!r}")
+        raise DataError(f"{what} must be two finite{' positive' * positive} numbers, "
+                        f"got {np.asarray(values).tolist()!r}")
     return a
 
 
 def _safe_std(sd: np.ndarray) -> np.ndarray:
-    out = sd.copy()
-    zero = out == 0
-    if zero.any():
+    if (sd == 0).any():
         import logging
         logging.getLogger(__name__).warning("zero std in normalization stats; using 1")
-        out[zero] = 1.0
-    return out
+    return np.where(sd == 0, 1.0, sd)
 
 
 def _present(block: np.ndarray | None) -> np.ndarray | None:
@@ -974,23 +977,29 @@ def one_screen(items):
 def compute_stats(windows, meta: SessionMeta) -> NormStats:
     """Per-feature normalization statistics over the rows where each stream
     is present; call on training windows only. `windows` is a `Windows`
-    container or a list of `Window` records."""
+    container or a list of `Window` records. Rows that are not finite raise
+    `Windows.batch`'s DataError, stats that overflow `NormStats`' (no warning)."""
     if not len(windows):
         raise DataError("cannot compute normalization stats from zero windows")
     windows = _as_windows(windows)
     dims = np.array([meta.screen_w, meta.screen_h])[:, None]
-    stats = NormStats(screen_w=meta.screen_w, screen_h=meta.screen_h)
-    for key in ("g", "c", "m"):
-        block = _present(getattr(windows, key))
-        if block is None or not len(block):
-            continue
-        mu, sd = _mean_std(block / dims, axis=(0, 2))  # (N, 2, 24)
-        stats.channels[key] = (mu, _safe_std(sd))
-    vel = _present(windows.vel_target)
-    if len(vel):
-        mu, sd = _mean_std(vel / dims[:, 0], axis=0)
-        stats.vel = (mu, _safe_std(sd))
-    return stats
+    channels, vel = {}, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in ("g", "c", "m"):
+            block = _present(getattr(windows, key))
+            if block is None or not len(block):
+                continue
+            mu, sd = _mean_std(block / dims, axis=(0, 2))  # (N, 2, 24)
+            if not np.isfinite(mu).all():  # rows not finite, or a sum past float64
+                _check_finite(key, block)
+            channels[key] = (mu, _safe_std(sd))
+        block = _present(windows.vel_target)
+        if len(block):
+            mu, sd = _mean_std(block / dims[:, 0], axis=0)
+            if not np.isfinite(mu).all():
+                _check_finite("vel_target", block)
+            vel = (mu, _safe_std(sd))
+    return NormStats(meta.screen_w, meta.screen_h, channels, vel)
 
 
 def _mean_std(x: np.ndarray, axis) -> tuple:

@@ -305,7 +305,7 @@ def save_checkpoint(params: ModelParams, stats, path) -> None:
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
         "head_kind": params.head_kind,
-        "stats": stats.to_json() if stats is not None else None,
+        "stats": stats.to_json(),
         "tensors": entries,
     })
     dataio.write_file(Path(path, "weights.bin"),
@@ -314,16 +314,16 @@ def save_checkpoint(params: ModelParams, stats, path) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, NormStats | None); bit-exact inverse of save.
+    """Returns (ModelParams, NormStats); bit-exact inverse of save.
 
     Everything a checkpoint holds is data, checked before it is used: the
     stored config must be the architecture of a known input mode, and the
     manifest's tensor entries exactly those `save_checkpoint` writes for it
     (names, shapes, dtype, offsets and sizes are derived from `layout`,
     never trusted). Any other config, an unknown head kind, a `weights.bin`
-    of another length, any other entry, a non-finite weight, or stats with
-    a std that is not positive or without a stream the model reads raise
-    DataError naming the checkpoint, as does one that cannot be read.
+    of another length, any other entry, a non-finite weight, or stats that
+    are missing, break the `NormStats` rule or lack a stream the model reads
+    raise DataError naming the checkpoint, as does one that cannot be read.
     """
     path = Path(path)
     try:
@@ -362,15 +362,13 @@ def load_checkpoint(path):
         bad = [k for k, t in params.tensors.items() if not np.isfinite(t.data).all()]
         if bad:
             raise DataError(f"{path}: tensors {bad} hold non-finite values")
-        stats = None
-        if manifest["stats"] is not None:
-            try:
-                stats = dataio.NormStats.from_json(manifest["stats"])
-            except ValueError as e:  # it names the key and field it rejects
-                raise DataError(f"{path}: malformed checkpoint manifest: {e}") from e
-            if not set(cfg.streams) <= stats.channels.keys():
-                raise DataError(f"{path}: normalization stats lack a stream that "
-                                f"input_mode {cfg.input_mode} reads")
+        try:
+            stats = dataio.NormStats.from_json(manifest["stats"])
+        except (DataError, ValueError) as e:  # it names the key and field it rejects
+            raise DataError(f"{path}: malformed checkpoint manifest: {e}") from e
+        if not set(cfg.streams) <= stats.channels.keys():
+            raise DataError(f"{path}: normalization stats lack a stream that "
+                            f"input_mode {cfg.input_mode} reads")
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed checkpoint manifest: {e!r}") from e
     return params, stats

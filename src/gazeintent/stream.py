@@ -44,8 +44,6 @@ class StreamingEngine:
 
     def __init__(self, params: model.ModelParams, stats: dataio.NormStats,
                  magnification: float, eye: str = next(iter(dataio.EYES)), stride: int = 6):
-        if params is None or stats is None:
-            raise ConfigError("engine requires a loaded checkpoint with normalization stats")
         if params.head_kind != model.CLASSIFIER_HEAD:
             raise ConfigError("streaming inference needs a classifier-head checkpoint")
         if "m" in params.config.streams:
@@ -65,10 +63,7 @@ class StreamingEngine:
     @classmethod
     def from_checkpoint(cls, path, magnification: float, **options) -> "StreamingEngine":
         """The engine of a saved checkpoint; `options` are `eye` and `stride`."""
-        params, stats = model.load_checkpoint(path)
-        if stats is None:
-            raise DataError(f"checkpoint at {path} carries no normalization stats")
-        return cls(params, stats, magnification, **options)
+        return cls(*model.load_checkpoint(path), magnification, **options)
 
     def reset(self) -> None:
         """Clear buffers and counters; the model and stats are retained."""

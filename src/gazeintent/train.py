@@ -200,11 +200,11 @@ def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, st
     class-weighted cross-entropy; a velocity head learns mouse velocity by
     MSE. Both splits are normalized by `stats`, or by stats computed on the
     training windows if none are given; the sessions and given stats must
-    share one screen size. The model inputs and velocity targets pass
-    `Windows.batch`: one that is not finite raises DataError naming the
-    stage and `stats_source`, where the stats came from. While the loop
-    trains, only that float32 data and the labels stay alive.
-    Returns (best_params, stats, History)."""
+    share one screen size. Computed stats pass the `NormStats` rule, and the
+    model inputs and velocity targets `Windows.batch`: a fault of either
+    raises DataError naming the stage and `stats_source`, where the stats
+    came from. While the loop trains, only that float32 data and the labels
+    stay alive. Returns (best_params, stats, History)."""
     train_w, val_w = (collect_windows(split, cfg, params.head_kind)
                       for split in split_train_val(sessions, cfg))
     empty = [name for name, w in (("training", train_w), ("validation", val_w)) if not w]
@@ -215,8 +215,6 @@ def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, st
     classify = params.head_kind == model.CLASSIFIER_HEAD
     if classify:
         train_w = _subsample_labels(train_w, cfg.label_fraction, cfg.seed)
-    if stats is None:
-        stats = dataio.compute_stats(train_w, screen)
     keys = params.config.streams
     if classify:
         y_train, y_val = train_w.label, val_w.label
@@ -229,6 +227,8 @@ def _stage(params: model.ModelParams, sessions, cfg: TrainConfig, stage: str, st
         keys += ("vel_target",)
         loss_fn = lambda out, v: mse_loss(out, Tensor(v))
     try:
+        if stats is None:
+            stats = dataio.compute_stats(train_w, screen)
         x_train, x_val = (dataio.normalize(w, stats).batch(keys) for w in (train_w, val_w))
     except DataError as e:
         raise DataError(f"{stage} stage: {e} under the normalization stats "

@@ -720,9 +720,16 @@ class TestSweep:
 
 
 class TestInfer:
-    def test_missing_checkpoint(self, tmp_path):
-        assert cli.main(["infer", "--ckpt", str(tmp_path / "none"),
-                         "--input", "-"]) == 2
+    def test_missing_checkpoint(self, tmp_path, workspace, capsys):
+        # the loader's DataError is the one rule for a checkpoint it cannot read
+        _, data, _ = workspace
+        missing = tmp_path / "none"
+        for argv in (["infer", "--ckpt", str(missing), "--input", "-"],
+                     ["train", "--mode", "finetune", "--from", str(missing),
+                      "--data", str(data), "--out", str(tmp_path / "o")]):
+            assert cli.main(argv) == 3
+            assert f"error: cannot read checkpoint at {missing}: [Errno 2] " \
+                in capsys.readouterr().err
 
     def test_missing_input_file(self, workspace):
         _, _, ckpt = workspace

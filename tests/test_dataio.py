@@ -647,13 +647,44 @@ class TestNormalization:
         (lambda d: d["vel"][1].append(1.0), "stats.vel: std must be two finite positive numbers"),
         (lambda d: d.update(screen_w=0), "stats: screen size must be positive numbers, got 0 x")])
     def test_stats_json_rejection_names_key_and_field(self, edit, message):
+        # one rule, however the stats are made
         session = make_session(240)
         doc = dataio.compute_stats(dataio.windowize(session, 2, "pretext", eye="left"),
                                    session.meta).to_json()
         edit(doc)
-        with pytest.raises(ValueError) as raised:
-            dataio.NormStats.from_json(doc)
+        for make in (dataio.NormStats.from_json,
+                     lambda d: dataio.NormStats(d["screen_w"], d["screen_h"], d["channels"],
+                                                d["vel"])):
+            with pytest.raises(DataError) as raised:
+                make(doc)
+            assert str(raised.value).startswith(message)
+
+    @pytest.mark.parametrize("key,message", [
+        ("vel_target", "stats.vel: std must be two finite positive numbers, got [inf, "),
+        ("m", "stats.channels.m: std must be two finite positive numbers, got [inf, ")])
+    def test_stats_whose_squares_overflow_rejected(self, key, message):
+        # finite rows, but their squares pass float64's range: the std is inf
+        rows = []
+        for i in range(4):
+            x = (-1) ** i * 5e306
+            rows.append(dataio.Window(
+                g=np.ones((2, 24)), c=np.ones((2, 24)), t_end=0.2 * i, subject_id="S00",
+                vel_target=np.array([x, i]) if key == "vel_target" else np.ones(2),
+                m=np.full((2, 24), x) if key == "m" else np.ones((2, 24))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError) as raised:
+                dataio.compute_stats(rows, make_meta())
         assert str(raised.value).startswith(message)
+
+    def test_stream_not_finite_named_as_batch_names_it(self):
+        wins = dataio.windowize(make_session(240), 2, "pretext", eye="left")
+        wins.vel_target[3, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="^model input stream vel_target is not "
+                                                "finite as float32$"):
+                dataio.compute_stats(wins, make_meta())
 
     def test_batch_rejects_a_block_not_finite_as_float32(self):
         wins = dataio.windowize(make_session(240), 2, "labeled", eye="left")

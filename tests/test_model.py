@@ -331,7 +331,7 @@ class TestCheckpoints:
 
     def test_truncated_weights_rejected(self, tmp_path):
         p = model.init_params(model.ModelConfig(), seed=0)
-        model.save_checkpoint(p, None, tmp_path / "ckpt")
+        model.save_checkpoint(p, unit_stats(), tmp_path / "ckpt")
         blob = (tmp_path / "ckpt" / "weights.bin").read_bytes()
         (tmp_path / "ckpt" / "weights.bin").write_bytes(blob[:-4])
         with pytest.raises(DataError, match="length"):
@@ -343,7 +343,7 @@ class TestCheckpoints:
 
     def _edit_manifest(self, tmp_path, edit):
         p = model.init_params(model.ModelConfig(), seed=0)
-        model.save_checkpoint(p, None, tmp_path / "ckpt")
+        model.save_checkpoint(p, unit_stats(), tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "manifest.json"
         doc = json.loads(path.read_text())
         path.write_text(edit(doc) if callable(edit) else edit)
@@ -365,7 +365,9 @@ class TestCheckpoints:
         lambda d: {k: v for k, v in d.items() if k != "tensors"},
         lambda d: {**d, "config": None},
         lambda d: {**d, "tensors": [{**e, "offset": 1 << 30} for e in d["tensors"]]},
-    ], ids=["unknown_config_key", "missing_key", "wrong_type", "offset_out_of_range"])
+        lambda d: {**d, "stats": {**d["stats"], "vel": [*d["stats"]["vel"], [0.0, 1.0]]}},
+    ], ids=["unknown_config_key", "missing_key", "wrong_type", "offset_out_of_range",
+            "vel_of_three"])
     def test_malformed_manifest_fields_rejected(self, tmp_path, edit):
         ckpt = self._edit_manifest(tmp_path, lambda d: json.dumps(edit(d)))
         with pytest.raises(DataError):
@@ -410,7 +412,7 @@ class TestCheckpoints:
     def test_finetune_load_keeps_backbone_swaps_head(self, tmp_path):
         cfg = model.ModelConfig()
         p = model.init_params(cfg, seed=0, head_kind=model.VELOCITY_HEAD)
-        model.save_checkpoint(p, None, tmp_path / "ckpt")
+        model.save_checkpoint(p, unit_stats(), tmp_path / "ckpt")
         ft, _ = model.load_for_finetune(tmp_path / "ckpt", head_seed=99)
         assert ft.head_kind == model.CLASSIFIER_HEAD
         assert ft.checksum(ft.backbone_names()) == p.checksum(p.backbone_names())
@@ -482,8 +484,6 @@ class TestCheckpointFuzz:
         assert {k: t.shape for k, t in params.tensors.items()} == \
             {name: shape for name, shape, _ in model.layout(params.config)}
         assert all(np.isfinite(t.data).all() for t in params.tensors.values())
-        if stats is None:
-            return
         assert stats.screen_w > 0 and stats.screen_h > 0
         assert set(params.config.streams) <= stats.channels.keys()
         pairs = [*stats.channels.values(), stats.vel or ()]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,9 +274,13 @@ class TestValidation:
         assert engine.count == 0
 
     def test_checkpoint_without_stats_rejected(self, trained, tmp_path):
-        params, _, _, _ = trained
-        model.save_checkpoint(params, None, tmp_path / "ckpt")
-        with pytest.raises(DataError, match="stats"):
+        # every checkpoint carries stats: a manifest whose stats are null is malformed
+        params, stats, _, _ = trained
+        model.save_checkpoint(params, stats, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "stats": None}))
+        with pytest.raises(DataError, match="malformed checkpoint manifest: stats must be an "
+                                            "object, got None"):
             stream.StreamingEngine.from_checkpoint(tmp_path / "ckpt", 2.0)
 
     def test_non_finite_decision_rejected(self, trained):

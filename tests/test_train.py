@@ -389,6 +389,19 @@ class TestPretext:
                                                 "training split"):
                 train.pretrain(hostile, quick_cfg(max_epochs=1))
 
+    def test_stats_that_overflow_name_the_stage(self, sessions):
+        # finite velocities of a training subject whose squares pass float64's
+        # range: the stats are refused where they are made, not in a checkpoint
+        hostile = [copy.deepcopy(s) for s in sessions]
+        assert any(s is hostile[1] for s in train.split_train_val(hostile, quick_cfg())[0])
+        mouse = hostile[1].mouse
+        mouse.mx[:] = np.where(np.arange(len(mouse)) % 2, 5e306, -5e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match=r"^pretext stage: stats\.vel: std must be two "
+                                                r"finite positive numbers, got \[inf, "):
+                train.pretrain(hostile, quick_cfg(max_epochs=1))
+
     def test_only_model_data_lives_while_the_loop_trains(self, sessions, monkeypatch):
         made = []
         for owner, name in ((train, "collect_windows"), (dataio, "normalize")):
